@@ -24,7 +24,6 @@ from .linalg import (
     HermitianEigenDecomposition,
     adjoint,
     hermitian_eig,
-    matmul,
     matrix_power_of_positive,
     von_neumann_entropy,
 )
@@ -78,7 +77,6 @@ from .process import (
     make_step,
     process_spec,
     sample_trajectories,
-    sample_trajectory,
     sigma_boundary,
     verify_detailed_ft,
     verify_integral_ft,

@@ -34,15 +34,6 @@ def as_complex_matrix(a, max_dim: int = MAX_DIM) -> np.ndarray:
     return m
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Complex matrix product with an explicit shape check."""
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatchError(
-            f"cannot multiply {a.shape} by {b.shape}: inner dimensions differ"
-        )
-    return a @ b
-
-
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return a.conj().T

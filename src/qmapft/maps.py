@@ -1,13 +1,14 @@
 """CPTP maps in Kraus form: validation, application, and invariant states.
 
 Density matrices and state vectors are plain complex128 arrays; KrausMap
-bundles the operator list of one map.  Vectorization is row-major, so the
-superoperator of rho -> M rho M† is kron(M, conj(M)).
+holds the Kraus operators of one map as one stacked (K, dim, dim) array.
+Vectorization is row-major, so the superoperator of rho -> M rho M† is
+kron(M, conj(M)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,11 +25,14 @@ from .linalg import adjoint, as_complex_matrix, frob, hermitian_eig, hermiticity
 
 @dataclass(frozen=True)
 class KrausMap:
-    """One CPTP map as an ordered list of dim x dim Kraus operators."""
+    """One CPTP map: its K Kraus operators stacked into a read-only (K, dim, dim) array."""
 
-    dim: int
-    operators: tuple
+    operators: np.ndarray
     labels: tuple
+
+    @property
+    def dim(self) -> int:
+        return self.operators.shape[1]
 
     def __len__(self) -> int:
         return len(self.operators)
@@ -53,15 +57,15 @@ def kraus_map(operators, labels=None) -> KrausMap:
         labels = tuple(str(s) for s in labels)
         if len(labels) != len(ops):
             raise ValueError("labels length does not match operator count")
-    for m in ops:
-        m.setflags(write=False)
-    return KrausMap(dim=dim, operators=tuple(ops), labels=labels)
+    stacked = np.stack(ops)
+    stacked.setflags(write=False)
+    return KrausMap(operators=stacked, labels=labels)
 
 
 def tp_defect(kmap: KrausMap) -> float:
     """Frobenius norm of sum_k M_k† M_k - 1."""
-    acc = sum(adjoint(m) @ m for m in kmap.operators)
-    return frob(acc - np.eye(kmap.dim))
+    ops = kmap.operators
+    return frob((ops.conj().swapaxes(1, 2) @ ops).sum(axis=0) - np.eye(kmap.dim))
 
 
 @dataclass(frozen=True)
@@ -119,10 +123,8 @@ def apply_map(kmap: KrausMap, rho: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"state shape {rho.shape} does not match map dimension {kmap.dim}"
         )
-    out = np.zeros_like(rho)
-    for m in kmap.operators:
-        out = out + m @ rho @ adjoint(m)
-    return out
+    ops = kmap.operators
+    return (ops @ rho @ ops.conj().swapaxes(1, 2)).sum(axis=0)
 
 
 def operation_probability(
@@ -174,11 +176,12 @@ def apply_to_pure(
 
 
 def build_superoperator(kmap: KrausMap) -> np.ndarray:
-    """dim^2 x dim^2 matrix S with S vec(rho) = vec(E(rho)), row-major vec."""
-    s = np.zeros((kmap.dim**2, kmap.dim**2), dtype=np.complex128)
-    for m in kmap.operators:
-        s += np.kron(m, m.conj())
-    return s
+    """dim^2 x dim^2 matrix S with S vec(rho) = vec(E(rho)), row-major vec.
+
+    Summed one operator at a time: broadcasting all K products at once would
+    hold a K dim^4 array (32 MB at dim 16, K = 31).
+    """
+    return sum(np.kron(m, m.conj()) for m in kmap.operators)
 
 
 def invariant_state(

@@ -17,7 +17,7 @@ potential changes of the observed operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (
     EnumerationTooLarge,
     ZeroProbabilityBranch,
 )
-from .linalg import adjoint, as_complex_matrix, frob, hermitian_eig, von_neumann_entropy
+from .linalg import adjoint, as_complex_matrix, hermitian_eig, von_neumann_entropy
 from .maps import KrausMap, apply_map, validate_density
 from .potential import (
     PotentialStructure,
@@ -37,7 +37,7 @@ from .potential import (
     build_potential_structure,
     theta,
 )
-from .models import free_energy, gibbs_state
+from .models import free_energy
 
 ENTROPIC = "entropic"
 EQUILIBRIUM = "equilibrium"
@@ -55,10 +55,12 @@ class ProcessStep:
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Explicit measurement bases and populations, overriding boundary_mode.
+    """Measurement bases and populations at both ends of a process.
 
-    Used for dual processes, whose bases come from transforming the forward
-    bases rather than from re-diagonalizing anything.
+    compile_process resolves one for every ProcessSpec.  Given as a spec's
+    explicit_boundary it overrides boundary_mode; dual processes use this,
+    because their bases come from transforming the forward bases rather
+    than from re-diagonalizing anything.
     """
 
     initial_basis: np.ndarray   # columns
@@ -79,17 +81,6 @@ class ProcessSpec:
     beta: float | None = None
     symmetry: SymmetryOp | None = None
     explicit_boundary: BoundaryData | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.steps[0].map.dim if self.steps else self._boundary_dim()
-
-    def _boundary_dim(self) -> int:
-        if self.explicit_boundary is not None:
-            return self.explicit_boundary.initial_basis.shape[0]
-        if self.boundary_mode == ENTROPIC:
-            return self.initial_state.shape[0]
-        return self.h_initial.shape[0]
 
 
 def make_step(
@@ -165,54 +156,20 @@ def process_spec(
     )
 
 
-@dataclass(frozen=True)
-class CompiledProcess:
-    """Measurement bases and populations resolved for one process."""
-
-    spec: ProcessSpec
-    initial_basis: np.ndarray
-    initial_probs: np.ndarray
-    final_basis: np.ndarray
-    final_probs: np.ndarray   # dual-initial populations entering sigma
-    final_state: np.ndarray   # forward-evolved state (entropic bookkeeping)
-
-    @property
-    def step_ops(self) -> tuple:
-        """Per step, the Kraus operators stacked into one (K, dim, dim) array."""
-        cached = getattr(self, "_step_ops", None)
-        if cached is None:
-            cached = tuple(np.stack(s.map.operators) for s in self.spec.steps)
-            object.__setattr__(self, "_step_ops", cached)
-        return cached
-
-
 def compile_process(
     spec: ProcessSpec, tol: Tolerances = DEFAULT_TOLERANCES
-) -> CompiledProcess:
+) -> BoundaryData:
     """Resolve measurement bases and boundary populations."""
     if spec.explicit_boundary is not None:
-        b = spec.explicit_boundary
-        rho = _state_from_populations(b.initial_basis, b.initial_probs)
-        final_state = _evolve(spec.steps, rho)
-        return CompiledProcess(
-            spec=spec,
-            initial_basis=b.initial_basis,
-            initial_probs=b.initial_probs,
-            final_basis=b.final_basis,
-            final_probs=b.final_probs,
-            final_state=final_state,
-        )
+        return spec.explicit_boundary
     if spec.boundary_mode == ENTROPIC:
         eig_i = hermitian_eig(spec.initial_state, tol)
-        rho_f = _evolve(spec.steps, spec.initial_state)
-        eig_f = hermitian_eig(rho_f, tol)
-        return CompiledProcess(
-            spec=spec,
+        eig_f = hermitian_eig(_evolve(spec.steps, spec.initial_state), tol)
+        return BoundaryData(
             initial_basis=eig_i.eigenvectors,
             initial_probs=np.clip(eig_i.eigenvalues.real, 0.0, None),
             final_basis=eig_f.eigenvectors,
             final_probs=np.clip(eig_f.eigenvalues.real, 0.0, None),
-            final_state=rho_f,
         )
     # equilibrium boundaries
     beta = spec.beta
@@ -222,14 +179,11 @@ def compile_process(
     p_i /= np.sum(p_i)
     p_f = np.exp(-beta * eig_f.eigenvalues)
     p_f /= np.sum(p_f)
-    rho_i = _state_from_populations(eig_i.eigenvectors, p_i)
-    return CompiledProcess(
-        spec=spec,
+    return BoundaryData(
         initial_basis=eig_i.eigenvectors,
         initial_probs=p_i,
         final_basis=eig_f.eigenvectors,
         final_probs=p_f,
-        final_state=_evolve(spec.steps, rho_i),
     )
 
 
@@ -244,16 +198,11 @@ def _state_from_populations(basis: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 
 def sigma_boundary(
-    spec_or_compiled, n: int, m: int, tol: Tolerances = DEFAULT_TOLERANCES
+    boundary: BoundaryData, n: int, m: int, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
     """Boundary term ln p_i(n) - ln p~_f(m) for one outcome pair."""
-    comp = (
-        spec_or_compiled
-        if isinstance(spec_or_compiled, CompiledProcess)
-        else compile_process(spec_or_compiled, tol)
-    )
-    p_n = comp.initial_probs[n]
-    p_m = comp.final_probs[m]
+    p_n = boundary.initial_probs[n]
+    p_m = boundary.final_probs[m]
     if p_n <= tol.eps_prob or p_m <= tol.eps_prob:
         raise ZeroProbabilityBranch(
             f"boundary populations p_i({n})={p_n:.3e}, p_f({m})={p_m:.3e}"
@@ -302,8 +251,8 @@ def enumerate_trajectories(
     branch_cap: int = DEFAULT_BRANCH_CAP,
 ) -> TrajectoryEnsemble:
     """Exact branch-by-branch enumeration of the trajectory distribution."""
-    comp = compile_process(spec, tol)
-    dim = comp.initial_basis.shape[0]
+    bnd = compile_process(spec, tol)
+    dim = bnd.initial_basis.shape[0]
     count = dim * dim
     for step in spec.steps:
         count *= len(step.map)
@@ -316,12 +265,12 @@ def enumerate_trajectories(
         if float(np.vdot(phi, phi).real) <= tol.eps_prob:
             return
         if r == len(spec.steps):
-            amps = adjoint(comp.final_basis) @ phi
+            amps = adjoint(bnd.final_basis) @ phi
             for m in range(dim):
-                p = float(abs(amps[m]) ** 2) * comp.initial_probs[n]
+                p = float(abs(amps[m]) ** 2) * bnd.initial_probs[n]
                 if p > tol.eps_prob:
                     try:
-                        sigma = sigma_boundary(comp, n, m, tol)
+                        sigma = sigma_boundary(bnd, n, m, tol)
                     except ZeroProbabilityBranch as exc:
                         # forward mass lands on an outcome the dual process
                         # cannot start from
@@ -338,12 +287,12 @@ def enumerate_trajectories(
                     )
             return
         step = spec.steps[r]
-        for k, op in enumerate(step.map.operators):
-            descend(r + 1, op @ phi, ks + (k,), dphi + step.structure.delta_phi[k], n)
+        for k, child in enumerate(step.map.operators @ phi):
+            descend(r + 1, child, ks + (k,), dphi + step.structure.delta_phi[k], n)
 
     for n in range(dim):
-        if comp.initial_probs[n] > tol.eps_prob:
-            descend(0, comp.initial_basis[:, n].copy(), (), 0.0, n)
+        if bnd.initial_probs[n] > tol.eps_prob:
+            descend(0, bnd.initial_basis[:, n].copy(), (), 0.0, n)
 
     return TrajectoryEnsemble(trajectories=tuple(out), mode="exact")
 
@@ -354,41 +303,46 @@ def _draw(cumulative: np.ndarray, u: float) -> int:
     ))
 
 
-def _sample_one(comp: CompiledProcess, rng, tol: Tolerances) -> Trajectory:
-    spec = comp.spec
+def _sample_one(spec: ProcessSpec, bnd: BoundaryData, rng, tol: Tolerances) -> Trajectory:
     # one uniform per decision point, drawn up front from this trajectory's stream
     u = rng.random(len(spec.steps) + 2)
-    n = _draw(np.cumsum(comp.initial_probs), u[0])
-    psi = comp.initial_basis[:, n]
+    n = _draw(np.cumsum(bnd.initial_probs), u[0])
+    psi = bnd.initial_basis[:, n]
     psi = psi / np.linalg.norm(psi)
     ks = []
     dphi = 0.0
     for r, step in enumerate(spec.steps):
-        phis = comp.step_ops[r] @ psi  # (K, dim) candidate branches
+        phis = step.map.operators @ psi  # (K, dim) candidate branches
         branch_p = np.sum(np.abs(phis) ** 2, axis=1)
         k = _draw(np.cumsum(branch_p), u[r + 1])
         psi = phis[k] / np.sqrt(branch_p[k])
         ks.append(k)
         dphi += step.structure.delta_phi[k]
-    born = np.abs(adjoint(comp.final_basis) @ psi) ** 2
+    born = np.abs(adjoint(bnd.final_basis) @ psi) ** 2
     m = _draw(np.cumsum(born), u[-1])
+    try:
+        sigma = sigma_boundary(bnd, n, m, tol)
+    except ZeroProbabilityBranch as exc:
+        # the sampled outcome is one the dual process cannot start from
+        raise AbsoluteContinuityViolation(
+            (n, tuple(ks), m), _path_probability(spec, bnd, n, ks, m)
+        ) from exc
     return Trajectory(
         n=n,
         ks=tuple(ks),
         m=m,
         probability=1.0,
-        sigma_boundary=sigma_boundary(comp, n, m, tol),
+        sigma_boundary=sigma,
         delta_phi_sum=dphi,
     )
 
 
-def sample_trajectory(
-    spec: ProcessSpec, rng_seed: int, tol: Tolerances = DEFAULT_TOLERANCES
-) -> Trajectory:
-    """Draw one trajectory from its own derived random stream."""
-    comp = compile_process(spec, tol)
-    rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
-    return _sample_one(comp, rng, tol)
+def _path_probability(spec: ProcessSpec, bnd: BoundaryData, n: int, ks, m: int) -> float:
+    """Probability of one outcome record, replayed outside the sampling loop."""
+    phi = bnd.initial_basis[:, n]
+    for step, k in zip(spec.steps, ks):
+        phi = step.map.operators[k] @ phi
+    return float(bnd.initial_probs[n] * abs(np.vdot(bnd.final_basis[:, m], phi)) ** 2)
 
 
 def sample_trajectories(
@@ -402,11 +356,11 @@ def sample_trajectories(
     Stream i is derived from (seed, i), so the result is independent of any
     execution order.
     """
-    comp = compile_process(spec, tol)
+    bnd = compile_process(spec, tol)
     trajectories = []
     for i in range(sample_count):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        trajectories.append(_sample_one(comp, rng, tol))
+        trajectories.append(_sample_one(spec, bnd, rng, tol))
     return TrajectoryEnsemble(
         trajectories=tuple(trajectories), mode="mc", seed=seed, sample_count=sample_count
     )
@@ -416,7 +370,7 @@ def build_dual_process(
     spec: ProcessSpec, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> ProcessSpec:
     """Reversed concatenation of per-step dual maps with transformed bases."""
-    comp = compile_process(spec, tol)
+    bnd = compile_process(spec, tol)
     sym = spec.symmetry
     dual_steps = []
     for step in reversed(spec.steps):
@@ -429,10 +383,10 @@ def build_dual_process(
         return np.column_stack(cols)
 
     boundary = BoundaryData(
-        initial_basis=transform_basis(comp.final_basis),
-        initial_probs=comp.final_probs,
-        final_basis=transform_basis(comp.initial_basis),
-        final_probs=comp.initial_probs,
+        initial_basis=transform_basis(bnd.final_basis),
+        initial_probs=bnd.final_probs,
+        final_basis=transform_basis(bnd.initial_basis),
+        final_probs=bnd.initial_probs,
     )
     return ProcessSpec(
         steps=tuple(dual_steps),
@@ -616,6 +570,7 @@ def work_statistics(
 
 def entropy_change(spec: ProcessSpec, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Von Neumann entropy of the evolved state minus the initial state's."""
-    comp = compile_process(spec, tol)
-    rho_i = _state_from_populations(comp.initial_basis, comp.initial_probs)
-    return von_neumann_entropy(comp.final_state, tol) - von_neumann_entropy(rho_i, tol)
+    bnd = compile_process(spec, tol)
+    rho_i = _state_from_populations(bnd.initial_basis, bnd.initial_probs)
+    rho_f = _evolve(spec.steps, rho_i)
+    return von_neumann_entropy(rho_f, tol) - von_neumann_entropy(rho_i, tol)

@@ -65,15 +65,19 @@ def map_from_json(data) -> KrausMap:
     return kmap
 
 
-def load_map_file(path) -> KrausMap:
+def _read_json(path: Path):
+    """Parsed JSON of a file; failures become ProcessFileError with line and column."""
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ProcessFileError(f"{path}: invalid JSON at line {exc.lineno}, "
                                f"column {exc.colno}: {exc.msg}") from exc
     except OSError as exc:
         raise ProcessFileError(f"{path}: {exc}") from exc
-    return map_from_json(data)
+
+
+def load_map_file(path) -> KrausMap:
+    return map_from_json(_read_json(Path(path)))
 
 
 def _build_model(entry: dict) -> KrausMap:
@@ -117,13 +121,7 @@ def load_process_file(
 ) -> tuple[ProcessSpec, dict]:
     """Load a process spec; returns (spec, raw dict) for seed/sample defaults."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ProcessFileError(f"{path}: invalid JSON at line {exc.lineno}, "
-                               f"column {exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise ProcessFileError(f"{path}: {exc}") from exc
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ProcessFileError(f"{path}: process file must be a JSON object")
     try:

@@ -138,6 +138,37 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_cli_verify_process_parse_errors(tmp_path, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"steps": [\n  {"model": "thermal_qubit",,}\n]}')
+    assert main(["verify", str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and "line 2, column 29" in err
+
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    assert main(["verify", str(not_object)]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "sample"])
+@pytest.mark.parametrize(
+    "option",
+    [["--samples", "0"], ["--samples", "-5"], ["--bin-width", "0"], ["--bin-width", "-0.5"]],
+    ids=["samples-zero", "samples-negative", "bin-width-zero", "bin-width-negative"],
+)
+def test_cli_rejects_non_positive_samples_and_bin_width(tmp_path, capsys, command, option):
+    proc = tmp_path / "proc.json"
+    write_gad_process(proc)
+    hist = tmp_path / "hist.csv"
+    with pytest.raises(SystemExit) as info:
+        main([command, str(proc), "--hist", str(hist)] + option)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"{option[0]}: must be positive" in captured.err
+    assert captured.out == "" and not hist.exists()
+
+
 def test_cli_classify_gad(tmp_path, capsys):
     map_path = tmp_path / "gad.json"
     write_gad_map(map_path)

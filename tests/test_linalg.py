@@ -14,25 +14,6 @@ def random_matrix(seed, dim=4):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
-def test_matmul_identity():
-    assert np.allclose(q.matmul(np.eye(2, dtype=complex), X), X)
-
-
-def test_matmul_involution():
-    assert np.allclose(q.matmul(X, X), np.eye(2))
-
-
-def test_matmul_diagonal():
-    a = np.diag([2.0, 3.0]).astype(complex)
-    b = np.diag([5.0, 7.0]).astype(complex)
-    assert np.allclose(q.matmul(a, b), np.diag([10.0, 21.0]))
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(q.DimensionMismatchError):
-        q.matmul(np.ones((2, 3), complex), np.ones((2, 2), complex))
-
-
 def test_adjoint_raising_to_lowering():
     raising = np.array([[0, 1], [0, 0]], dtype=complex)
     assert np.allclose(q.adjoint(raising), np.array([[0, 0], [1, 0]]))
@@ -99,8 +80,8 @@ def test_matrix_power_singular():
 def test_adjoint_product_rule(seed):
     a = random_matrix(seed)
     b = random_matrix(seed + 1)
-    lhs = q.adjoint(q.matmul(a, b))
-    rhs = q.matmul(q.adjoint(b), q.adjoint(a))
+    lhs = q.adjoint(a @ b)
+    rhs = q.adjoint(b) @ q.adjoint(a)
     assert frob(lhs - rhs) <= 1e-13 * max(frob(lhs), 1.0)
 
 

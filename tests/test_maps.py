@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import qmapft as q
 from qmapft.linalg import frob
+from qmapft.maps import tp_defect
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -187,6 +188,25 @@ def test_superoperator_commutes_with_apply(seed):
     s = q.build_superoperator(kmap)
     rho = random_density(seed)
     assert frob((s @ rho.reshape(-1)).reshape(2, 2) - q.apply_map(kmap, rho)) <= 1e-10
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from([2, 3, 8, 16]))
+@settings(max_examples=20, deadline=None)
+def test_stacked_operators_match_per_operator_loop(seed, dim):
+    # reference: the per-operator sums the stacked array expressions replace
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(1, 2 * dim))
+    ops = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    kmap = q.kraus_map(list(ops))
+    assert kmap.operators.shape == (count, dim, dim) and kmap.dim == dim
+    assert not kmap.operators.flags.writeable
+    rho = random_density(seed, dim)
+    applied = np.zeros_like(rho)
+    for m in ops:
+        applied = applied + m @ rho @ m.conj().T
+    assert np.array_equal(q.apply_map(kmap, rho), applied)
+    defect = frob(sum(m.conj().T @ m for m in ops) - np.eye(dim))
+    assert tp_defect(kmap) == defect
 
 
 def test_invariant_state_unitary_degenerate():

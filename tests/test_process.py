@@ -104,7 +104,12 @@ def test_enumeration_branch_cap():
         q.enumerate_trajectories(gad_process(steps=4), branch_cap=100)
 
 
-def test_enumeration_absolute_continuity_violation():
+@pytest.mark.parametrize(
+    "run",
+    [q.enumerate_trajectories, lambda spec: q.sample_trajectories(spec, 50, seed=1)],
+    ids=["enumerate", "sample"],
+)
+def test_enumeration_absolute_continuity_violation(run):
     # dual-initial population is zero on an outcome the forward process reaches
     basis = np.eye(2, dtype=complex)
     boundary = BoundaryData(
@@ -118,7 +123,7 @@ def test_enumeration_absolute_continuity_violation():
         explicit_boundary=boundary,
     )
     with pytest.raises(q.AbsoluteContinuityViolation):
-        q.enumerate_trajectories(spec)
+        run(spec)
 
 
 def test_dual_process_single_unitary_step():
