@@ -9,7 +9,7 @@ cap exceeded.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -26,13 +26,14 @@ from .errors import (
 from .maps import invariant_state, validate_cptp
 from .potential import build_dual, build_potential_structure, check_ladder_commutators
 from .process import (
-    build_dual_process,
+    RNG_SCHEME,
     enumerate_trajectories,
     sample_trajectories,
     verify_detailed_ft,
     verify_integral_ft,
 )
 from .serialize import (
+    _read_json,
     dumps_report,
     load_map_file,
     load_process_file,
@@ -49,14 +50,21 @@ EXIT_PARSE_ERROR = 2
 EXIT_NEEDS_INPUT = 3
 EXIT_RESOURCE_CAP = 4
 
+SEED_LIMIT = 2**128  # seeds are Philox keys, 128-bit unsigned integers
+
 
 def _load_tolerances(path) -> Tolerances:
     if path is None:
         return DEFAULT_TOLERANCES
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ProcessFileError(f"{path}: {exc}") from exc
+    data = _read_json(Path(path))
+    if not isinstance(data, dict):
+        raise ProcessFileError(f"{path}: tolerance file must be a JSON object")
+    known = {f.name for f in dataclasses.fields(Tolerances)}
+    for key, value in data.items():
+        if key not in known:
+            raise ProcessFileError(f"{path}: unknown tolerance {key!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ProcessFileError(f"{path}: tolerance {key!r} must be a number, got {value!r}")
     return Tolerances(**data)
 
 
@@ -70,7 +78,7 @@ def _emit(report: dict, out_path) -> None:
 
 def _resolve_pi(kmap, args, tol):
     if args.pi:
-        return matrix_from_json(json.loads(Path(args.pi).read_text()))
+        return matrix_from_json(_read_json(Path(args.pi)))
     if getattr(args, "unital", False):
         return np.eye(kmap.dim) / kmap.dim
     try:
@@ -125,6 +133,22 @@ def cmd_dual(args) -> int:
     return EXIT_OK
 
 
+def _mc_settings(args, raw: dict) -> tuple:
+    """(samples, seed) of a Monte Carlo run: each flag if given, else the process file's."""
+    samples = args.samples or raw.get("samples", 10000)
+    seed = args.seed if args.seed is not None else raw.get("seed", 0)
+    # type(...) is int: JSON true/false are bools, which isinstance counts as ints
+    if not (type(samples) is int and samples > 0):
+        raise ProcessFileError(
+            f"{args.process_file}: 'samples' must be a positive integer, got {samples!r}"
+        )
+    if not (type(seed) is int and 0 <= seed < SEED_LIMIT):
+        raise ProcessFileError(
+            f"{args.process_file}: 'seed' must be an integer in [0, 2**128), got {seed!r}"
+        )
+    return samples, seed
+
+
 def cmd_verify(args) -> int:
     tol = _load_tolerances(args.tolerances)
     spec, raw = load_process_file(args.process_file, tol)
@@ -139,12 +163,12 @@ def cmd_verify(args) -> int:
         body["max_abs_sigma"] = float(np.max(np.abs(sigmas)))
         ok = detailed.passed
     else:
-        samples = args.samples or int(raw.get("samples", 10000))
-        seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+        samples, seed = _mc_settings(args, raw)
         ensemble = sample_trajectories(spec, samples, seed, tol)
         integral = verify_integral_ft(ensemble)
         body["samples"] = samples
         body["seed"] = seed
+        body["rng_scheme"] = RNG_SCHEME
         body["integral_ft"] = integral.to_dict()
         ok = abs(integral.z_score) <= 3.0
     if args.hist:
@@ -156,13 +180,13 @@ def cmd_verify(args) -> int:
 def cmd_sample(args) -> int:
     tol = _load_tolerances(args.tolerances)
     spec, raw = load_process_file(args.process_file, tol)
-    samples = args.samples or int(raw.get("samples", 10000))
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+    samples, seed = _mc_settings(args, raw)
     ensemble = sample_trajectories(spec, samples, seed, tol)
     integral = verify_integral_ft(ensemble)
     body = {
         "samples": samples,
         "seed": seed,
+        "rng_scheme": RNG_SCHEME,
         "integral_ft": integral.to_dict(),
     }
     if args.hist:
@@ -182,6 +206,17 @@ def _positive(cast):
 
     parse.__name__ = cast.__name__
     return parse
+
+
+def _seed(text: str) -> int:
+    """argparse type: an integer in [0, 2**128), the range of Philox keys."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**128), got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("process_file")
     p.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p.add_argument("--samples", type=_positive(int))
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out")
     p.add_argument("--hist", help="write a CSV histogram of entropy production")
     p.add_argument("--bin-width", type=_positive(float), default=0.1)
@@ -224,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="Monte Carlo sampling of a process")
     p.add_argument("process_file")
     p.add_argument("--samples", type=_positive(int))
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out")
     p.add_argument("--hist")
     p.add_argument("--bin-width", type=_positive(float), default=0.1)

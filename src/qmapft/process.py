@@ -17,6 +17,7 @@ potential changes of the observed operations.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,14 @@ ENTROPIC = "entropic"
 EQUILIBRIUM = "equilibrium"
 
 DEFAULT_BRANCH_CAP = 10_000_000
+
+# How sample_trajectories draws its uniforms; recorded in Monte Carlo reports.
+RNG_SCHEME = "philox-rows"
+
+# Rows sample_trajectories walks at once: small enough that the per-step
+# temporaries are reused from the allocator's free lists instead of being
+# freshly mapped each time.
+SAMPLE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -229,20 +238,65 @@ class Trajectory:
         return (self.n, self.ks, self.m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryEnsemble:
-    """Exact (probability-weighted) or sampled collection of trajectories."""
+    """Exact (probability-weighted) or sampled trajectories as parallel arrays.
 
-    trajectories: tuple
+    Row i is the outcome record (n[i], ks[i], m[i]) with its probability (1
+    for a sample), boundary term and summed potential change.
+    """
+
+    n: np.ndarray                # (N,) initial outcomes
+    ks: np.ndarray               # (N, R) Kraus labels, one column per step
+    m: np.ndarray                # (N,) final outcomes
+    probability: np.ndarray      # (N,)
+    sigma_boundary: np.ndarray   # (N,)
+    delta_phi_sum: np.ndarray    # (N,)
     mode: str                    # "exact" or "mc"
     seed: int | None = None
     sample_count: int | None = None
 
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def key(self, i: int) -> tuple:
+        """Outcome record (n, ks, m) of row i."""
+        return (int(self.n[i]), tuple(self.ks[i].tolist()), int(self.m[i]))
+
     def sigmas(self) -> np.ndarray:
-        return np.array([t.sigma for t in self.trajectories])
+        return self.sigma_boundary - self.delta_phi_sum
 
     def probabilities(self) -> np.ndarray:
-        return np.array([t.probability for t in self.trajectories])
+        return self.probability
+
+    @property
+    def trajectories(self) -> "TrajectoryRecords":
+        """Read-only sequence of Trajectory records, each built when it is read."""
+        return TrajectoryRecords(self)
+
+
+class TrajectoryRecords(Sequence):
+    """Rows of an ensemble seen as Trajectory records; len() builds none of them."""
+
+    def __init__(self, ensemble: TrajectoryEnsemble):
+        self._ensemble = ensemble
+
+    def __len__(self) -> int:
+        return len(self._ensemble)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        e = self._ensemble
+        n, ks, m = e.key(i)
+        return Trajectory(
+            n=n,
+            ks=ks,
+            m=m,
+            probability=float(e.probability[i]),
+            sigma_boundary=float(e.sigma_boundary[i]),
+            delta_phi_sum=float(e.delta_phi_sum[i]),
+        )
 
 
 def enumerate_trajectories(
@@ -259,7 +313,12 @@ def enumerate_trajectories(
     if count > branch_cap:
         raise EnumerationTooLarge(count, branch_cap)
 
-    out: list[Trajectory] = []
+    ns: list = []
+    kss: list = []
+    ms: list = []
+    probs: list = []
+    sigmas: list = []
+    dphis: list = []
 
     def descend(r: int, phi: np.ndarray, ks: tuple, dphi: float, n: int):
         if float(np.vdot(phi, phi).real) <= tol.eps_prob:
@@ -275,16 +334,12 @@ def enumerate_trajectories(
                         # forward mass lands on an outcome the dual process
                         # cannot start from
                         raise AbsoluteContinuityViolation((n, ks, m), p) from exc
-                    out.append(
-                        Trajectory(
-                            n=n,
-                            ks=ks,
-                            m=m,
-                            probability=p,
-                            sigma_boundary=sigma,
-                            delta_phi_sum=dphi,
-                        )
-                    )
+                    ns.append(n)
+                    kss.append(ks)
+                    ms.append(m)
+                    probs.append(p)
+                    sigmas.append(sigma)
+                    dphis.append(dphi)
             return
         step = spec.steps[r]
         for k, child in enumerate(step.map.operators @ phi):
@@ -293,48 +348,31 @@ def enumerate_trajectories(
     for n in range(dim):
         if bnd.initial_probs[n] > tol.eps_prob:
             descend(0, bnd.initial_basis[:, n].copy(), (), 0.0, n)
+    # descend refers to itself through its closure; breaking that cycle frees
+    # the per-field lists when this function returns, not at the next full
+    # garbage collection (which left them alive across many calls)
+    del descend
 
-    return TrajectoryEnsemble(trajectories=tuple(out), mode="exact")
-
-
-def _draw(cumulative: np.ndarray, u: float) -> int:
-    return int(np.searchsorted(cumulative, u * cumulative[-1], side="right").clip(
-        0, len(cumulative) - 1
-    ))
-
-
-def _sample_one(spec: ProcessSpec, bnd: BoundaryData, rng, tol: Tolerances) -> Trajectory:
-    # one uniform per decision point, drawn up front from this trajectory's stream
-    u = rng.random(len(spec.steps) + 2)
-    n = _draw(np.cumsum(bnd.initial_probs), u[0])
-    psi = bnd.initial_basis[:, n]
-    psi = psi / np.linalg.norm(psi)
-    ks = []
-    dphi = 0.0
-    for r, step in enumerate(spec.steps):
-        phis = step.map.operators @ psi  # (K, dim) candidate branches
-        branch_p = np.sum(np.abs(phis) ** 2, axis=1)
-        k = _draw(np.cumsum(branch_p), u[r + 1])
-        psi = phis[k] / np.sqrt(branch_p[k])
-        ks.append(k)
-        dphi += step.structure.delta_phi[k]
-    born = np.abs(adjoint(bnd.final_basis) @ psi) ** 2
-    m = _draw(np.cumsum(born), u[-1])
-    try:
-        sigma = sigma_boundary(bnd, n, m, tol)
-    except ZeroProbabilityBranch as exc:
-        # the sampled outcome is one the dual process cannot start from
-        raise AbsoluteContinuityViolation(
-            (n, tuple(ks), m), _path_probability(spec, bnd, n, ks, m)
-        ) from exc
-    return Trajectory(
-        n=n,
-        ks=tuple(ks),
-        m=m,
-        probability=1.0,
-        sigma_boundary=sigma,
-        delta_phi_sum=dphi,
+    return TrajectoryEnsemble(
+        n=np.array(ns, dtype=np.int64),
+        ks=np.array(kss, dtype=np.int64).reshape(len(kss), len(spec.steps)),
+        m=np.array(ms, dtype=np.int64),
+        probability=np.array(probs, dtype=float),
+        sigma_boundary=np.array(sigmas, dtype=float),
+        delta_phi_sum=np.array(dphis, dtype=float),
+        mode="exact",
     )
+
+
+def _draw_rows(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the first index whose cumulative weight exceeds u * total.
+
+    weights is (N, K) and u is (N,); the rule is searchsorted(side="right")
+    of u * total on each row's cumulative sum, clipped to the last index.
+    """
+    cumulative = np.cumsum(weights, axis=1)
+    hits = cumulative <= (u * cumulative[:, -1])[:, None]
+    return np.minimum(hits.sum(axis=1), weights.shape[1] - 1)
 
 
 def _path_probability(spec: ProcessSpec, bnd: BoundaryData, n: int, ks, m: int) -> float:
@@ -345,25 +383,79 @@ def _path_probability(spec: ProcessSpec, bnd: BoundaryData, n: int, ks, m: int) 
     return float(bnd.initial_probs[n] * abs(np.vdot(bnd.final_basis[:, m], phi)) ** 2)
 
 
+def _walk(spec: ProcessSpec, bnd: BoundaryData, u: np.ndarray) -> tuple:
+    """(n, ks, m, summed potential change) of len(u) trajectories walked in lockstep.
+
+    Row i of u holds trajectory i's uniforms: n, one per step, then m.
+    """
+    count = len(u)
+    basis = bnd.initial_basis / np.linalg.norm(bnd.initial_basis, axis=0)
+    n = _draw_rows(np.broadcast_to(bnd.initial_probs, (count, len(basis))), u[:, 0])
+    psi = basis[:, n].T
+    rows = np.arange(count)
+    ks = np.empty((count, len(spec.steps)), dtype=np.int64)
+    dphi = np.zeros(count)
+    for r, step in enumerate(spec.steps):
+        phis = psi @ step.map.operators.swapaxes(1, 2)  # (K, count, dim) candidate branches
+        branch_p = np.sum(np.abs(phis) ** 2, axis=2).T
+        k = _draw_rows(branch_p, u[:, r + 1])
+        psi = phis[k, rows] / np.sqrt(branch_p[rows, k])[:, None]
+        ks[:, r] = k
+        dphi += step.structure.delta_phi[k]
+    m = _draw_rows(np.abs(psi @ bnd.final_basis.conj()) ** 2, u[:, -1])
+    return n, ks, m, dphi
+
+
 def sample_trajectories(
     spec: ProcessSpec,
     sample_count: int,
     seed: int,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> TrajectoryEnsemble:
-    """Draw sample_count trajectories, one independent stream per index.
+    """Draw sample_count trajectories, walked together step by step in blocks.
 
-    Stream i is derived from (seed, i), so the result is independent of any
-    execution order.
+    The uniforms come from one Philox stream keyed by seed (a non-negative
+    integer below 2**128), read as a (sample_count, R + 2) array: row i
+    holds trajectory i's draws for n, each step's Kraus label and m, so it
+    depends only on (seed, i) and a longer run extends a shorter one.
     """
     bnd = compile_process(spec, tol)
-    trajectories = []
-    for i in range(sample_count):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        trajectories.append(_sample_one(spec, bnd, rng, tol))
-    return TrajectoryEnsemble(
-        trajectories=tuple(trajectories), mode="mc", seed=seed, sample_count=sample_count
+    dim = bnd.initial_basis.shape[0]
+    u = np.random.Generator(np.random.Philox(key=seed)).random(
+        (sample_count, len(spec.steps) + 2)
     )
+    n = np.empty(sample_count, dtype=np.int64)
+    ks = np.empty((sample_count, len(spec.steps)), dtype=np.int64)
+    m = np.empty(sample_count, dtype=np.int64)
+    dphi = np.empty(sample_count)
+    for lo in range(0, sample_count, SAMPLE_BLOCK):
+        block = slice(lo, lo + SAMPLE_BLOCK)
+        n[block], ks[block], m[block], dphi[block] = _walk(spec, bnd, u[block])
+
+    # boundary terms of all (n, m) pairs; NaN marks a pair the dual cannot start from
+    table = np.full((dim, dim), np.nan)
+    for i, j in np.ndindex(dim, dim):
+        try:
+            table[i, j] = sigma_boundary(bnd, i, j, tol)
+        except ZeroProbabilityBranch:
+            pass
+    ensemble = TrajectoryEnsemble(
+        n=n,
+        ks=ks,
+        m=m,
+        probability=np.ones(sample_count),
+        sigma_boundary=table[n, m],
+        delta_phi_sum=dphi,
+        mode="mc",
+        seed=seed,
+        sample_count=sample_count,
+    )
+    bad = np.flatnonzero(np.isnan(ensemble.sigma_boundary))
+    if bad.size:
+        # the sampled outcome is one the dual process cannot start from
+        record = ensemble.key(bad[0])
+        raise AbsoluteContinuityViolation(record, _path_probability(spec, bnd, *record))
+    return ensemble
 
 
 def build_dual_process(
@@ -400,6 +492,16 @@ def build_dual_process(
     )
 
 
+def _encode(n: np.ndarray, ks: np.ndarray, m: np.ndarray, radices: list) -> np.ndarray:
+    """Outcome strings (n, k_1 .. k_R, m) as mixed-radix integers, n most significant."""
+    if math.prod(radices) >= 2**63:
+        raise EnumerationTooLarge(math.prod(radices), 2**63 - 1)
+    code = n.astype(np.int64)
+    for column, radix in zip(ks.T, radices[1:-1]):
+        code = code * radix + column
+    return code * radices[-1] + m
+
+
 @dataclass(frozen=True)
 class DetailedFTReport:
     """Branchwise comparison ln(p/p~) vs Sigma over the enumerated ensembles."""
@@ -429,18 +531,29 @@ def verify_detailed_ft(
 ) -> DetailedFTReport:
     """Check ln(p(gamma) / p~(reversed gamma)) = Sigma(gamma) branch by branch."""
     forward = enumerate_trajectories(spec, tol, branch_cap)
-    dual = enumerate_trajectories(build_dual_process(spec, tol), tol, branch_cap)
-    dual_probs = {t.key(): t.probability for t in dual.trajectories}
+    dual_spec = build_dual_process(spec, tol)
+    dual = enumerate_trajectories(dual_spec, tol, branch_cap)
+    dim = dual_spec.explicit_boundary.initial_basis.shape[0]
+    radices = [dim] + [len(s.map) for s in dual_spec.steps] + [dim]
+    dual_codes = _encode(dual.n, dual.ks, dual.m, radices)
+    order = np.argsort(dual_codes)
+    # a sentinel above every code, with probability 0, catches unmatched branches
+    codes = np.append(dual_codes[order], np.iinfo(np.int64).max)
+    probs = np.append(dual.probability[order], 0.0)
+    wanted = _encode(forward.m, forward.ks[:, ::-1], forward.n, radices)
+    pos = np.searchsorted(codes, wanted)
+    p_rev = np.where(codes[pos] == wanted, probs[pos], 0.0)
+    unmatched = np.flatnonzero(p_rev <= tol.eps_prob)
+    if unmatched.size:
+        i = unmatched[0]
+        raise AbsoluteContinuityViolation(forward.key(i), float(forward.probability[i]))
     max_residual = 0.0
-    for t in forward.trajectories:
-        rev = (t.m, tuple(reversed(t.ks)), t.n)
-        p_rev = dual_probs.get(rev, 0.0)
-        if p_rev <= tol.eps_prob:
-            raise AbsoluteContinuityViolation((t.n, t.ks, t.m), t.probability)
-        residual = abs(math.log(t.probability / p_rev) - t.sigma)
-        max_residual = max(max_residual, residual)
+    for p, pr, sigma in zip(
+        forward.probability.tolist(), p_rev.tolist(), forward.sigmas().tolist()
+    ):
+        max_residual = max(max_residual, abs(math.log(p / pr) - sigma))
     return DetailedFTReport(
-        branch_count=len(forward.trajectories),
+        branch_count=len(forward),
         max_residual=max_residual,
         tolerance=tolerance,
     )
@@ -470,7 +583,7 @@ class IntegralFTReport:
 
 def verify_integral_ft(ensemble: TrajectoryEnsemble) -> IntegralFTReport:
     """<e^{-Sigma}> over the ensemble; exact sum or sample mean with z-score."""
-    if not ensemble.trajectories:
+    if not len(ensemble):
         raise ValueError("ensemble is empty")
     sigmas = ensemble.sigmas()
     weights = np.exp(-sigmas)
@@ -539,21 +652,15 @@ def work_statistics(
     delta_f = free_energy(spec.h_final, beta, tol) - free_energy(
         spec.h_initial, beta, tol
     )
-    works = []
-    heats = []
-    exps = []
-    for t in ensemble.trajectories:
-        de = float(eig_f.eigenvalues[t.m] - eig_i.eigenvalues[t.n])
-        q = -t.delta_phi_sum / beta
-        w = de + q
-        works.append(w)
-        heats.append(q)
-        exps.append(math.exp(-beta * (w - delta_f)))
+    heats = -ensemble.delta_phi_sum / beta
+    works = (eig_f.eigenvalues[ensemble.m] - eig_i.eigenvalues[ensemble.n]) + heats
+    # math.exp per trajectory: np.exp is not bit-identical to it
+    exps = np.array([math.exp(x) for x in (-beta * (works - delta_f)).tolist()])
     if ensemble.mode == "exact":
         probs = ensemble.probabilities()
-        mean_exp = float(np.sum(probs * np.array(exps)))
-        mean_w = float(np.sum(probs * np.array(works)))
-        mean_q = float(np.sum(probs * np.array(heats)))
+        mean_exp = float(np.sum(probs * exps))
+        mean_w = float(np.sum(probs * works))
+        mean_q = float(np.sum(probs * heats))
     else:
         mean_exp = float(np.mean(exps))
         mean_w = float(np.mean(works))

@@ -270,3 +270,81 @@ def test_cli_tolerances_override(tmp_path, capsys):
     assert main(["--tolerances", str(tol_path), "validate", str(map_path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["tolerances"]["eps_tp"] == 1e-3
+
+
+def test_cli_mc_reports_record_rng_scheme(tmp_path):
+    proc = tmp_path / "proc.json"
+    write_gad_process(proc)
+    reports = {}
+    for name, argv in {
+        "verify-mc": ["verify", str(proc), "--mode", "mc", "--samples", "500"],
+        "sample": ["sample", str(proc), "--samples", "500"],
+        "verify-exact": ["verify", str(proc)],
+    }.items():
+        out = tmp_path / f"{name}.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        reports[name] = json.loads(out.read_text())
+    assert reports["verify-mc"]["verify"]["rng_scheme"] == "philox-rows"
+    assert reports["sample"]["sample"]["rng_scheme"] == "philox-rows"
+    assert "rng_scheme" not in reports["verify-exact"]["verify"]
+
+
+def write_process_with(path, **settings):
+    write_gad_process(path)
+    data = json.loads(path.read_text())
+    data.update(settings)
+    path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize("command", [["verify", "--mode", "mc"], ["sample"]],
+                         ids=["verify", "sample"])
+@pytest.mark.parametrize("samples", [0, -3, 2.5, "100", True])
+def test_cli_rejects_bad_samples_in_process_file(tmp_path, capsys, command, samples):
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, samples=samples)
+    assert main([command[0], str(proc)] + command[1:]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and "'samples' must be a positive integer" in err
+
+
+@pytest.mark.parametrize("command", [["verify", "--mode", "mc"], ["sample"]],
+                         ids=["verify", "sample"])
+def test_cli_seed_must_be_a_philox_key(tmp_path, capsys, command):
+    proc = tmp_path / "proc.json"
+    write_gad_process(proc)
+    base = [command[0], str(proc)] + command[1:] + ["--samples", "200"]
+    for seed in ["-1", str(2**128), "1.5", "x"]:
+        with pytest.raises(SystemExit) as info:
+            main(base + ["--seed", seed])
+        assert info.value.code == 2
+        assert "--seed: must be an integer in [0, 2**128)" in capsys.readouterr().err
+    for seed in [-1, 2**128, 1.5]:
+        write_process_with(proc, seed=seed)
+        assert main(base) == 2
+        assert "'seed' must be an integer in [0, 2**128)" in capsys.readouterr().err
+    write_process_with(proc, seed=2**128 - 1)
+    assert main(base + ["--out", str(tmp_path / "top.json")]) == 0
+
+
+def test_cli_pi_file_parse_error(tmp_path, capsys):
+    map_path = tmp_path / "gad.json"
+    write_gad_map(map_path)
+    pi_path = tmp_path / "broken.json"
+    pi_path.write_text("[[[1, 0], [0, 0]],")
+    assert main(["classify", str(map_path), "--pi", str(pi_path)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_cli_tolerances_file_parse_errors(tmp_path, capsys):
+    map_path = tmp_path / "gad.json"
+    write_gad_map(map_path)
+    tol_path = tmp_path / "tol.json"
+    for text, message in [
+        (json.dumps({"eps_tp": 1e-3, "eps_bogus": 1e-3}), "unknown tolerance 'eps_bogus'"),
+        (json.dumps([1e-3]), "must be a JSON object"),
+        (json.dumps({"eps_tp": "small"}), "tolerance 'eps_tp' must be a number"),
+    ]:
+        tol_path.write_text(text)
+        assert main(["--tolerances", str(tol_path), "validate", str(map_path)]) == 2
+        err = capsys.readouterr().err
+        assert "parse error" in err and message in err

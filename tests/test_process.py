@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import qmapft as q
-from qmapft.linalg import frob
+import qmapft.process
+from qmapft.linalg import adjoint, frob
 from qmapft.process import BoundaryData, compile_process, sigma_boundary
 
 LN2 = np.log(2.0)
@@ -172,6 +173,21 @@ def test_detailed_ft_gad():
     assert report.max_residual <= 1e-12
 
 
+def test_detailed_ft_matching_agrees_with_tuple_lookup(library):
+    # reference: each reversed branch looked up by its (n, ks, m) tuple
+    for name, spec in library.items():
+        forward = q.enumerate_trajectories(spec)
+        dual = q.enumerate_trajectories(q.build_dual_process(spec))
+        p_rev = {t.key(): t.probability for t in dual.trajectories}
+        worst = 0.0
+        for t in forward.trajectories:
+            p = p_rev[(t.m, t.ks[::-1], t.n)]
+            worst = max(worst, abs(math.log(t.probability / p) - t.sigma))
+        report = q.verify_detailed_ft(spec)
+        assert report.max_residual == worst, name
+        assert report.branch_count == len(forward.trajectories), name
+
+
 def test_detailed_ft_stationary_sigma_zero():
     step = q.make_step(q.thermal_qubit_map(LN2, 0.5))
     spec = q.process_spec([step, step], initial_state=step.structure.pi)
@@ -204,6 +220,74 @@ def test_sampling_prefix_stable():
     assert [t.key() for t in small.trajectories] == [
         t.key() for t in big.trajectories[:50]
     ]
+
+
+def _scalar_walk(spec, u):
+    """Reference sampler: one trajectory walked on its own from its row of uniforms."""
+    bnd = compile_process(spec)
+
+    def draw(weights, x):
+        cumulative = np.cumsum(weights)
+        i = np.searchsorted(cumulative, x * cumulative[-1], side="right")
+        return int(min(i, len(cumulative) - 1))
+
+    n = draw(bnd.initial_probs, u[0])
+    psi = bnd.initial_basis[:, n] / np.linalg.norm(bnd.initial_basis[:, n])
+    ks = []
+    dphi = 0.0
+    for r, step in enumerate(spec.steps):
+        phis = step.map.operators @ psi
+        branch_p = np.sum(np.abs(phis) ** 2, axis=1)
+        k = draw(branch_p, u[r + 1])
+        psi = phis[k] / np.sqrt(branch_p[k])
+        ks.append(k)
+        dphi += step.structure.delta_phi[k]
+    m = draw(np.abs(adjoint(bnd.final_basis) @ psi) ** 2, u[-1])
+    return (n, tuple(ks), m), float(sigma_boundary(bnd, n, m) - dphi)
+
+
+def test_lockstep_sampler_matches_scalar_walk(library):
+    count, seed = 400, 23
+    for name, spec in library.items():
+        ens = q.sample_trajectories(spec, count, seed=seed)
+        rows = np.random.Generator(np.random.Philox(key=seed)).random(
+            (count, len(spec.steps) + 2)
+        )
+        for t, u in zip(ens.trajectories, rows):
+            key, sigma = _scalar_walk(spec, u)
+            assert t.key() == key, name
+            assert t.sigma == sigma, name  # bit-identical, not approximate
+
+
+def test_sampling_blocks_do_not_change_results(monkeypatch):
+    spec = gad_process()
+    whole = q.sample_trajectories(spec, 1000, seed=9)
+    monkeypatch.setattr(qmapft.process, "SAMPLE_BLOCK", 64)
+    blocked = q.sample_trajectories(spec, 1000, seed=9)
+    for field in ("n", "ks", "m", "sigma_boundary", "delta_phi_sum"):
+        assert np.array_equal(getattr(whole, field), getattr(blocked, field)), field
+
+
+def test_ensemble_is_arrays():
+    spec = gad_process()
+    for ens in (q.enumerate_trajectories(spec), q.sample_trajectories(spec, 30, seed=2)):
+        count = len(ens)
+        assert ens.n.shape == ens.m.shape == (count,)
+        assert ens.ks.shape == (count, 3)
+        assert ens.probability.shape == ens.sigma_boundary.shape == (count,)
+        assert np.array_equal(ens.sigmas(), ens.sigma_boundary - ens.delta_phi_sum)
+        records = ens.trajectories
+        assert len(records) == count and records[-1].key() == ens.key(count - 1)
+        assert [t.sigma for t in records] == ens.sigmas().tolist()
+
+
+def test_sampling_accepts_full_philox_key_range():
+    spec = gad_process()
+    top = q.sample_trajectories(spec, 20, seed=2**128 - 1)
+    assert len(top) == 20 and top.seed == 2**128 - 1
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError):
+            q.sample_trajectories(spec, 20, seed=seed)
 
 
 def test_sampling_matches_enumeration():
@@ -274,6 +358,23 @@ def test_work_statistics_thermal_map_same_hamiltonian():
     assert np.max(np.abs(ens.sigmas())) <= 1e-12
     report = q.work_statistics(spec, ens)
     assert report.deviation <= 1e-12
+
+
+def test_work_statistics_agrees_with_per_trajectory_loop(library):
+    for name in ("thermal_equilibrium_same_h", "sudden_quench", "quench_then_thermalize"):
+        spec = library[name]
+        ens = q.enumerate_trajectories(spec)
+        e_i = np.linalg.eigvalsh(spec.h_initial)
+        e_f = np.linalg.eigvalsh(spec.h_final)
+        report = q.work_statistics(spec, ens)
+        mean_exp = mean_w = 0.0
+        for t in ens.trajectories:
+            heat = -t.delta_phi_sum / spec.beta
+            work = e_f[t.m] - e_i[t.n] + heat
+            mean_exp += t.probability * math.exp(-spec.beta * (work - report.delta_f))
+            mean_w += t.probability * work
+        assert report.mean_exp_neg_beta_wdiss == pytest.approx(mean_exp, abs=1e-14), name
+        assert report.mean_work == pytest.approx(mean_w, abs=1e-14), name
 
 
 def test_work_statistics_requires_equilibrium_mode():
