@@ -39,7 +39,7 @@ class NonUniqueInvariantState(QmapError):
 
 
 class ZeroProbabilityBranch(QmapError):
-    """A conditional state was requested for an outcome of (near-)zero probability."""
+    """An outcome, or every branch of an enumeration, has probability at or below eps_prob."""
 
 
 class MixedPotentialOperator(QmapError):

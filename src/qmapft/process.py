@@ -243,7 +243,8 @@ class TrajectoryEnsemble:
     """Exact (probability-weighted) or sampled trajectories as parallel arrays.
 
     Row i is the outcome record (n[i], ks[i], m[i]) with its probability (1
-    for a sample), boundary term and summed potential change.
+    for a sample), boundary term and summed potential change.  Exact rows
+    are enumerated breadth first and come in lexicographic (n, k_1 .. k_R, m) order.
     """
 
     n: np.ndarray                # (N,) initial outcomes
@@ -299,69 +300,79 @@ class TrajectoryRecords(Sequence):
         )
 
 
+def _boundary_table(bnd: BoundaryData, tol: Tolerances) -> np.ndarray:
+    """Boundary terms of all (n, m) pairs; NaN marks a pair the dual cannot start from."""
+    dim = len(bnd.initial_probs)
+    table = np.full((dim, dim), np.nan)
+    for i, j in np.ndindex(dim, dim):
+        try:
+            table[i, j] = sigma_boundary(bnd, i, j, tol)
+        except ZeroProbabilityBranch:
+            pass
+    return table
+
+
+def _live(phi: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Rows of phi whose squared norm is above the pruning floor."""
+    return np.flatnonzero(np.sum(phi.real**2 + phi.imag**2, axis=1) > tol.eps_prob)
+
+
 def enumerate_trajectories(
     spec: ProcessSpec,
     tol: Tolerances = DEFAULT_TOLERANCES,
     branch_cap: int = DEFAULT_BRANCH_CAP,
 ) -> TrajectoryEnsemble:
-    """Exact branch-by-branch enumeration of the trajectory distribution."""
+    """Exact enumeration of the trajectory distribution, breadth first over arrays.
+
+    The live branches of each step are the rows of a (B, d) array of
+    unnormalized states; rows with squared norm at or below eps_prob are
+    pruned and every operator is applied to every row at once, children in
+    (row, k) order.  Rows of the result are therefore in lexicographic
+    (n, k_1 .. k_R, m) order.
+    """
     bnd = compile_process(spec, tol)
     dim = bnd.initial_basis.shape[0]
-    count = dim * dim
-    for step in spec.steps:
-        count *= len(step.map)
+    count = dim * dim * math.prod(len(step.map) for step in spec.steps)
     if count > branch_cap:
         raise EnumerationTooLarge(count, branch_cap)
 
-    ns: list = []
-    kss: list = []
-    ms: list = []
-    probs: list = []
-    sigmas: list = []
-    dphis: list = []
-
-    def descend(r: int, phi: np.ndarray, ks: tuple, dphi: float, n: int):
-        if float(np.vdot(phi, phi).real) <= tol.eps_prob:
-            return
-        if r == len(spec.steps):
-            amps = adjoint(bnd.final_basis) @ phi
-            for m in range(dim):
-                p = float(abs(amps[m]) ** 2) * bnd.initial_probs[n]
-                if p > tol.eps_prob:
-                    try:
-                        sigma = sigma_boundary(bnd, n, m, tol)
-                    except ZeroProbabilityBranch as exc:
-                        # forward mass lands on an outcome the dual process
-                        # cannot start from
-                        raise AbsoluteContinuityViolation((n, ks, m), p) from exc
-                    ns.append(n)
-                    kss.append(ks)
-                    ms.append(m)
-                    probs.append(p)
-                    sigmas.append(sigma)
-                    dphis.append(dphi)
-            return
-        step = spec.steps[r]
-        for k, child in enumerate(step.map.operators @ phi):
-            descend(r + 1, child, ks + (k,), dphi + step.structure.delta_phi[k], n)
-
-    for n in range(dim):
-        if bnd.initial_probs[n] > tol.eps_prob:
-            descend(0, bnd.initial_basis[:, n].copy(), (), 0.0, n)
-    # descend refers to itself through its closure; breaking that cycle frees
-    # the per-field lists when this function returns, not at the next full
-    # garbage collection (which left them alive across many calls)
-    del descend
-
-    return TrajectoryEnsemble(
-        n=np.array(ns, dtype=np.int64),
-        ks=np.array(kss, dtype=np.int64).reshape(len(kss), len(spec.steps)),
-        m=np.array(ms, dtype=np.int64),
-        probability=np.array(probs, dtype=float),
-        sigma_boundary=np.array(sigmas, dtype=float),
-        delta_phi_sum=np.array(dphis, dtype=float),
+    n = np.flatnonzero(bnd.initial_probs > tol.eps_prob)
+    phi = bnd.initial_basis.T[n]
+    ks = np.zeros((len(n), len(spec.steps)), dtype=np.int64)
+    dphi = np.zeros(len(n))
+    for r, step in enumerate(spec.steps):
+        live = _live(phi, tol)
+        ops = step.map.operators
+        # a gemv per (row, k), the kernel of ops @ phi: gemm-shaped products round differently
+        phi = (ops[None] @ phi[live, None, :, None]).reshape(-1, dim)
+        parent = np.repeat(live, len(ops))
+        k = np.tile(np.arange(len(ops)), len(live))
+        n, ks, dphi = n[parent], ks[parent], dphi[parent] + step.structure.delta_phi[k]
+        ks[:, r] = k
+    live = _live(phi, tol)
+    amps = (adjoint(bnd.final_basis)[None] @ phi[live, :, None])[:, :, 0]
+    # hypot and float_power round as the scalar abs(z) ** 2 does; np.abs and ** 2 do not
+    p_n = bnd.initial_probs[n[live], None]
+    probs = np.float_power(np.hypot(amps.real, amps.imag), 2.0) * p_n
+    row, m = np.nonzero(probs > tol.eps_prob)
+    if not len(row):
+        raise ZeroProbabilityBranch(f"every branch has probability <= eps_prob = {tol.eps_prob}")
+    row_live = live[row]
+    ensemble = TrajectoryEnsemble(
+        n=n[row_live],
+        ks=ks[row_live],
+        m=m,
+        probability=probs[row, m],
+        sigma_boundary=_boundary_table(bnd, tol)[n[row_live], m],
+        delta_phi_sum=dphi[row_live],
         mode="exact",
     )
+    bad = np.flatnonzero(np.isnan(ensemble.sigma_boundary))
+    if bad.size:
+        # forward mass lands on an outcome the dual process cannot start from
+        i = bad[0]
+        raise AbsoluteContinuityViolation(ensemble.key(i), float(ensemble.probability[i]))
+    return ensemble
 
 
 def _draw_rows(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -420,7 +431,6 @@ def sample_trajectories(
     depends only on (seed, i) and a longer run extends a shorter one.
     """
     bnd = compile_process(spec, tol)
-    dim = bnd.initial_basis.shape[0]
     u = np.random.Generator(np.random.Philox(key=seed)).random(
         (sample_count, len(spec.steps) + 2)
     )
@@ -432,19 +442,12 @@ def sample_trajectories(
         block = slice(lo, lo + SAMPLE_BLOCK)
         n[block], ks[block], m[block], dphi[block] = _walk(spec, bnd, u[block])
 
-    # boundary terms of all (n, m) pairs; NaN marks a pair the dual cannot start from
-    table = np.full((dim, dim), np.nan)
-    for i, j in np.ndindex(dim, dim):
-        try:
-            table[i, j] = sigma_boundary(bnd, i, j, tol)
-        except ZeroProbabilityBranch:
-            pass
     ensemble = TrajectoryEnsemble(
         n=n,
         ks=ks,
         m=m,
         probability=np.ones(sample_count),
-        sigma_boundary=table[n, m],
+        sigma_boundary=_boundary_table(bnd, tol)[n, m],
         delta_phi_sum=dphi,
         mode="mc",
         seed=seed,
@@ -547,14 +550,11 @@ def verify_detailed_ft(
     if unmatched.size:
         i = unmatched[0]
         raise AbsoluteContinuityViolation(forward.key(i), float(forward.probability[i]))
-    max_residual = 0.0
-    for p, pr, sigma in zip(
-        forward.probability.tolist(), p_rev.tolist(), forward.sigmas().tolist()
-    ):
-        max_residual = max(max_residual, abs(math.log(p / pr) - sigma))
+    # math.log per branch: np.log is not bit-identical to it
+    log_ratio = np.frompyfunc(math.log, 1, 1)(forward.probability / p_rev).astype(float)
     return DetailedFTReport(
         branch_count=len(forward),
-        max_residual=max_residual,
+        max_residual=float(np.max(np.abs(log_ratio - forward.sigmas()), initial=0.0)),
         tolerance=tolerance,
     )
 
@@ -655,7 +655,7 @@ def work_statistics(
     heats = -ensemble.delta_phi_sum / beta
     works = (eig_f.eigenvalues[ensemble.m] - eig_i.eigenvalues[ensemble.n]) + heats
     # math.exp per trajectory: np.exp is not bit-identical to it
-    exps = np.array([math.exp(x) for x in (-beta * (works - delta_f)).tolist()])
+    exps = np.frompyfunc(math.exp, 1, 1)(-beta * (works - delta_f)).astype(float)
     if ensemble.mode == "exact":
         probs = ensemble.probabilities()
         mean_exp = float(np.sum(probs * exps))

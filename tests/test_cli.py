@@ -348,3 +348,15 @@ def test_cli_tolerances_file_parse_errors(tmp_path, capsys):
         assert main(["--tolerances", str(tol_path), "validate", str(map_path)]) == 2
         err = capsys.readouterr().err
         assert "parse error" in err and message in err
+
+
+def test_cli_verify_with_every_branch_pruned(tmp_path, capsys):
+    proc_path = tmp_path / "proc.json"
+    write_gad_process(proc_path, steps=3)
+    tol_path = tmp_path / "tol.json"
+    tol_path.write_text(json.dumps({"eps_prob": 0.9}))
+    assert main(["--tolerances", str(tol_path), "verify", str(proc_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "eps_prob" in lines[0]

@@ -127,6 +127,132 @@ def test_enumeration_absolute_continuity_violation(run):
         run(spec)
 
 
+def _reference_enumerate(spec, tol=q.DEFAULT_TOLERANCES):
+    """Reference enumerator: the depth-first recursion, one branch at a time."""
+    bnd = compile_process(spec, tol)
+    dim = bnd.initial_basis.shape[0]
+    rows = []
+
+    def descend(r, phi, ks, dphi, n):
+        if float(np.vdot(phi, phi).real) <= tol.eps_prob:
+            return
+        if r == len(spec.steps):
+            amps = adjoint(bnd.final_basis) @ phi
+            for m in range(dim):
+                p = float(abs(amps[m]) ** 2) * bnd.initial_probs[n]
+                if p > tol.eps_prob:
+                    try:
+                        sigma = sigma_boundary(bnd, n, m, tol)
+                    except q.ZeroProbabilityBranch as exc:
+                        raise q.AbsoluteContinuityViolation((n, ks, m), p) from exc
+                    rows.append((n, ks, m, p, sigma, dphi))
+            return
+        step = spec.steps[r]
+        for k, child in enumerate(step.map.operators @ phi):
+            descend(r + 1, child, ks + (k,), dphi + step.structure.delta_phi[k], n)
+
+    for n in range(dim):
+        if bnd.initial_probs[n] > tol.eps_prob:
+            descend(0, bnd.initial_basis[:, n].copy(), (), 0.0, n)
+    n, ks, m, p, sigma, dphi = zip(*rows)
+    return {
+        "n": np.array(n),
+        "ks": np.array(ks, dtype=np.int64).reshape(len(rows), len(spec.steps)),
+        "m": np.array(m),
+        "probability": np.array(p, dtype=float),
+        "sigma_boundary": np.array(sigma),
+        "delta_phi_sum": np.array(dphi, dtype=float),
+    }
+
+
+def _ladder_chain(d, r, seed):
+    """R discretized thermal-ladder Lindblad steps: K = 2d - 1, one jump per level pair."""
+    rng = np.random.default_rng([d, r, seed])
+    steps = []
+    for _ in range(r):
+        gaps = rng.uniform(0.5, 1.2, size=d - 1)
+        beta = rng.uniform(0.2, 0.5)
+        down = rng.uniform(0.5, 1.0, size=d - 1)
+        jumps = []
+        for i in range(1, d):
+            lower = np.zeros((d, d))
+            lower[i - 1, i] = 1.0
+            jumps.append(np.sqrt(down[i - 1]) * lower)
+            jumps.append(np.sqrt(down[i - 1] * np.exp(-beta * gaps[i - 1])) * lower.T)
+        h = np.diag(np.concatenate([[0.0], np.cumsum(gaps)]))
+        dt = rng.uniform(0.04, 0.08) / down.max()
+        steps.append(q.make_step(q.lindblad_step(h, jumps, dt)))
+    pops = 0.5 / d + 0.5 * rng.dirichlet(np.ones(d))
+    return q.process_spec(steps, initial_state=np.diag(pops).astype(complex))
+
+
+def test_breadth_first_enumeration_matches_reference(library):
+    # the ladders (K = 2d - 1) catch products and |amplitude|^2 forms that round
+    # differently from the reference's by one ulp
+    ladders = {f"ladder_d{d}": _ladder_chain(d, 3, 0) for d in (8, 12, 14, 16)}
+    for name, spec in {**library, **ladders}.items():
+        for label, s in ((name, spec), (name + " dual", q.build_dual_process(spec))):
+            ens = q.enumerate_trajectories(s)
+            for field, want in _reference_enumerate(s).items():
+                got = getattr(ens, field)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (label, field)
+
+
+def _qubit_spec(initial_probs, steps, final_probs=(0.5, 0.5)):
+    """A qubit process measured in the computational basis at both ends."""
+    basis = np.eye(2, dtype=complex)
+    boundary = BoundaryData(
+        initial_basis=basis,
+        initial_probs=np.array(initial_probs, dtype=float),
+        final_basis=basis,
+        final_probs=np.array(final_probs, dtype=float),
+    )
+    return q.process_spec(steps, explicit_boundary=boundary)
+
+
+HALF_OR_REST = [0.5 * np.eye(2), math.sqrt(0.75) * np.eye(2)]
+
+
+def test_enumeration_prunes_branch_with_norm_exactly_eps_prob():
+    tol = q.Tolerances(eps_prob=0.25)
+    first = q.make_step(q.kraus_map(HALF_OR_REST), unital=True)
+    # not trace preserving: had the k1 = 0 branch (squared norm 0.25 = eps_prob)
+    # survived, its child 2 phi would reach the end with probability 1
+    boost = q.kraus_map([2 * np.eye(2), 0 * np.eye(2)])
+    boost = q.ProcessStep(map=boost, structure=first.structure)
+    spec = _qubit_spec([1.0, 0.0], [first, boost])
+    ens = q.enumerate_trajectories(spec, tol)
+    assert ens.ks.tolist() == [[1, 0]]
+    assert np.array_equal(ens.probability, _reference_enumerate(spec, tol)["probability"])
+
+
+def test_enumeration_prunes_leaf_with_probability_exactly_eps_prob():
+    tol = q.Tolerances(eps_prob=0.125)
+    spec = _qubit_spec([0.5, 0.5], [q.make_step(q.kraus_map(HALF_OR_REST), unital=True)])
+    ens = q.enumerate_trajectories(spec, tol)
+    # the k = 0 leaves have probability 0.25 * 0.5 = eps_prob exactly
+    assert [ens.key(i) for i in range(len(ens))] == [(0, (1,), 0), (1, (1,), 1)]
+
+
+def test_enumeration_with_every_branch_pruned_names_eps_prob():
+    spec = _qubit_spec([0.5, 0.5], [q.make_step(q.kraus_map(HALF_OR_REST), unital=True)])
+    with pytest.raises(q.ZeroProbabilityBranch, match="eps_prob"):
+        q.enumerate_trajectories(spec, q.Tolerances(eps_prob=0.9))
+
+
+def test_absolute_continuity_violation_names_first_branch_in_row_order():
+    # m = 1 cannot start the dual; (0, (1,), 1) and (1, (0,), 1) both reach it
+    kmap = q.kraus_map([math.sqrt(0.3) * np.eye(2), math.sqrt(0.7) * X])
+    step = q.make_step(kmap, unital=True)
+    spec = _qubit_spec([0.5, 0.5], [step], final_probs=[1.0, 0.0])
+    with pytest.raises(q.AbsoluteContinuityViolation) as got:
+        q.enumerate_trajectories(spec)
+    with pytest.raises(q.AbsoluteContinuityViolation) as want:
+        _reference_enumerate(spec)
+    assert got.value.trajectory == want.value.trajectory == (0, (1,), 1)
+    assert got.value.probability == want.value.probability
+
+
 def test_dual_process_single_unitary_step():
     rng = np.random.default_rng(4)
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
