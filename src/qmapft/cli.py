@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -63,8 +64,11 @@ def _load_tolerances(path) -> Tolerances:
     for key, value in data.items():
         if key not in known:
             raise ProcessFileError(f"{path}: unknown tolerance {key!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ProcessFileError(f"{path}: tolerance {key!r} must be a number, got {value!r}")
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and 0 <= value < math.inf):  # NaN fails both comparisons
+            raise ProcessFileError(
+                f"{path}: tolerance {key!r} must be a number in [0, inf), got {value!r}"
+            )
     return Tolerances(**data)
 
 
@@ -96,7 +100,7 @@ def cmd_validate(args) -> int:
     tol = _load_tolerances(args.tolerances)
     kmap = load_map_file(args.map_file)
     report = validate_cptp(kmap, tol)
-    _emit(make_report({"validate": report.to_dict()}, tol), args.out)
+    _emit(make_report({"validate": report}, tol), args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -112,9 +116,11 @@ def cmd_classify(args) -> int:
     comm = check_ladder_commutators(kmap, structure)
     body = {
         "pi": matrix_to_json(pi),
-        "structure": structure.to_dict(),
+        # pi is written above, as a complex matrix; its eigendecomposition is left out
+        "structure": {name: getattr(structure, name) for name in
+                      ("potentials", "classes", "class_potentials", "delta_phi")},
         "labels": list(kmap.labels),
-        "commutators": comm.to_dict(),
+        "commutators": comm,
     }
     _emit(make_report({"classify": body}, tol), args.out)
     return EXIT_OK if comm.passed else EXIT_CHECK_FAILED
@@ -158,8 +164,8 @@ def cmd_verify(args) -> int:
         detailed = verify_detailed_ft(spec, tol)
         integral = verify_integral_ft(ensemble)
         sigmas = ensemble.sigmas()
-        body["integral_ft"] = integral.to_dict()
-        body["detailed_ft"] = detailed.to_dict()
+        body["integral_ft"] = integral
+        body["detailed_ft"] = detailed
         body["max_abs_sigma"] = float(np.max(np.abs(sigmas)))
         ok = detailed.passed
     else:
@@ -169,7 +175,7 @@ def cmd_verify(args) -> int:
         body["samples"] = samples
         body["seed"] = seed
         body["rng_scheme"] = RNG_SCHEME
-        body["integral_ft"] = integral.to_dict()
+        body["integral_ft"] = integral
         ok = abs(integral.z_score) <= 3.0
     if args.hist:
         Path(args.hist).write_text(sigma_histogram_csv(ensemble, args.bin_width))
@@ -187,7 +193,7 @@ def cmd_sample(args) -> int:
         "samples": samples,
         "seed": seed,
         "rng_scheme": RNG_SCHEME,
-        "integral_ft": integral.to_dict(),
+        "integral_ft": integral,
     }
     if args.hist:
         Path(args.hist).write_text(sigma_histogram_csv(ensemble, args.bin_width))

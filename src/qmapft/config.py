@@ -7,7 +7,7 @@ up to the construction cap MAX_DIM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 # Hard cap on Hilbert dimension.  Superoperators are dim^2 x dim^2 and
 # trajectory enumeration is exponential; the cap keeps exact verification
@@ -27,9 +27,6 @@ class Tolerances:
     eps_tp: float = 1e-10       # trace-preservation defect
     eps_fix: float = 1e-10      # invariant-state residual
     eps_prob: float = 1e-14     # probability pruning floor
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 DEFAULT_TOLERANCES = Tolerances()

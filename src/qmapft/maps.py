@@ -81,15 +81,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return self.trace_preserving and self.completely_positive
 
-    def to_dict(self) -> dict:
-        return {
-            "tp_deviation": self.tp_deviation,
-            "tolerance": self.tolerance,
-            "trace_preserving": self.trace_preserving,
-            "completely_positive": self.completely_positive,
-            "passed": self.passed,
-        }
-
 
 def validate_cptp(kmap: KrausMap, tol: Tolerances = DEFAULT_TOLERANCES) -> ValidationReport:
     """Check trace preservation; complete positivity holds for any Kraus list."""

@@ -218,18 +218,6 @@ class BohrLadderReport:
             ok = self.potential_residual <= self.tolerance
         return bool(ok)
 
-    def to_dict(self) -> dict:
-        return {
-            "omega": self.omega,
-            "residual": self.residual,
-            "frequencies": list(map(float, self.frequencies)),
-            "f_value": self.f_value,
-            "delta_phi": self.delta_phi,
-            "potential_residual": self.potential_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 def check_bohr_ladder(
     h: np.ndarray,

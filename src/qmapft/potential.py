@@ -66,14 +66,6 @@ class PotentialStructure:
     class_potentials: np.ndarray    # representative potential per class
     delta_phi: np.ndarray           # potential change per Kraus operator
 
-    def to_dict(self) -> dict:
-        return {
-            "potentials": list(map(float, self.potentials)),
-            "classes": list(map(int, self.classes)),
-            "class_potentials": list(map(float, self.class_potentials)),
-            "delta_phi": list(map(float, self.delta_phi)),
-        }
-
 
 def _group_classes(potentials: np.ndarray, eps_group: float):
     """Group eigenindices whose potentials agree within eps_group."""
@@ -193,14 +185,6 @@ class BalanceReport:
     def passed(self) -> bool:
         return bool(np.all(self.relative_residuals <= self.tolerance))
 
-    def to_dict(self) -> dict:
-        return {
-            "residuals": list(map(float, self.residuals)),
-            "relative_residuals": list(map(float, self.relative_residuals)),
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 def check_detailed_balance(
     kmap: KrausMap,
@@ -237,14 +221,6 @@ class CommutatorReport:
             np.all(self.ladder_residuals <= self.tolerance)
             and np.all(self.weight_residuals <= self.tolerance)
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "ladder_residuals": list(map(float, self.ladder_residuals)),
-            "weight_residuals": list(map(float, self.weight_residuals)),
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
 
 
 def check_ladder_commutators(
@@ -284,14 +260,6 @@ class IndependenceReport:
     @property
     def passed(self) -> bool:
         return self.max_spread <= self.tolerance
-
-    def to_dict(self) -> dict:
-        return {
-            "delta_phi_sets": [list(map(float, s)) for s in self.delta_phi_sets],
-            "max_spread": self.max_spread,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
 
 
 def delta_phi_pi_independence(

@@ -517,14 +517,6 @@ class DetailedFTReport:
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance
 
-    def to_dict(self) -> dict:
-        return {
-            "branch_count": self.branch_count,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 def verify_detailed_ft(
     spec: ProcessSpec,
@@ -570,16 +562,6 @@ class IntegralFTReport:
     standard_error: float | None = None
     z_score: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "mean_exp_neg_sigma": self.mean_exp_neg_sigma,
-            "deviation": self.deviation,
-            "mean_sigma": self.mean_sigma,
-            "standard_error": self.standard_error,
-            "z_score": self.z_score,
-        }
-
 
 def verify_integral_ft(ensemble: TrajectoryEnsemble) -> IntegralFTReport:
     """<e^{-Sigma}> over the ensemble; exact sum or sample mean with z-score."""
@@ -621,16 +603,6 @@ class WorkReport:
     deviation: float
     mean_work: float
     mean_heat: float
-
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "delta_f": self.delta_f,
-            "mean_exp_neg_beta_wdiss": self.mean_exp_neg_beta_wdiss,
-            "deviation": self.deviation,
-            "mean_work": self.mean_work,
-            "mean_heat": self.mean_heat,
-        }
 
 
 def work_statistics(

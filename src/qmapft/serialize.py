@@ -7,7 +7,9 @@ are printed with 17 significant digits so golden files round-trip exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -76,8 +78,21 @@ def _read_json(path: Path):
         raise ProcessFileError(f"{path}: {exc}") from exc
 
 
+@contextmanager
+def _file_content(path: Path):
+    """Turn errors raised while building from a file's content into ProcessFileError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ProcessFileError(f"{path}: missing required key {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ProcessFileError(f"{path}: {exc}") from exc
+
+
 def load_map_file(path) -> KrausMap:
-    return map_from_json(_read_json(Path(path)))
+    data = _read_json(Path(path))
+    with _file_content(path):
+        return map_from_json(data)
 
 
 def _build_model(entry: dict) -> KrausMap:
@@ -124,7 +139,7 @@ def load_process_file(
     data = _read_json(path)
     if not isinstance(data, dict):
         raise ProcessFileError(f"{path}: process file must be a JSON object")
-    try:
+    with _file_content(path):
         steps = [step_from_json(e, path.parent, tol) for e in data.get("steps", [])]
         mode = data.get("boundary_mode", "entropic")
         symmetry = None
@@ -143,8 +158,6 @@ def load_process_file(
         spec = process_spec(
             steps, boundary_mode=mode, symmetry=symmetry, tol=tol, **kwargs
         )
-    except KeyError as exc:
-        raise ProcessFileError(f"{path}: missing required key {exc}") from exc
     return spec, data
 
 
@@ -170,6 +183,14 @@ def _format_value(v) -> str:
         return _format_value(float(v))
     if isinstance(v, (np.integer,)):
         return str(int(v))
+    if isinstance(v, np.ndarray):
+        return _format_value(v.tolist())
+    if dataclasses.is_dataclass(v):
+        # a report: its fields in declaration order, then its verdict if it has one
+        items = {f.name: getattr(v, f.name) for f in dataclasses.fields(v)}
+        if isinstance(getattr(type(v), "passed", None), property):
+            items["passed"] = v.passed
+        return _format_value(items)
     raise TypeError(f"cannot serialize {type(v)}")
 
 
@@ -180,7 +201,7 @@ def dumps_report(report: dict) -> str:
 
 def make_report(body: dict, tol: Tolerances = DEFAULT_TOLERANCES) -> dict:
     """Wrap a report body with the schema version and tolerance configuration."""
-    out = {"schema_version": SCHEMA_VERSION, "tolerances": tol.to_dict()}
+    out = {"schema_version": SCHEMA_VERSION, "tolerances": tol}
     out.update(body)
     return out
 
@@ -196,17 +217,20 @@ def sigma_histogram_csv(
         weights = ensemble.probabilities()
     else:
         weights = np.full(len(sigmas), 1.0 / len(sigmas))
-    lo = np.floor(np.min(sigmas) / bin_width)
-    hi = np.floor(np.max(sigmas) / bin_width)
+    lo = int(np.floor(np.min(sigmas) / bin_width))
+    hi = int(np.floor(np.max(sigmas) / bin_width))
+    edges = np.arange(lo, hi + 2) * bin_width
+    # bin b is [edges[b], edges[b + 1]), the last one closed; -1 and len(edges) - 1
+    # collect the samples outside every edge, which no bin reports
+    bins = np.searchsorted(edges, sigmas, side="right") - 1
+    bins[sigmas == edges[-1]] = len(edges) - 2
+    order = np.argsort(bins, kind="stable")
+    weights = weights[order]
+    bounds = np.searchsorted(bins[order], np.arange(len(edges))).tolist()
+    edges = edges.tolist()
     lines = ["bin_left,bin_right,probability"]
-    for b in range(int(lo), int(hi) + 1):
-        left = b * bin_width
-        right = (b + 1) * bin_width
-        mask = (sigmas >= left) & (sigmas < right)
-        if b == int(hi):
-            mask = (sigmas >= left) & (sigmas <= right)
-        p = float(np.sum(weights[mask]))
-        lines.append(
-            f"{format(left, '.17g')},{format(right, '.17g')},{format(p, '.17g')}"
-        )
+    for left, right, start, stop in zip(edges, edges[1:], bounds, bounds[1:]):
+        # a fine histogram is mostly empty bins, which need no reduction
+        p = float(weights[start:stop].sum()) if stop > start else 0.0
+        lines.append(f"{left:.17g},{right:.17g},{p:.17g}")
     return "\n".join(lines) + "\n"

@@ -360,3 +360,101 @@ def test_cli_verify_with_every_branch_pruned(tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "eps_prob" in lines[0]
+
+
+EQUILIBRIUM_BOUNDARY = {
+    "boundary_mode": "equilibrium",
+    "H_i": matrix_to_json(np.diag([0.0, 1.0])),
+    "H_f": matrix_to_json(np.diag([0.0, 2.0])),
+    "beta": 0.5,
+}
+GAD_MAP = map_to_json(q.thermal_qubit_map(LN2, 0.5))
+LINDBLAD_STEP = {
+    "model": "lindblad_step",
+    "H": matrix_to_json(np.diag([0.0, 1.0])),
+    "lindblads": [matrix_to_json(np.array([[0, 1], [0, 0]]))],
+    "dt": 0.1,
+}
+
+# process-file content that builds nothing: each once ended in a ValueError or
+# TypeError traceback
+BAD_PROCESS_SETTINGS = {
+    "beta-not-a-number": dict(EQUILIBRIUM_BOUNDARY, beta="abc"),
+    "unknown-boundary-mode": dict(EQUILIBRIUM_BOUNDARY, boundary_mode="bogus"),
+    "beta-omega-not-a-number": {
+        "steps": [{"model": "thermal_qubit", "beta_omega": "x", "gamma": 0.5}]},
+    "gamma-above-one": {"steps": [{"model": "thermal_qubit", "beta_omega": LN2, "gamma": 2}]},
+    "negative-dt": {"steps": [dict(LINDBLAD_STEP, dt=-1)]},
+    "initial-trace-0.6": {"initial_state": matrix_to_json(np.diag([0.5, 0.1]))},
+    "more-labels-than-operators": {
+        "steps": [{"map": dict(GAD_MAP, labels=["a", "b", "c", "d", "e"])}]},
+    "no-operators": {"steps": [{"map": dict(GAD_MAP, operators=[])}]},
+    "dim-not-a-number": {"steps": [{"map": dict(GAD_MAP, dim="x")}]},
+}
+
+
+def assert_one_parse_error(capsys, path) -> str:
+    """The one stderr line of a parse error naming the file; nothing on stdout."""
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("parse error:"), captured.err
+    assert str(path) in lines[0] and "Traceback" not in captured.err
+    return lines[0]
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("case", list(BAD_PROCESS_SETTINGS))
+def test_cli_bad_values_in_process_file_are_parse_errors(tmp_path, capsys, case, mode):
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, **BAD_PROCESS_SETTINGS[case])
+    assert main(["verify", str(proc), "--mode", mode, "--samples", "100"]) == 2
+    assert_one_parse_error(capsys, proc)
+
+
+@pytest.mark.parametrize("case", ["more-labels-than-operators", "no-operators",
+                                  "dim-not-a-number"])
+def test_cli_bad_values_in_map_file_are_parse_errors(tmp_path, capsys, case):
+    bad_map = BAD_PROCESS_SETTINGS[case]["steps"][0]["map"]
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps(bad_map))
+    assert main(["validate", str(map_path)]) == 2
+    assert_one_parse_error(capsys, map_path)
+
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, steps=[{"map_file": "map.json"}])
+    assert main(["verify", str(proc)]) == 2
+    assert_one_parse_error(capsys, map_path)
+
+
+def test_cli_package_errors_in_process_file_keep_their_exit_code(tmp_path, capsys):
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, initial_state=matrix_to_json(np.array([[0.9, 0.3], [0.2, 0.1]])))
+    assert main(["verify", str(proc)]) == 1
+    assert capsys.readouterr().err.startswith("error: density matrix is not Hermitian")
+
+
+@pytest.mark.parametrize("text", [
+    '{"eps_herm": NaN}', '{"eps_prob": -1}', '{"eps_tp": Infinity}',
+    '{"eps_fix": -Infinity}', '{"eps_zero": 1e400}', '{"eps_group": -1e-300}',
+])
+def test_cli_tolerances_must_be_finite_and_not_negative(tmp_path, capsys, text):
+    proc = tmp_path / "proc.json"
+    # not Hermitian: a NaN eps_herm once let it through
+    write_process_with(proc, initial_state=matrix_to_json(np.array([[0.9, 0.3], [0.2, 0.1]])))
+    tol_path = tmp_path / "tol.json"
+    tol_path.write_text(text)
+    assert main(["--tolerances", str(tol_path), "verify", str(proc)]) == 2
+    key = next(iter(json.loads(text)))
+    assert f"tolerance {key!r} must be a number in [0, inf)" in assert_one_parse_error(
+        capsys, tol_path
+    )
+
+
+def test_cli_tolerances_accept_zero(tmp_path, capsys):
+    proc = tmp_path / "proc.json"
+    write_gad_process(proc)
+    tol_path = tmp_path / "tol.json"
+    tol_path.write_text(json.dumps({"eps_prob": 0}))
+    assert main(["--tolerances", str(tol_path), "verify", str(proc)]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerances"]["eps_prob"] == 0
