@@ -11,6 +11,7 @@ from .errors import (
     AbsoluteContinuityViolation,
     DimensionMismatchError,
     EnumerationTooLarge,
+    HistogramTooLarge,
     MixedPotentialOperator,
     NonHermitianError,
     NonUniqueInvariantState,
@@ -31,12 +32,9 @@ from .maps import (
     KrausMap,
     ValidationReport,
     apply_map,
-    apply_to_pure,
     build_superoperator,
     invariant_state,
     kraus_map,
-    operation_probability,
-    selective_post_state,
     validate_cptp,
     validate_density,
 )

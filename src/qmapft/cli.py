@@ -19,6 +19,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     EnumerationTooLarge,
+    HistogramTooLarge,
     MixedPotentialOperator,
     NonUniqueInvariantState,
     ProcessFileError,
@@ -139,8 +140,12 @@ def cmd_dual(args) -> int:
     return EXIT_OK
 
 
-def _mc_settings(args, raw: dict) -> tuple:
-    """(samples, seed) of a Monte Carlo run: each flag if given, else the process file's."""
+def _monte_carlo(args, spec, raw: dict, tol: Tolerances) -> tuple:
+    """(ensemble, report body) of a Monte Carlo run.
+
+    The sample count and seed are each flag's value if given, else the
+    process file's.
+    """
     samples = args.samples or raw.get("samples", 10000)
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
     # type(...) is int: JSON true/false are bools, which isinstance counts as ints
@@ -152,7 +157,21 @@ def _mc_settings(args, raw: dict) -> tuple:
         raise ProcessFileError(
             f"{args.process_file}: 'seed' must be an integer in [0, 2**128), got {seed!r}"
         )
-    return samples, seed
+    ensemble = sample_trajectories(spec, samples, seed, tol)
+    body = {
+        "samples": samples,
+        "seed": seed,
+        "rng_scheme": RNG_SCHEME,
+        "integral_ft": verify_integral_ft(ensemble),
+    }
+    return ensemble, body
+
+
+def _write_outputs(args, ensemble, command: str, body: dict, tol: Tolerances) -> None:
+    """The --hist CSV, then the report; a histogram over its bin cap writes neither."""
+    if args.hist:
+        Path(args.hist).write_text(sigma_histogram_csv(ensemble, args.bin_width))
+    _emit(make_report({command: body}, tol), args.out)
 
 
 def cmd_verify(args) -> int:
@@ -162,52 +181,33 @@ def cmd_verify(args) -> int:
     if args.mode == "exact":
         ensemble = enumerate_trajectories(spec, tol)
         detailed = verify_detailed_ft(spec, tol)
-        integral = verify_integral_ft(ensemble)
-        sigmas = ensemble.sigmas()
-        body["integral_ft"] = integral
+        body["integral_ft"] = verify_integral_ft(ensemble)
         body["detailed_ft"] = detailed
-        body["max_abs_sigma"] = float(np.max(np.abs(sigmas)))
+        body["max_abs_sigma"] = float(np.max(np.abs(ensemble.sigmas())))
         ok = detailed.passed
     else:
-        samples, seed = _mc_settings(args, raw)
-        ensemble = sample_trajectories(spec, samples, seed, tol)
-        integral = verify_integral_ft(ensemble)
-        body["samples"] = samples
-        body["seed"] = seed
-        body["rng_scheme"] = RNG_SCHEME
-        body["integral_ft"] = integral
-        ok = abs(integral.z_score) <= 3.0
-    if args.hist:
-        Path(args.hist).write_text(sigma_histogram_csv(ensemble, args.bin_width))
-    _emit(make_report({"verify": body}, tol), args.out)
+        ensemble, mc = _monte_carlo(args, spec, raw, tol)
+        body.update(mc)
+        ok = abs(mc["integral_ft"].z_score) <= 3.0
+    _write_outputs(args, ensemble, "verify", body, tol)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_sample(args) -> int:
     tol = _load_tolerances(args.tolerances)
     spec, raw = load_process_file(args.process_file, tol)
-    samples, seed = _mc_settings(args, raw)
-    ensemble = sample_trajectories(spec, samples, seed, tol)
-    integral = verify_integral_ft(ensemble)
-    body = {
-        "samples": samples,
-        "seed": seed,
-        "rng_scheme": RNG_SCHEME,
-        "integral_ft": integral,
-    }
-    if args.hist:
-        Path(args.hist).write_text(sigma_histogram_csv(ensemble, args.bin_width))
-    _emit(make_report({"sample": body}, tol), args.out)
+    ensemble, body = _monte_carlo(args, spec, raw, tol)
+    _write_outputs(args, ensemble, "sample", body, tol)
     return EXIT_OK
 
 
 def _positive(cast):
-    """argparse type: a value of the given type that is above zero."""
+    """argparse type: a finite value of the given type that is above zero."""
 
     def parse(text: str):
         value = cast(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not 0 < value < math.inf:  # NaN fails both comparisons
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
         return value
 
     parse.__name__ = cast.__name__
@@ -281,7 +281,7 @@ def main(argv=None) -> int:
     except ProcessFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except EnumerationTooLarge as exc:
+    except (EnumerationTooLarge, HistogramTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_CAP
     except NonUniqueInvariantState as exc:

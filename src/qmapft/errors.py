@@ -78,5 +78,17 @@ class EnumerationTooLarge(QmapError):
         )
 
 
+class HistogramTooLarge(QmapError):
+    """A histogram would need more bins than the cap."""
+
+    def __init__(self, bin_count: float, cap: int):
+        self.bin_count = bin_count
+        self.cap = cap
+        super().__init__(
+            f"histogram needs {bin_count:.6g} bins, above the cap {cap}; "
+            f"use a wider bin width"
+        )
+
+
 class ProcessFileError(QmapError):
     """A map or process file could not be parsed."""

@@ -20,16 +20,16 @@ from .errors import (
 )
 
 
-def as_complex_matrix(a, max_dim: int = MAX_DIM) -> np.ndarray:
+def as_complex_matrix(a) -> np.ndarray:
     """Coerce to a finite complex128 2-D array, enforcing the dimension cap."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D array, got ndim={m.ndim}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix contains NaN or Inf entries")
-    if max(m.shape) > max_dim:
+    if max(m.shape) > MAX_DIM:
         raise DimensionMismatchError(
-            f"dimension {max(m.shape)} exceeds the cap {max_dim}"
+            f"dimension {max(m.shape)} exceeds the cap {MAX_DIM}"
         )
     return m
 

@@ -12,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, MAX_DIM, Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     DimensionMismatchError,
     NonHermitianError,
     NonUniqueInvariantState,
     SingularStateError,
-    ZeroProbabilityBranch,
 )
 from .linalg import adjoint, as_complex_matrix, frob, hermitian_eig, hermiticity_defect
 
@@ -44,8 +43,6 @@ def kraus_map(operators, labels=None) -> KrausMap:
     if not ops:
         raise ValueError("a Kraus map needs at least one operator")
     dim = ops[0].shape[0]
-    if dim > MAX_DIM:
-        raise DimensionMismatchError(f"dimension {dim} exceeds the cap {MAX_DIM}")
     for m in ops:
         if m.shape != (dim, dim):
             raise DimensionMismatchError(
@@ -116,54 +113,6 @@ def apply_map(kmap: KrausMap, rho: np.ndarray) -> np.ndarray:
         )
     ops = kmap.operators
     return (ops @ rho @ ops.conj().swapaxes(1, 2)).sum(axis=0)
-
-
-def operation_probability(
-    kmap: KrausMap, k: int, rho: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
-    """Tr[M_k rho M_k†], clamped to [0, 1]."""
-    if not 0 <= k < len(kmap):
-        raise IndexError(f"operator index {k} out of range for {len(kmap)} operators")
-    m = kmap.operators[k]
-    p = float(np.trace(m @ rho @ adjoint(m)).real)
-    if p < -1e-10:
-        raise ValueError(f"negative probability {p}: the map is not CPTP")
-    return min(max(p, 0.0), 1.0)
-
-
-def selective_post_state(
-    kmap: KrausMap, k: int, rho: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
-    """Conditional state M_k rho M_k† / p_k."""
-    p = operation_probability(kmap, k, rho, tol)
-    if p <= tol.eps_prob:
-        raise ZeroProbabilityBranch(
-            f"operation {k} has probability {p:.3e} <= eps_prob={tol.eps_prob}"
-        )
-    m = kmap.operators[k]
-    return (m @ rho @ adjoint(m)) / p
-
-
-def apply_to_pure(
-    kmap: KrausMap, k: int, psi: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-):
-    """Apply M_k to a normalized pure state; return (new state, probability)."""
-    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    if psi.shape[0] != kmap.dim:
-        raise DimensionMismatchError(
-            f"state length {psi.shape[0]} does not match dimension {kmap.dim}"
-        )
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
-        raise ValueError("input state is not normalized within 1e-12")
-    if not 0 <= k < len(kmap):
-        raise IndexError(f"operator index {k} out of range for {len(kmap)} operators")
-    phi = kmap.operators[k] @ psi
-    p = float(np.vdot(phi, phi).real)
-    if p <= tol.eps_prob:
-        raise ZeroProbabilityBranch(
-            f"operation {k} annihilates the state (norm^2 {p:.3e})"
-        )
-    return phi / np.sqrt(p), p
 
 
 def build_superoperator(kmap: KrausMap) -> np.ndarray:

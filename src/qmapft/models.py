@@ -9,7 +9,7 @@ identities hold exactly rather than to first order in the time step.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .maps import KrausMap, kraus_map
 def unitary_map(u: np.ndarray) -> KrausMap:
     """Single-operator map rho -> U rho U†."""
     u = as_complex_matrix(u)
-    check_unitary(u, atol=1e-10)
+    check_unitary(u)
     return kraus_map([u], labels=["U"])
 
 
@@ -91,7 +91,7 @@ def _renormalize_trace_preserving(ops, tol: Tolerances):
     """Right-multiply all operators by (sum M†M)^(-1/2)."""
     total = sum(adjoint(m) @ m for m in ops)
     correction = matrix_power_of_positive(total, -0.5, tol)
-    return [m @ correction for m in ops], frob(total - np.eye(total.shape[0]))
+    return [m @ correction for m in ops]
 
 
 def lindblad_step(
@@ -122,8 +122,7 @@ def lindblad_step(
         )
     decay = sum((adjoint(l) @ l for l in ls), np.zeros((dim, dim), complex))
     m0 = np.eye(dim) - (1j * h + decay / 2) * dt
-    ops = [m0] + [l * np.sqrt(dt) for l in ls]
-    ops, _ = _renormalize_trace_preserving(ops, tol)
+    ops = _renormalize_trace_preserving([m0] + [l * np.sqrt(dt) for l in ls], tol)
     labels = ["M0"] + [f"L{k}" for k in range(len(ls))]
     return kraus_map(ops, labels=labels)
 
@@ -133,40 +132,33 @@ def multi_reservoir_step(
     reservoirs,
     dt: float,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    fixed_point_atol: float = 1e-8,
 ) -> list[KrausMap]:
     """Split one Lindblad time step into a unitary map plus one map per reservoir.
 
     `reservoirs` is a list of (lindblad list, invariant state) pairs; each
-    invariant state must be annihilated by its reservoir's dissipator.  All
-    maps are exactly renormalized; the concatenation agrees with the
-    combined single map to first order in dt.
+    invariant state must be annihilated, within 1e-8, by its reservoir's
+    dissipator.  Each map is a lindblad_step (the unitary one without jumps,
+    each reservoir's without H), relabelled U0 and M0,a / Lk,a; the
+    concatenation agrees with the combined single map to first order in dt.
     """
     h = as_complex_matrix(h)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    dim = h.shape[0]
-
-    unitary_ops, _ = _renormalize_trace_preserving([np.eye(dim) - 1j * h * dt], tol)
-    steps = [kraus_map(unitary_ops, labels=["U0"])]
-
+    unitary = lindblad_step(h, [], dt, tol)
+    steps = [replace(unitary, labels=("U0",))]
     for alpha, (lindblads, pi_alpha) in enumerate(reservoirs):
         ls = [as_complex_matrix(l) for l in lindblads]
         pi_alpha = as_complex_matrix(pi_alpha)
-        dissipated = np.zeros((dim, dim), dtype=np.complex128)
+        dissipated = np.zeros(h.shape, dtype=np.complex128)
         for l in ls:
             anti = adjoint(l) @ l
             dissipated += l @ pi_alpha @ adjoint(l) - (anti @ pi_alpha + pi_alpha @ anti) / 2
-        if frob(dissipated) > fixed_point_atol:
+        if frob(dissipated) > 1e-8:
             raise ValueError(
                 f"reservoir {alpha}: supplied state is not a dissipator fixed "
                 f"point (residual {frob(dissipated):.3e})"
             )
-        decay = sum((adjoint(l) @ l for l in ls), np.zeros((dim, dim), complex))
-        ops = [np.eye(dim) - decay * dt / 2] + [l * np.sqrt(dt) for l in ls]
-        ops, _ = _renormalize_trace_preserving(ops, tol)
+        kmap = lindblad_step(np.zeros(h.shape), ls, dt, tol)
         labels = [f"M0,{alpha}"] + [f"L{k},{alpha}" for k in range(len(ls))]
-        steps.append(kraus_map(ops, labels=labels))
+        steps.append(replace(kmap, labels=tuple(labels)))
     return steps
 
 
@@ -225,7 +217,6 @@ def check_bohr_ladder(
     f=None,
     pi: np.ndarray | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    tolerance: float = 1e-10,
 ) -> BohrLadderReport:
     """Check that L is a ladder operator of H with a single Bohr frequency.
 
@@ -275,5 +266,5 @@ def check_bohr_ladder(
         f_value=f_value,
         delta_phi=delta_phi,
         potential_residual=potential_residual,
-        tolerance=tolerance,
+        tolerance=1e-10,
     )

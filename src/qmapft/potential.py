@@ -190,7 +190,6 @@ def check_detailed_balance(
     kmap: KrausMap,
     dual: DualMap,
     structure: PotentialStructure,
-    tolerance: float = 1e-10,
 ) -> BalanceReport:
     """Check M~_k = e^{dPhi_k / 2} A M_k† A† operator by operator."""
     res = []
@@ -203,7 +202,7 @@ def check_detailed_balance(
         res.append(r)
         rel.append(r / max(frob(m), 1e-300))
     return BalanceReport(
-        residuals=np.array(res), relative_residuals=np.array(rel), tolerance=tolerance
+        residuals=np.array(res), relative_residuals=np.array(rel), tolerance=1e-10
     )
 
 
@@ -223,11 +222,7 @@ class CommutatorReport:
         )
 
 
-def check_ladder_commutators(
-    kmap: KrausMap,
-    structure: PotentialStructure,
-    tolerance: float = 1e-10,
-) -> CommutatorReport:
+def check_ladder_commutators(kmap: KrausMap, structure: PotentialStructure) -> CommutatorReport:
     """Check [M_k, ln pi] = dPhi_k M_k and [M_k† M_k, pi] = 0."""
     v = structure.eigen.eigenvectors
     log_pi = (v * np.log(structure.eigen.eigenvalues)) @ adjoint(v)
@@ -245,7 +240,7 @@ def check_ladder_commutators(
     return CommutatorReport(
         ladder_residuals=np.array(ladder),
         weight_residuals=np.array(weight),
-        tolerance=tolerance,
+        tolerance=1e-10,
     )
 
 
@@ -263,10 +258,7 @@ class IndependenceReport:
 
 
 def delta_phi_pi_independence(
-    kmap: KrausMap,
-    pis,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    tolerance: float = 1e-9,
+    kmap: KrausMap, pis, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> IndependenceReport:
     """Check that the sorted potential-change multiset agrees across fixed points."""
     sets = []
@@ -277,5 +269,5 @@ def delta_phi_pi_independence(
     for s in sets[1:]:
         spread = max(spread, float(np.max(np.abs(s - sets[0]))))
     return IndependenceReport(
-        delta_phi_sets=tuple(sets), max_spread=spread, tolerance=tolerance
+        delta_phi_sets=tuple(sets), max_spread=spread, tolerance=1e-9
     )

@@ -30,7 +30,7 @@ from .errors import (
     ZeroProbabilityBranch,
 )
 from .linalg import adjoint, as_complex_matrix, hermitian_eig, von_neumann_entropy
-from .maps import KrausMap, apply_map, validate_density
+from .maps import KrausMap, apply_map, invariant_state, validate_density
 from .potential import (
     PotentialStructure,
     SymmetryOp,
@@ -104,8 +104,6 @@ def make_step(
     the maximally mixed state instead (the canonical choice when the fixed
     point is degenerate).
     """
-    from .maps import invariant_state
-
     if pi is None:
         if unital:
             pi = np.eye(kmap.dim) / kmap.dim
@@ -148,6 +146,8 @@ def process_spec(
     else:
         dims.add(h_initial.shape[0])
         dims.add(h_final.shape[0])
+    if symmetry is not None:
+        dims.add(symmetry.matrix.shape[0])
     if len(dims) != 1:
         raise DimensionMismatchError(f"inconsistent dimensions in process: {dims}")
     dim = dims.pop()
@@ -255,7 +255,6 @@ class TrajectoryEnsemble:
     delta_phi_sum: np.ndarray    # (N,)
     mode: str                    # "exact" or "mc"
     seed: int | None = None
-    sample_count: int | None = None
 
     def __len__(self) -> int:
         return len(self.n)
@@ -451,7 +450,6 @@ def sample_trajectories(
         delta_phi_sum=dphi,
         mode="mc",
         seed=seed,
-        sample_count=sample_count,
     )
     bad = np.flatnonzero(np.isnan(ensemble.sigma_boundary))
     if bad.size:
@@ -519,22 +517,18 @@ class DetailedFTReport:
 
 
 def verify_detailed_ft(
-    spec: ProcessSpec,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    tolerance: float = 1e-9,
-    branch_cap: int = DEFAULT_BRANCH_CAP,
+    spec: ProcessSpec, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> DetailedFTReport:
     """Check ln(p(gamma) / p~(reversed gamma)) = Sigma(gamma) branch by branch."""
-    forward = enumerate_trajectories(spec, tol, branch_cap)
+    forward = enumerate_trajectories(spec, tol)
     dual_spec = build_dual_process(spec, tol)
-    dual = enumerate_trajectories(dual_spec, tol, branch_cap)
+    dual = enumerate_trajectories(dual_spec, tol)
     dim = dual_spec.explicit_boundary.initial_basis.shape[0]
     radices = [dim] + [len(s.map) for s in dual_spec.steps] + [dim]
-    dual_codes = _encode(dual.n, dual.ks, dual.m, radices)
-    order = np.argsort(dual_codes)
-    # a sentinel above every code, with probability 0, catches unmatched branches
-    codes = np.append(dual_codes[order], np.iinfo(np.int64).max)
-    probs = np.append(dual.probability[order], 0.0)
+    # enumerated rows are in lexicographic order, so their codes ascend; a
+    # sentinel above every code, with probability 0, catches unmatched branches
+    codes = np.append(_encode(dual.n, dual.ks, dual.m, radices), np.iinfo(np.int64).max)
+    probs = np.append(dual.probability, 0.0)
     wanted = _encode(forward.m, forward.ks[:, ::-1], forward.n, radices)
     pos = np.searchsorted(codes, wanted)
     p_rev = np.where(codes[pos] == wanted, probs[pos], 0.0)
@@ -547,7 +541,7 @@ def verify_detailed_ft(
     return DetailedFTReport(
         branch_count=len(forward),
         max_residual=float(np.max(np.abs(log_ratio - forward.sigmas()), initial=0.0)),
-        tolerance=tolerance,
+        tolerance=1e-9,
     )
 
 

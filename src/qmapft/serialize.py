@@ -9,20 +9,24 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import ProcessFileError
+from .errors import HistogramTooLarge, ProcessFileError
 from .linalg import as_complex_matrix
 from .maps import KrausMap, kraus_map
-from .potential import SymmetryOp, theta
+from .potential import SymmetryOp
 from . import models
 from .process import ProcessSpec, TrajectoryEnsemble, make_step, process_spec
 
 SCHEMA_VERSION = 1
+
+# Most bins sigma_histogram_csv writes: a million CSV lines, about 60 MB.
+MAX_BINS = 1_000_000
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -38,13 +42,6 @@ def matrix_from_json(data) -> np.ndarray:
         return as_complex_matrix(np.array(rows, dtype=np.complex128))
     except (TypeError, IndexError, ValueError) as exc:
         raise ProcessFileError(f"malformed matrix: {exc}") from exc
-
-
-def vector_from_json(data) -> np.ndarray:
-    try:
-        return np.array([complex(e[0], e[1]) for e in data], dtype=np.complex128)
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ProcessFileError(f"malformed vector: {exc}") from exc
 
 
 def map_to_json(kmap: KrausMap) -> dict:
@@ -102,11 +99,10 @@ def _build_model(entry: dict) -> KrausMap:
     if name == "unitary":
         return models.unitary_map(matrix_from_json(entry["U"]))
     if name == "projective":
-        basis = [vector_from_json(v) for v in entry["basis"]]
-        return models.projective_measurement(basis)
+        # basis vectors are the rows of a matrix
+        return models.projective_measurement(matrix_from_json(entry["basis"]))
     if name == "dephasing":
-        basis = [vector_from_json(v) for v in entry["basis"]]
-        return models.dephasing_map(basis, entry["strength"])
+        return models.dephasing_map(matrix_from_json(entry["basis"]), entry["strength"])
     if name == "lindblad_step":
         return models.lindblad_step(
             matrix_from_json(entry["H"]),
@@ -209,17 +205,23 @@ def make_report(body: dict, tol: Tolerances = DEFAULT_TOLERANCES) -> dict:
 def sigma_histogram_csv(
     ensemble: TrajectoryEnsemble, bin_width: float = 0.1
 ) -> str:
-    """CSV histogram of entropy production: bin_left, bin_right, probability."""
-    if bin_width <= 0:
-        raise ValueError("bin width must be positive")
+    """CSV histogram of entropy production: bin_left, bin_right, probability.
+
+    Raises HistogramTooLarge, before allocating anything, when the Sigma
+    range needs more than MAX_BINS bins of this width.
+    """
+    if not 0 < bin_width < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"bin width must be positive and finite, got {bin_width}")
     sigmas = ensemble.sigmas()
+    # Python floats: a range too wide for the width gives an inf or NaN count, not a warning
+    lo, hi = (float(np.floor(float(s) / bin_width)) for s in (np.min(sigmas), np.max(sigmas)))
+    if not hi - lo + 1 <= MAX_BINS:
+        raise HistogramTooLarge(hi - lo + 1, MAX_BINS)
     if ensemble.mode == "exact":
         weights = ensemble.probabilities()
     else:
         weights = np.full(len(sigmas), 1.0 / len(sigmas))
-    lo = int(np.floor(np.min(sigmas) / bin_width))
-    hi = int(np.floor(np.max(sigmas) / bin_width))
-    edges = np.arange(lo, hi + 2) * bin_width
+    edges = np.arange(int(lo), int(hi) + 2) * bin_width
     # bin b is [edges[b], edges[b + 1]), the last one closed; -1 and len(edges) - 1
     # collect the samples outside every edge, which no bin reports
     bins = np.searchsorted(edges, sigmas, side="right") - 1

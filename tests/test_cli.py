@@ -154,8 +154,11 @@ def test_cli_verify_process_parse_errors(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["verify", "sample"])
 @pytest.mark.parametrize(
     "option",
-    [["--samples", "0"], ["--samples", "-5"], ["--bin-width", "0"], ["--bin-width", "-0.5"]],
-    ids=["samples-zero", "samples-negative", "bin-width-zero", "bin-width-negative"],
+    [["--samples", "0"], ["--samples", "-5"], ["--bin-width", "0"], ["--bin-width", "-0.5"],
+     # inf once wrote the CSV line nan,inf,0, which drops all of the probability
+     ["--bin-width", "inf"], ["--bin-width", "nan"]],
+    ids=["samples-zero", "samples-negative", "bin-width-zero", "bin-width-negative",
+         "bin-width-inf", "bin-width-nan"],
 )
 def test_cli_rejects_non_positive_samples_and_bin_width(tmp_path, capsys, command, option):
     proc = tmp_path / "proc.json"
@@ -458,3 +461,32 @@ def test_cli_tolerances_accept_zero(tmp_path, capsys):
     tol_path.write_text(json.dumps({"eps_prob": 0}))
     assert main(["--tolerances", str(tol_path), "verify", str(proc)]) == 0
     assert json.loads(capsys.readouterr().out)["tolerances"]["eps_prob"] == 0
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_cli_symmetry_dimension_must_match_the_maps(tmp_path, capsys, mode):
+    # a 3x3 symmetry on a qubit process once ended in a matmul traceback (exact)
+    # or was ignored (mc)
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, symmetry={"matrix": matrix_to_json(np.eye(3))})
+    assert main(["verify", str(proc), "--mode", mode, "--samples", "100"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: inconsistent dimensions"), captured.err
+
+
+@pytest.mark.parametrize("width", ["1e-6", "1e-300", "1e-320"])
+def test_cli_histogram_over_the_bin_cap_is_a_resource_error(tmp_path, capsys, width):
+    # a one-step GAD process spans 2.1 Sigma: 2.1M bins at 1e-6, and a count
+    # that once overflowed an allocation or an int conversion at the others
+    proc = tmp_path / "proc.json"
+    write_gad_process(proc, steps=1)
+    hist, out = tmp_path / "hist.csv", tmp_path / "report.json"
+    args = ["verify", str(proc), "--hist", str(hist), "--out", str(out), "--bin-width", width]
+    assert main(args) == 4
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: histogram needs"), captured.err
+    assert "above the cap 1000000" in lines[0]
+    assert captured.out == "" and not hist.exists() and not out.exists()

@@ -84,73 +84,6 @@ def test_apply_map_gad_fixed_point():
     assert np.allclose(q.apply_map(kmap, pi), pi, atol=1e-12)
 
 
-def test_operation_probability_born_rule():
-    kmap = q.kraus_map([P0, P1])
-    rho = np.diag([0.25, 0.75]).astype(complex)
-    assert q.operation_probability(kmap, 0, rho) == pytest.approx(0.25)
-
-
-def test_operation_probability_unitary():
-    kmap = q.kraus_map([X])
-    assert q.operation_probability(kmap, 0, random_density(1)) == pytest.approx(1.0)
-
-
-def test_operation_probabilities_sum_to_one():
-    kmap = q.thermal_qubit_map(1.3, 0.7)
-    rho = random_density(2)
-    total = sum(q.operation_probability(kmap, k, rho) for k in range(len(kmap)))
-    assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_operation_probability_bad_index():
-    with pytest.raises(IndexError):
-        q.operation_probability(q.kraus_map([X]), 1, random_density(0))
-
-
-def test_selective_post_state_projector():
-    kmap = q.kraus_map([P0, P1])
-    rho = np.diag([0.25, 0.75]).astype(complex)
-    assert np.allclose(q.selective_post_state(kmap, 0, rho), P0)
-
-
-def test_selective_post_state_unitary():
-    kmap = q.kraus_map([X])
-    rho = random_density(3)
-    assert np.allclose(q.selective_post_state(kmap, 0, rho), X @ rho @ X)
-
-
-def test_selective_post_state_zero_probability():
-    kmap = q.kraus_map([P0, P1])
-    with pytest.raises(q.ZeroProbabilityBranch):
-        q.selective_post_state(kmap, 0, P1)
-
-
-def test_apply_to_pure_x_gate():
-    phi, p = q.apply_to_pure(q.kraus_map([X]), 0, np.array([1, 0], complex))
-    assert np.allclose(phi, [0, 1]) and p == pytest.approx(1.0)
-
-
-def test_apply_to_pure_gad_decay():
-    decay = np.sqrt(1 / 3) * np.array([[0, 1], [0, 0]], dtype=complex)
-    fill = np.array([[1, 0], [0, np.sqrt(2 / 3)]], dtype=complex)
-    kmap = q.kraus_map([fill, decay])
-    phi, p = q.apply_to_pure(kmap, 1, np.array([0, 1], complex))
-    assert np.allclose(phi, [1, 0]) and p == pytest.approx(1 / 3)
-
-
-def test_apply_to_pure_projection():
-    kmap = q.kraus_map([P0, P1])
-    plus = np.array([1, 1], complex) / np.sqrt(2)
-    phi, p = q.apply_to_pure(kmap, 0, plus)
-    assert np.allclose(phi, [1, 0]) and p == pytest.approx(0.5)
-
-
-def test_apply_to_pure_zero_probability():
-    kmap = q.kraus_map([P0, P1])
-    with pytest.raises(q.ZeroProbabilityBranch):
-        q.apply_to_pure(kmap, 0, np.array([0, 1], complex))
-
-
 def test_superoperator_identity_map():
     s = q.build_superoperator(q.kraus_map([np.eye(3)]))
     assert np.allclose(s, np.eye(9))
@@ -234,26 +167,30 @@ def test_invariant_state_is_fixed():
     assert frob(q.apply_map(kmap, pi) - pi) <= 1e-10
 
 
+def one_step_ensemble(kmap, rho):
+    step = q.make_step(kmap)
+    return q.enumerate_trajectories(q.process_spec([step], initial_state=rho))
+
+
 def test_nonselective_state_is_branch_mixture():
+    # summed over n and k, the enumerated branches give the populations of the
+    # nonselective state E(rho) in its eigenbasis, the final measurement basis
     kmap = q.thermal_qubit_map(np.log(2), 0.5)
     rho = random_density(11)
-    mix = np.zeros((2, 2), complex)
-    for k in range(len(kmap)):
-        p = q.operation_probability(kmap, k, rho)
-        if p > 1e-14:
-            mix += p * q.selective_post_state(kmap, k, rho)
-    assert frob(mix - q.apply_map(kmap, rho)) <= 1e-10
+    ensemble = one_step_ensemble(kmap, rho)
+    p_m = np.bincount(ensemble.m, weights=ensemble.probability, minlength=2)
+    assert np.allclose(p_m, q.hermitian_eig(q.apply_map(kmap, rho)).eigenvalues, atol=1e-12)
 
 
 def test_pure_state_probabilities_match_density_form():
+    # the enumerator propagates pure states from rho's eigenbasis; summed over
+    # n and m, operator k's branches carry the Born weight Tr[M_k rho M_k†]
     kmap = q.thermal_qubit_map(0.9, 0.6)
-    rng = np.random.default_rng(5)
-    psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    psi /= np.linalg.norm(psi)
-    rho = np.outer(psi, psi.conj())
-    for k in range(len(kmap)):
-        _, p = q.apply_to_pure(kmap, k, psi)
-        assert p == pytest.approx(q.operation_probability(kmap, k, rho), abs=1e-12)
+    rho = random_density(5)
+    ensemble = one_step_ensemble(kmap, rho)
+    p_k = np.bincount(ensemble.ks[:, 0], weights=ensemble.probability, minlength=len(kmap))
+    born = [np.trace(m @ rho @ m.conj().T).real for m in kmap.operators]
+    assert np.allclose(p_k, born, atol=1e-12)
 
 
 def test_validate_density_rejects_bad_trace():

@@ -163,15 +163,15 @@ def test_multi_reservoir_branch_probabilities_agree():
     rho = np.diag([0.7, 0.3]).astype(complex)
     all_ls = res[0][0] + res[1][0]
     combined = q.lindblad_step(h, all_ls, dt)
+    def jump_probs(kmap, state):
+        return [np.trace(m @ state @ m.conj().T).real for m in kmap.operators[1:]]
+
     split_jump_probs = []
     state = q.apply_map(maps[0], rho)
     for kmap in maps[1:]:
-        for k in range(1, len(kmap)):
-            split_jump_probs.append(q.operation_probability(kmap, k, state))
+        split_jump_probs += jump_probs(kmap, state)
         state = q.apply_map(kmap, state)
-    combined_jump_probs = [
-        q.operation_probability(combined, k, rho) for k in range(1, len(combined))
-    ]
+    combined_jump_probs = jump_probs(combined, rho)
     assert np.allclose(split_jump_probs, combined_jump_probs, atol=5 * dt**2)
 
 

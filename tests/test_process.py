@@ -538,3 +538,10 @@ def test_process_spec_validation():
         q.process_spec([step], boundary_mode="equilibrium")  # missing H, beta
     with pytest.raises(q.DimensionMismatchError):
         q.process_spec([step], initial_state=np.eye(3) / 3)
+
+
+def test_process_spec_checks_symmetry_dimension():
+    step = q.make_step(q.thermal_qubit_map(LN2, 0.5))
+    symmetry = q.SymmetryOp(np.eye(3, dtype=complex))
+    with pytest.raises(q.DimensionMismatchError):
+        q.process_spec([step], initial_state=np.eye(2) / 2, symmetry=symmetry)

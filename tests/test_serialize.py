@@ -6,6 +6,7 @@ histogram is the per-bin mask loop sigma_histogram_csv had before it
 assigned each sample to its bin in one pass.
 """
 
+import math
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import qmapft as q
+import qmapft.serialize
 from qmapft.config import DEFAULT_TOLERANCES
 from qmapft.serialize import dumps_report, sigma_histogram_csv
 
@@ -216,3 +218,24 @@ def test_histogram_edges_drop_and_close_like_mask_loop():
     assert lines[1] == "1.7000000000000002,1.8,0.40000000000000002"
     assert lines[-1] == "4.2000000000000002,4.2999999999999998,0.20000000000000001"
     assert len(lines) == 1 + 26
+
+
+def test_histogram_bin_cap(monkeypatch):
+    monkeypatch.setattr(qmapft.serialize, "MAX_BINS", 3)
+    probs = np.array([0.5, 0.5])
+    for top, allowed in ((2.5, True), (3.5, False)):
+        ensemble = SimpleNamespace(mode="exact", sigmas=lambda: np.array([0.0, top]),
+                                   probabilities=lambda: probs)
+        if allowed:
+            assert len(sigma_histogram_csv(ensemble, 1.0).splitlines()) == 1 + 3
+        else:
+            with pytest.raises(q.HistogramTooLarge) as info:
+                sigma_histogram_csv(ensemble, 1.0)
+            assert info.value.bin_count == 4 and info.value.cap == 3
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, math.inf, math.nan])
+def test_histogram_bin_width_must_be_positive_and_finite(width):
+    ensemble = SimpleNamespace(mode="mc", sigmas=lambda: np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        sigma_histogram_csv(ensemble, width)
