@@ -38,10 +38,10 @@ from .serialize import (
     _read_json,
     dumps_report,
     load_map_file,
+    load_matrix_file,
     load_process_file,
     make_report,
     map_to_json,
-    matrix_from_json,
     matrix_to_json,
     sigma_histogram_csv,
 )
@@ -83,7 +83,7 @@ def _emit(report: dict, out_path) -> None:
 
 def _resolve_pi(kmap, args, tol):
     if args.pi:
-        return matrix_from_json(_read_json(Path(args.pi)))
+        return load_matrix_file(args.pi)
     if getattr(args, "unital", False):
         return np.eye(kmap.dim) / kmap.dim
     try:

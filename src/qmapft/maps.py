@@ -62,7 +62,7 @@ def kraus_map(operators, labels=None) -> KrausMap:
 def tp_defect(kmap: KrausMap) -> float:
     """Frobenius norm of sum_k M_k† M_k - 1."""
     ops = kmap.operators
-    return frob((ops.conj().swapaxes(1, 2) @ ops).sum(axis=0) - np.eye(kmap.dim))
+    return frob((adjoint(ops) @ ops).sum(axis=0) - np.eye(kmap.dim))
 
 
 @dataclass(frozen=True)
@@ -112,16 +112,19 @@ def apply_map(kmap: KrausMap, rho: np.ndarray) -> np.ndarray:
             f"state shape {rho.shape} does not match map dimension {kmap.dim}"
         )
     ops = kmap.operators
-    return (ops @ rho @ ops.conj().swapaxes(1, 2)).sum(axis=0)
+    return (ops @ rho @ adjoint(ops)).sum(axis=0)
 
 
 def build_superoperator(kmap: KrausMap) -> np.ndarray:
     """dim^2 x dim^2 matrix S with S vec(rho) = vec(E(rho)), row-major vec.
 
-    Summed one operator at a time: broadcasting all K products at once would
-    hold a K dim^4 array (32 MB at dim 16, K = 31).
+    sum_k kron(M_k, conj(M_k)) as one gemm: with F the (K, dim^2) flattened operators,
+    the Choi matrix (F^T conj(F))[(a, c), (b, d)] = sum_k M_k[a, c] conj(M_k[b, d])
+    is S[(a, b), (c, d)] with the middle indices swapped (1 MB each at dim 16).
     """
-    return sum(np.kron(m, m.conj()) for m in kmap.operators)
+    k, d = len(kmap), kmap.dim
+    f = kmap.operators.reshape(k, d * d)
+    return (f.T @ f.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def invariant_state(

@@ -232,12 +232,9 @@ def check_bohr_ladder(
     coeff = adjoint(v) @ l @ v
     nl = max(frob(l), 1e-300)
 
-    freqs = []
-    for j in range(h.shape[0]):
-        for i in range(h.shape[0]):
-            if abs(coeff[j, i]) > tol.eps_zero * nl:
-                freqs.append(float(eig.eigenvalues[i] - eig.eigenvalues[j]))
-    distinct = sorted(set(round(w, 12) for w in freqs))
+    freqs = eig.eigenvalues[None, :] - eig.eigenvalues[:, None]  # E_i - E_j at (j, i)
+    nonzero = np.hypot(coeff.real, coeff.imag) > tol.eps_zero * nl  # abs() entry by entry
+    distinct = sorted(set(round(w, 12) for w in freqs[nonzero].tolist()))
 
     comm = l @ h - h @ l
     if len(distinct) == 1:

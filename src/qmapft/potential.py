@@ -21,6 +21,7 @@ from .linalg import (
     as_complex_matrix,
     check_unitary,
     frob,
+    frobs,
     hermitian_eig,
     matrix_power_of_positive,
 )
@@ -107,20 +108,21 @@ def build_potential_structure(
     potentials = -np.log(eig.eigenvalues)
     classes, class_pot = _group_classes(potentials, tol.eps_group)
     v = eig.eigenvectors
+    ops = kmap.operators
 
+    coeff = adjoint(v) @ ops @ v  # coeff[k, j, i] = <pi_j| M_k |pi_i>
+    thresh = tol.eps_zero * np.maximum(frobs(ops), 1e-300)
+    # hypot, not np.abs: it rounds as abs() of one entry does
+    connects = np.hypot(coeff.real, coeff.imag) > thresh[:, None, None]
+    pot = class_pot[list(classes)]
+    gap_table = pot[:, None] - pot[None, :]  # gap of each pair (j, i)
     delta_phi = np.zeros(len(kmap))
-    for k, m in enumerate(kmap.operators):
-        coeff = adjoint(v) @ m @ v  # m^k_{ji} = <pi_j| M_k |pi_i>
-        thresh = tol.eps_zero * max(frob(m), 1e-300)
-        gaps: list[float] = []
-        for j in range(kmap.dim):
-            for i in range(kmap.dim):
-                if abs(coeff[j, i]) > thresh:
-                    gaps.append(class_pot[classes[j]] - class_pot[classes[i]])
-        if not gaps:
+    for k in range(len(kmap)):
+        gaps = gap_table[connects[k]]  # row-major: pairs in (j, i) order
+        if not gaps.size:
             continue  # zero operator: no jumps, no potential change
-        if max(gaps) - min(gaps) > tol.eps_group:
-            distinct = sorted(set(round(g, 12) for g in gaps))
+        if gaps.max() - gaps.min() > tol.eps_group:
+            distinct = sorted(set(round(g, 12) for g in gaps.tolist()))
             raise MixedPotentialOperator(k, distinct)
         delta_phi[k] = float(np.mean(gaps))
 
@@ -159,7 +161,7 @@ def build_dual(
         )
     sq = matrix_power_of_positive(pi, 0.5, tol)
     sqinv = matrix_power_of_positive(pi, -0.5, tol)
-    duals = [symmetry.on_matrix(sq @ adjoint(m) @ sqinv) for m in kmap.operators]
+    duals = symmetry.on_matrix(sq @ adjoint(kmap.operators) @ sqinv)
     dual = kraus_map(duals, labels=tuple(f"{s}~" for s in kmap.labels))
     pi_dual = symmetry.on_matrix(pi)
 
@@ -191,18 +193,14 @@ def check_detailed_balance(
     dual: DualMap,
     structure: PotentialStructure,
 ) -> BalanceReport:
-    """Check M~_k = e^{dPhi_k / 2} A M_k† A† operator by operator."""
-    res = []
-    rel = []
-    for k, m in enumerate(kmap.operators):
-        target = np.exp(structure.delta_phi[k] / 2) * dual.symmetry.on_matrix(
-            adjoint(m)
-        )
-        r = frob(dual.map.operators[k] - target)
-        res.append(r)
-        rel.append(r / max(frob(m), 1e-300))
+    """Check M~_k = e^{dPhi_k / 2} A M_k† A† for every operator."""
+    ops = kmap.operators
+    scale = np.exp(structure.delta_phi / 2)[:, None, None]
+    res = frobs(dual.map.operators - scale * dual.symmetry.on_matrix(adjoint(ops)))
     return BalanceReport(
-        residuals=np.array(res), relative_residuals=np.array(rel), tolerance=1e-10
+        residuals=res,
+        relative_residuals=res / np.maximum(frobs(ops), 1e-300),
+        tolerance=1e-10,
     )
 
 
@@ -226,20 +224,12 @@ def check_ladder_commutators(kmap: KrausMap, structure: PotentialStructure) -> C
     """Check [M_k, ln pi] = dPhi_k M_k and [M_k† M_k, pi] = 0."""
     v = structure.eigen.eigenvectors
     log_pi = (v * np.log(structure.eigen.eigenvalues)) @ adjoint(v)
-    ladder = []
-    weight = []
-    for k, m in enumerate(kmap.operators):
-        comm = m @ log_pi - log_pi @ m
-        ladder.append(
-            frob(comm - structure.delta_phi[k] * m) / max(frob(m), 1e-300)
-        )
-        w = adjoint(m) @ m
-        weight.append(
-            frob(w @ structure.pi - structure.pi @ w) / max(frob(w), 1e-300)
-        )
+    ops, pi = kmap.operators, structure.pi
+    ladder = ops @ log_pi - log_pi @ ops - structure.delta_phi[:, None, None] * ops
+    w = adjoint(ops) @ ops
     return CommutatorReport(
-        ladder_residuals=np.array(ladder),
-        weight_residuals=np.array(weight),
+        ladder_residuals=frobs(ladder) / np.maximum(frobs(ops), 1e-300),
+        weight_residuals=frobs(w @ pi - pi @ w) / np.maximum(frobs(w), 1e-300),
         tolerance=1e-10,
     )
 
@@ -261,13 +251,8 @@ def delta_phi_pi_independence(
     kmap: KrausMap, pis, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> IndependenceReport:
     """Check that the sorted potential-change multiset agrees across fixed points."""
-    sets = []
-    for pi in pis:
-        structure = build_potential_structure(kmap, pi, tol)
-        sets.append(np.sort(structure.delta_phi))
-    spread = 0.0
-    for s in sets[1:]:
-        spread = max(spread, float(np.max(np.abs(s - sets[0]))))
+    sets = [np.sort(build_potential_structure(kmap, pi, tol).delta_phi) for pi in pis]
+    spread = max([0.0] + [float(np.max(np.abs(s - sets[0]))) for s in sets[1:]])
     return IndependenceReport(
         delta_phi_sets=tuple(sets), max_spread=spread, tolerance=1e-9
     )

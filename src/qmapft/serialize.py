@@ -34,14 +34,20 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
+class _Malformed(ProcessFileError, ValueError):
+    """Bad content, to be named by _file_content; other ProcessFileErrors name their file."""
+
+
 def matrix_from_json(data) -> np.ndarray:
     try:
-        rows = []
-        for row in data:
-            rows.append([complex(entry[0], entry[1]) for entry in row])
+        # unpacking rejects an entry that is not a pair; complex() rejects strings,
+        # and raises OverflowError on an integer too large for a float
+        rows = [[complex(re, im) for re, im in row] for row in data]
+        if not rows or not all(rows):
+            raise ValueError("it has no entries")
         return as_complex_matrix(np.array(rows, dtype=np.complex128))
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ProcessFileError(f"malformed matrix: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _Malformed(f"malformed matrix of [re, im] pairs: {exc}") from exc
 
 
 def map_to_json(kmap: KrausMap) -> dict:
@@ -54,13 +60,11 @@ def map_to_json(kmap: KrausMap) -> dict:
 
 def map_from_json(data) -> KrausMap:
     if not isinstance(data, dict) or "operators" not in data:
-        raise ProcessFileError("map file must be an object with an 'operators' key")
+        raise _Malformed("map file must be an object with an 'operators' key")
     ops = [matrix_from_json(m) for m in data["operators"]]
     kmap = kraus_map(ops, labels=data.get("labels"))
     if "dim" in data and int(data["dim"]) != kmap.dim:
-        raise ProcessFileError(
-            f"declared dim {data['dim']} does not match operators ({kmap.dim})"
-        )
+        raise _Malformed(f"declared dim {data['dim']} does not match operators ({kmap.dim})")
     return kmap
 
 
@@ -92,6 +96,12 @@ def load_map_file(path) -> KrausMap:
         return map_from_json(data)
 
 
+def load_matrix_file(path) -> np.ndarray:
+    data = _read_json(Path(path))
+    with _file_content(path):
+        return matrix_from_json(data)
+
+
 def _build_model(entry: dict) -> KrausMap:
     name = entry["model"]
     if name == "thermal_qubit":
@@ -109,7 +119,7 @@ def _build_model(entry: dict) -> KrausMap:
             [matrix_from_json(l) for l in entry["lindblads"]],
             entry["dt"],
         )
-    raise ProcessFileError(f"unknown model {name!r}")
+    raise _Malformed(f"unknown model {name!r}")
 
 
 def step_from_json(entry: dict, base_dir: Path, tol: Tolerances):
@@ -120,9 +130,7 @@ def step_from_json(entry: dict, base_dir: Path, tol: Tolerances):
     elif "model" in entry:
         kmap = _build_model(entry)
     else:
-        raise ProcessFileError(
-            "each step needs one of 'map_file', 'map', or 'model'"
-        )
+        raise _Malformed("each step needs one of 'map_file', 'map', or 'model'")
     pi = matrix_from_json(entry["pi"]) if "pi" in entry else None
     return make_step(kmap, pi=pi, unital=bool(entry.get("unital", False)), tol=tol)
 

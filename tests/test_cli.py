@@ -393,6 +393,9 @@ BAD_PROCESS_SETTINGS = {
         "steps": [{"map": dict(GAD_MAP, labels=["a", "b", "c", "d", "e"])}]},
     "no-operators": {"steps": [{"map": dict(GAD_MAP, operators=[])}]},
     "dim-not-a-number": {"steps": [{"map": dict(GAD_MAP, dim="x")}]},
+    # these two once printed their parse error without the file's name
+    "unknown-model": {"steps": [{"model": "bogus"}]},
+    "step-without-a-map": {"steps": [{"pi": matrix_to_json(np.eye(2) / 2)}]},
 }
 
 
@@ -428,6 +431,54 @@ def test_cli_bad_values_in_map_file_are_parse_errors(tmp_path, capsys, case):
     write_process_with(proc, steps=[{"map_file": "map.json"}])
     assert main(["verify", str(proc)]) == 2
     assert_one_parse_error(capsys, map_path)
+
+
+# matrices that are not nested rows of [re, im] pairs of numbers: a string was
+# rejected without the file's name, the third number was dropped, the integer
+# too large for a float ended in an OverflowError traceback, and the empty
+# matrix exited 1 with a dimension error
+MALFORMED_MATRICES = {
+    "empty": [],
+    "empty-row": [[]],
+    "string-entry": [[["1", 0], [0, 0]], [[0, 0], [1, 0]]],
+    "three-numbers": [[[0.5, 0, 7], [0, 0]], [[0, 0], [0.5, 0]]],
+    "integer-too-large-for-a-float": [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]],
+}
+
+
+def assert_malformed_matrix_named(capsys, path):
+    assert "malformed matrix" in assert_one_parse_error(capsys, path)
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_MATRICES))
+def test_cli_malformed_matrix_in_process_file_names_it(tmp_path, capsys, case):
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, initial_state=MALFORMED_MATRICES[case])
+    assert main(["verify", str(proc)]) == 2
+    assert_malformed_matrix_named(capsys, proc)
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_MATRICES))
+def test_cli_malformed_matrix_in_map_file_names_it(tmp_path, capsys, case):
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps(dict(GAD_MAP, operators=[MALFORMED_MATRICES[case]])))
+    assert main(["validate", str(map_path)]) == 2
+    assert_malformed_matrix_named(capsys, map_path)
+
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, steps=[{"map_file": "map.json"}])
+    assert main(["verify", str(proc)]) == 2
+    assert_malformed_matrix_named(capsys, map_path)
+
+
+@pytest.mark.parametrize("command", ["classify", "dual"])
+@pytest.mark.parametrize("case", list(MALFORMED_MATRICES))
+def test_cli_malformed_pi_file_names_it(tmp_path, capsys, case, command):
+    map_path, pi_path = tmp_path / "map.json", tmp_path / "pi.json"
+    write_gad_map(map_path)
+    pi_path.write_text(json.dumps(MALFORMED_MATRICES[case]))
+    assert main([command, str(map_path), "--pi", str(pi_path)]) == 2
+    assert_malformed_matrix_named(capsys, pi_path)
 
 
 def test_cli_package_errors_in_process_file_keep_their_exit_code(tmp_path, capsys):

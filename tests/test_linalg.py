@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmapft as q
-from qmapft.linalg import as_complex_matrix, check_unitary, frob
+from qmapft.linalg import _fix_phases, as_complex_matrix, check_unitary, frob
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -125,3 +125,25 @@ def test_check_unitary():
 def test_von_neumann_entropy():
     assert q.von_neumann_entropy(np.diag([1.0, 0.0]).astype(complex)) == pytest.approx(0.0)
     assert q.von_neumann_entropy(np.eye(2) / 2) == pytest.approx(np.log(2))
+
+
+def fix_phases_by_column(vectors):
+    """Reference: the column-by-column loop that _fix_phases' array form replaced."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        pivot = col[int(np.argmax(np.abs(col)))]
+        if abs(pivot) > 0:
+            out[:, j] = col * (abs(pivot) / pivot)
+    return out
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=16))
+@settings(max_examples=40, deadline=None)
+def test_fix_phases_matches_column_loop(seed, dim):
+    vecs = np.linalg.eigh(random_matrix(seed, dim) + random_matrix(seed, dim).conj().T)[1]
+    vecs[:, seed % dim] = 0.0  # a zero column keeps its phase
+    assert np.array_equal(_fix_phases(vecs), fix_phases_by_column(vecs))
+    fixed = _fix_phases(vecs)
+    pivots = fixed[np.argmax(np.abs(fixed), axis=0), np.arange(dim)]
+    assert np.all(np.abs(pivots.imag) <= 1e-15) and np.all(pivots.real >= 0)

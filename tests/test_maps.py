@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import qmapft as q
 from qmapft.linalg import frob
 from qmapft.maps import tp_defect
+from test_ladder_properties import ladder_maps
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -140,6 +141,41 @@ def test_stacked_operators_match_per_operator_loop(seed, dim):
     assert np.array_equal(q.apply_map(kmap, rho), applied)
     defect = frob(sum(m.conj().T @ m for m in ops) - np.eye(dim))
     assert tp_defect(kmap) == defect
+
+
+def kron_superoperator(kmap):
+    """Reference: the sum of K Kronecker products that build_superoperator's gemm replaces."""
+    return sum(np.kron(m, m.conj()) for m in kmap.operators)
+
+
+def eig_fixed_point(s, dim):
+    """Reference pi: S's eigenvector of the eigenvalue nearest 1, as a unit-trace state."""
+    vals, vecs = np.linalg.eig(s)
+    x = vecs[:, np.argmin(np.abs(vals - 1.0))].reshape(dim, dim)
+    x = x / np.trace(x)  # removes the eigenvector's arbitrary phase
+    return (x + x.conj().T) / 2
+
+
+def assert_superoperator_and_fixed_point_match_kron(kmap):
+    s = kron_superoperator(kmap)
+    assert np.max(np.abs(q.build_superoperator(kmap) - s)) <= 1e-15
+    pi = q.invariant_state(kmap)
+    assert np.max(np.abs(pi - eig_fixed_point(s, kmap.dim))) <= 1e-12
+
+
+@given(ladder_maps((2, 16)))
+@settings(max_examples=15, deadline=None)
+def test_superoperator_gemm_matches_kron_sum_on_ladder_maps(example):
+    assert_superoperator_and_fixed_point_match_kron(example.kmap)
+
+
+def test_superoperator_gemm_matches_kron_sum_on_model_library(library):
+    maps = {id(s.map): s.map for spec in library.values() for s in spec.steps}
+    for kmap in maps.values():
+        try:
+            assert_superoperator_and_fixed_point_match_kron(kmap)
+        except q.NonUniqueInvariantState:
+            pass  # a unital step with a degenerate fixed space; S was checked first
 
 
 def test_invariant_state_unitary_degenerate():

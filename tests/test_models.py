@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmapft as q
 from qmapft.linalg import adjoint, frob
@@ -249,3 +251,28 @@ def test_bohr_ladder_potential_consistency():
     structure = q.build_potential_structure(kmap, q.invariant_state(kmap))
     assert report.delta_phi == pytest.approx(structure.delta_phi[1], abs=1e-12)
     assert report.potential_residual <= 1e-12
+
+
+def bohr_frequencies_by_entry(h, l, tol=q.DEFAULT_TOLERANCES):
+    """Reference: the entry-by-entry loop that check_bohr_ladder's array form replaced."""
+    eig = q.hermitian_eig(h, tol)
+    coeff = adjoint(eig.eigenvectors) @ l @ eig.eigenvectors
+    nl = max(frob(l), 1e-300)
+    freqs = []
+    for j in range(h.shape[0]):
+        for i in range(h.shape[0]):
+            if abs(coeff[j, i]) > tol.eps_zero * nl:
+                freqs.append(float(eig.eigenvalues[i] - eig.eigenvalues[j]))
+    return tuple(sorted(set(round(w, 12) for w in freqs)))
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=6))
+@settings(max_examples=30, deadline=None)
+def test_bohr_frequencies_match_entry_loop(seed, dim):
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    h = u @ np.diag(np.round(rng.uniform(0, 3, dim), 1)) @ adjoint(u)
+    jump = np.zeros((dim, dim), complex)
+    jump[0, 1] = 1.0
+    for l in (u @ jump @ adjoint(u), rng.standard_normal((dim, dim)) + 0j):
+        assert q.check_bohr_ladder(h, l).frequencies == bohr_frequencies_by_entry(h, l)

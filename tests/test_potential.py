@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmapft as q
-from qmapft.linalg import frob
-from qmapft.potential import DualMap
+from qmapft.linalg import frob, hermitian_eig
+from qmapft.potential import DualMap, _group_classes
+from test_ladder_properties import haar_unitary, ladder_maps
 
 LN2 = np.log(2.0)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -48,6 +51,7 @@ def test_mixed_potential_operator_rejected(gad):
         q.build_potential_structure(kmap, pi)
     assert info.value.operator_index == 1
     assert len(info.value.gaps) == 2
+    assert "gaps [-0.69314718056, 0.69314718056];" in str(info.value)  # plain numbers
 
 
 def test_dual_of_unitary_is_conjugated_adjoint():
@@ -235,3 +239,87 @@ def test_unitary_symmetry_dual():
     assert q.validate_cptp(dual.map).passed
     structure = q.build_potential_structure(kmap, pi)
     assert q.check_detailed_balance(kmap, dual, structure).passed
+
+
+def scalar_classification(kmap, pi, tol=q.DEFAULT_TOLERANCES):
+    """Reference: the entry-by-entry loop that build_potential_structure's arrays replaced.
+
+    Returns (delta_phi, None), or (None, (operator index, gap list)) where it
+    would raise MixedPotentialOperator.
+    """
+    eig = hermitian_eig(pi, tol)
+    classes, class_pot = _group_classes(-np.log(eig.eigenvalues), tol.eps_group)
+    v = eig.eigenvectors
+    delta_phi = np.zeros(len(kmap))
+    for k, m in enumerate(kmap.operators):
+        coeff = v.conj().T @ m @ v
+        thresh = tol.eps_zero * max(frob(m), 1e-300)
+        gaps = []
+        for j in range(kmap.dim):
+            for i in range(kmap.dim):
+                if abs(coeff[j, i]) > thresh:
+                    gaps.append(class_pot[classes[j]] - class_pot[classes[i]])
+        if not gaps:
+            continue
+        if max(gaps) - min(gaps) > tol.eps_group:
+            return None, (k, sorted(set(round(g, 12) for g in gaps)))
+        delta_phi[k] = float(np.mean(gaps))
+    return delta_phi, None
+
+
+def assert_classification_matches_scalar_loop(kmap, pi):
+    expected, mixed = scalar_classification(kmap, pi)
+    try:
+        structure = q.build_potential_structure(kmap, pi)
+    except q.MixedPotentialOperator as exc:
+        assert mixed == (exc.operator_index, exc.gaps)
+        return False
+    assert mixed is None
+    assert structure.delta_phi.tobytes() == expected.tobytes()
+    return True
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_stacked_classification_matches_scalar_loop_on_mixed_library_maps(library, data):
+    # a unitary mixing W of the Kraus operators is another representation of
+    # the same channel; a phased permutation keeps the ladder form, a Haar W
+    # in general does not
+    steps = {id(s.map): s for spec in library.values() for s in spec.steps}
+    step = data.draw(st.sampled_from(sorted(steps.values(), key=lambda s: s.map.labels)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    count = len(step.map)
+    if data.draw(st.booleans()):
+        w = haar_unitary(rng, count)
+    else:
+        phases = np.exp(2j * np.pi * rng.random(count))
+        w = phases[:, None] * np.eye(count)[rng.permutation(count)]
+    mixed = q.kraus_map(np.tensordot(w, step.map.operators, axes=1))
+    assert_classification_matches_scalar_loop(mixed, step.structure.pi)
+
+
+@given(ladder_maps((2, 16)))
+@settings(max_examples=15, deadline=None)
+def test_stacked_layers_match_per_operator_loops_on_ladder_maps(example):
+    kmap, pi = example.kmap, example.pi
+    assert assert_classification_matches_scalar_loop(kmap, pi)
+    structure = q.build_potential_structure(kmap, pi)
+    comm = q.check_ladder_commutators(kmap, structure)
+    dual = q.build_dual(kmap, pi)
+    balance = q.check_detailed_balance(kmap, dual, structure)
+    v = structure.eigen.eigenvectors
+    log_pi = (v * np.log(structure.eigen.eigenvalues)) @ v.conj().T
+    sq = (v * structure.eigen.eigenvalues**0.5) @ v.conj().T
+    sqinv = (v * structure.eigen.eigenvalues**-0.5) @ v.conj().T
+    # the stacked forms make the same products and BLAS calls as these loops
+    for k, m in enumerate(kmap.operators):
+        norm = max(frob(m), 1e-300)
+        ladder = frob(m @ log_pi - log_pi @ m - structure.delta_phi[k] * m) / norm
+        w = m.conj().T @ m
+        assert comm.ladder_residuals[k] == ladder
+        assert comm.weight_residuals[k] == frob(w @ pi - pi @ w) / max(frob(w), 1e-300)
+        dual_m = (sq @ m.conj().T @ sqinv).conj()  # the default symmetry conjugates
+        assert np.array_equal(dual.map.operators[k], dual_m)
+        target = np.exp(structure.delta_phi[k] / 2) * m.T
+        assert balance.residuals[k] == frob(dual.map.operators[k] - target)
+        assert balance.relative_residuals[k] == balance.residuals[k] / norm
