@@ -9,7 +9,6 @@ cap exceeded.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -25,7 +24,7 @@ from .errors import (
     ProcessFileError,
     QmapError,
 )
-from .maps import invariant_state, validate_cptp
+from .maps import choose_invariant_state, validate_cptp
 from .potential import build_dual, build_potential_structure, check_ladder_commutators
 from .process import (
     RNG_SCHEME,
@@ -35,11 +34,11 @@ from .process import (
     verify_integral_ft,
 )
 from .serialize import (
-    _read_json,
     dumps_report,
     load_map_file,
     load_matrix_file,
     load_process_file,
+    load_tolerances,
     make_report,
     map_to_json,
     matrix_to_json,
@@ -55,24 +54,6 @@ EXIT_RESOURCE_CAP = 4
 SEED_LIMIT = 2**128  # seeds are Philox keys, 128-bit unsigned integers
 
 
-def _load_tolerances(path) -> Tolerances:
-    if path is None:
-        return DEFAULT_TOLERANCES
-    data = _read_json(Path(path))
-    if not isinstance(data, dict):
-        raise ProcessFileError(f"{path}: tolerance file must be a JSON object")
-    known = {f.name for f in dataclasses.fields(Tolerances)}
-    for key, value in data.items():
-        if key not in known:
-            raise ProcessFileError(f"{path}: unknown tolerance {key!r}")
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and 0 <= value < math.inf):  # NaN fails both comparisons
-            raise ProcessFileError(
-                f"{path}: tolerance {key!r} must be a number in [0, inf), got {value!r}"
-            )
-    return Tolerances(**data)
-
-
 def _emit(report: dict, out_path) -> None:
     text = dumps_report(report)
     if out_path:
@@ -82,12 +63,9 @@ def _emit(report: dict, out_path) -> None:
 
 
 def _resolve_pi(kmap, args, tol):
-    if args.pi:
-        return load_matrix_file(args.pi)
-    if getattr(args, "unital", False):
-        return np.eye(kmap.dim) / kmap.dim
+    pi = load_matrix_file(args.pi) if args.pi else None
     try:
-        return invariant_state(kmap, tol)
+        return choose_invariant_state(kmap, pi, args.unital, tol)
     except NonUniqueInvariantState as exc:
         print(
             f"error: {exc}; pass --pi FILE (or --unital for the maximally "
@@ -97,16 +75,14 @@ def _resolve_pi(kmap, args, tol):
         raise SystemExit(EXIT_NEEDS_INPUT) from exc
 
 
-def cmd_validate(args) -> int:
-    tol = _load_tolerances(args.tolerances)
+def cmd_validate(args, tol: Tolerances) -> int:
     kmap = load_map_file(args.map_file)
     report = validate_cptp(kmap, tol)
     _emit(make_report({"validate": report}, tol), args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_classify(args) -> int:
-    tol = _load_tolerances(args.tolerances)
+def cmd_classify(args, tol: Tolerances) -> int:
     kmap = load_map_file(args.map_file)
     pi = _resolve_pi(kmap, args, tol)
     try:
@@ -127,8 +103,7 @@ def cmd_classify(args) -> int:
     return EXIT_OK if comm.passed else EXIT_CHECK_FAILED
 
 
-def cmd_dual(args) -> int:
-    tol = _load_tolerances(args.tolerances)
+def cmd_dual(args, tol: Tolerances) -> int:
     kmap = load_map_file(args.map_file)
     pi = _resolve_pi(kmap, args, tol)
     dual = build_dual(kmap, pi, tol=tol)
@@ -174,8 +149,7 @@ def _write_outputs(args, ensemble, command: str, body: dict, tol: Tolerances) ->
     _emit(make_report({command: body}, tol), args.out)
 
 
-def cmd_verify(args) -> int:
-    tol = _load_tolerances(args.tolerances)
+def cmd_verify(args, tol: Tolerances) -> int:
     spec, raw = load_process_file(args.process_file, tol)
     body: dict = {"mode": args.mode}
     if args.mode == "exact":
@@ -193,8 +167,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_sample(args) -> int:
-    tol = _load_tolerances(args.tolerances)
+def cmd_sample(args, tol: Tolerances) -> int:
     spec, raw = load_process_file(args.process_file, tol)
     ensemble, body = _monte_carlo(args, spec, raw, tol)
     _write_outputs(args, ensemble, "sample", body, tol)
@@ -238,38 +211,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("classify", help="potential ladder classification of a map")
-    p.add_argument("map_file")
-    p.add_argument("--pi", help="JSON matrix file with the invariant state")
-    p.add_argument("--unital", action="store_true", help="use pi = 1/N")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_classify)
+    for name, func, text in [
+        ("classify", cmd_classify, "potential ladder classification of a map"),
+        ("dual", cmd_dual, "construct the dual map"),
+    ]:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("map_file")
+        p.add_argument("--pi", help="JSON matrix file with the invariant state")
+        p.add_argument("--unital", action="store_true", help="use pi = 1/N")
+        p.add_argument("--out")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("dual", help="construct the dual map")
-    p.add_argument("map_file")
-    p.add_argument("--pi")
-    p.add_argument("--unital", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("verify", help="fluctuation-theorem verification of a process")
-    p.add_argument("process_file")
-    p.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    p.add_argument("--samples", type=_positive(int))
-    p.add_argument("--seed", type=_seed)
-    p.add_argument("--out")
-    p.add_argument("--hist", help="write a CSV histogram of entropy production")
-    p.add_argument("--bin-width", type=_positive(float), default=0.1)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("sample", help="Monte Carlo sampling of a process")
-    p.add_argument("process_file")
-    p.add_argument("--samples", type=_positive(int))
-    p.add_argument("--seed", type=_seed)
-    p.add_argument("--out")
-    p.add_argument("--hist")
-    p.add_argument("--bin-width", type=_positive(float), default=0.1)
-    p.set_defaults(func=cmd_sample)
+    for name, func, text in [
+        ("verify", cmd_verify, "fluctuation-theorem verification of a process"),
+        ("sample", cmd_sample, "Monte Carlo sampling of a process"),
+    ]:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("process_file")
+        if name == "verify":
+            p.add_argument("--mode", choices=["exact", "mc"], default="exact")
+        p.add_argument("--samples", type=_positive(int))
+        p.add_argument("--seed", type=_seed)
+        p.add_argument("--out")
+        p.add_argument("--hist", help="write a CSV histogram of entropy production")
+        p.add_argument("--bin-width", type=_positive(float), default=0.1)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -277,7 +243,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        tol = DEFAULT_TOLERANCES if args.tolerances is None else load_tolerances(args.tolerances)
+        return args.func(args, tol)
     except ProcessFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

@@ -7,7 +7,9 @@ up to the construction cap MAX_DIM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 
 # Hard cap on Hilbert dimension.  Superoperators are dim^2 x dim^2 and
 # trajectory enumeration is exponential; the cap keeps exact verification
@@ -17,7 +19,7 @@ MAX_DIM = 16
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Bundle of numerical tolerances used across all checks."""
+    """Bundle of numerical tolerances used across all checks, each a finite number >= 0."""
 
     eps_eig: float = 1e-12      # eigendecomposition reconstruction (relative)
     eps_herm: float = 1e-10     # allowed Hermiticity defect (relative)
@@ -27,6 +29,15 @@ class Tolerances:
     eps_tp: float = 1e-10       # trace-preservation defect
     eps_fix: float = 1e-10      # invariant-state residual
     eps_prob: float = 1e-14     # probability pruning floor
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (number and 0 <= value < math.inf):  # NaN fails both comparisons
+                raise ValueError(
+                    f"tolerance {f.name!r} must be a number in [0, inf), got {value!r}"
+                )
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -19,7 +19,8 @@ from .errors import (
     NonUniqueInvariantState,
     SingularStateError,
 )
-from .linalg import adjoint, as_complex_matrix, frob, hermitian_eig, hermiticity_defect
+from .linalg import (HermitianEigenDecomposition, adjoint, as_complex_matrix, frob,
+                     hermitian_eig, hermiticity_defect)
 
 
 @dataclass(frozen=True)
@@ -157,14 +158,40 @@ def invariant_state(
         pi = (x - adjoint(x)) / 2j
         tr = np.trace(pi).real
     pi = pi / tr
-    if frob(apply_map(kmap, pi) - pi) > tol.eps_fix:
+    check_invariant_state(kmap, pi, tol)
+    return pi
+
+
+def check_invariant_state(
+    kmap: KrausMap, pi: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
+) -> HermitianEigenDecomposition:
+    """Eigendecomposition of pi, once pi is checked to be a strictly positive fixed point.
+
+    Raises SingularStateError when the residual ||E(pi) - pi||_F exceeds
+    eps_fix or the smallest eigenvalue of pi is not above eps_pos.
+    """
+    residual = frob(apply_map(kmap, pi) - pi)
+    if residual > tol.eps_fix:
         raise SingularStateError(
-            "fixed-point residual exceeds eps_fix after normalization"
+            f"state is not a fixed point of the map: residual {residual:.3e} "
+            f"exceeds eps_fix={tol.eps_fix}"
         )
     eig = hermitian_eig(pi, tol)
     if np.min(eig.eigenvalues) <= tol.eps_pos:
         raise SingularStateError(
-            f"invariant state has eigenvalue {np.min(eig.eigenvalues):.3e}; "
-            f"a strictly positive invariant state is required"
+            f"invariant state has eigenvalue {np.min(eig.eigenvalues):.3e}, not above "
+            f"eps_pos={tol.eps_pos}; a strictly positive invariant state is required"
         )
-    return pi
+    return eig
+
+
+def choose_invariant_state(
+    kmap: KrausMap, pi=None, unital: bool = False, tol: Tolerances = DEFAULT_TOLERANCES
+) -> np.ndarray:
+    """pi if given, else 1/N if unital (the canonical choice when the fixed point is
+    degenerate), else the unique invariant state."""
+    if pi is not None:
+        return pi
+    if unital:
+        return np.eye(kmap.dim) / kmap.dim
+    return invariant_state(kmap, tol)

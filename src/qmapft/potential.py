@@ -22,10 +22,8 @@ from .linalg import (
     check_unitary,
     frob,
     frobs,
-    hermitian_eig,
-    matrix_power_of_positive,
 )
-from .maps import KrausMap, apply_map, kraus_map, validate_cptp
+from .maps import KrausMap, apply_map, check_invariant_state, kraus_map, validate_cptp
 
 
 @dataclass(frozen=True)
@@ -95,16 +93,7 @@ def build_potential_structure(
     strictly positive or not a fixed point.
     """
     pi = as_complex_matrix(pi)
-    if frob(apply_map(kmap, pi) - pi) > tol.eps_fix:
-        raise SingularStateError(
-            "supplied state is not a fixed point of the map within eps_fix"
-        )
-    eig = hermitian_eig(pi, tol)
-    if np.min(eig.eigenvalues) <= tol.eps_pos:
-        raise SingularStateError(
-            f"invariant state eigenvalue {np.min(eig.eigenvalues):.3e} is not "
-            f"strictly positive"
-        )
+    eig = check_invariant_state(kmap, pi, tol)
     potentials = -np.log(eig.eigenvalues)
     classes, class_pot = _group_classes(potentials, tol.eps_group)
     v = eig.eigenvectors
@@ -155,12 +144,11 @@ def build_dual(
     if symmetry is None:
         symmetry = theta(kmap.dim)
     pi = as_complex_matrix(pi)
-    if frob(apply_map(kmap, pi) - pi) > tol.eps_fix:
-        raise SingularStateError(
-            "supplied state is not a fixed point of the map within eps_fix"
-        )
-    sq = matrix_power_of_positive(pi, 0.5, tol)
-    sqinv = matrix_power_of_positive(pi, -0.5, tol)
+    eig = check_invariant_state(kmap, pi, tol)
+    v, w = eig.eigenvectors, eig.eigenvalues
+    # the expressions of matrix_power_of_positive, from the one decomposition
+    sq = (v * w**0.5) @ adjoint(v)
+    sqinv = (v * w**-0.5) @ adjoint(v)
     duals = symmetry.on_matrix(sq @ adjoint(kmap.operators) @ sqinv)
     dual = kraus_map(duals, labels=tuple(f"{s}~" for s in kmap.labels))
     pi_dual = symmetry.on_matrix(pi)

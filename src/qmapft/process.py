@@ -17,6 +17,7 @@ potential changes of the observed operations.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ from .errors import (
     ZeroProbabilityBranch,
 )
 from .linalg import adjoint, as_complex_matrix, hermitian_eig, von_neumann_entropy
-from .maps import KrausMap, apply_map, invariant_state, validate_density
+from .maps import KrausMap, apply_map, choose_invariant_state, validate_density
 from .potential import (
     PotentialStructure,
     SymmetryOp,
@@ -98,19 +99,9 @@ def make_step(
     unital: bool = False,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ProcessStep:
-    """Classify a map against an invariant state.
-
-    With no pi the unique invariant state is computed; `unital=True` uses
-    the maximally mixed state instead (the canonical choice when the fixed
-    point is degenerate).
-    """
-    if pi is None:
-        if unital:
-            pi = np.eye(kmap.dim) / kmap.dim
-        else:
-            pi = invariant_state(kmap, tol)
-    structure = build_potential_structure(kmap, pi, tol)
-    return ProcessStep(map=kmap, structure=structure)
+    """Classify a map against the state choose_invariant_state picks."""
+    pi = choose_invariant_state(kmap, pi, unital, tol)
+    return ProcessStep(map=kmap, structure=build_potential_structure(kmap, pi, tol))
 
 
 def process_spec(
@@ -136,6 +127,10 @@ def process_spec(
         else:
             if h_initial is None or h_final is None or beta is None:
                 raise ValueError("equilibrium mode needs H_i, H_f and beta")
+            number = isinstance(beta, numbers.Real) and not isinstance(beta, bool)
+            if not (number and math.isfinite(beta)):
+                raise ValueError(f"beta must be a finite number, got {beta!r}")
+            beta = float(beta)
             h_initial = as_complex_matrix(h_initial)
             h_final = as_complex_matrix(h_final)
     dims = {s.map.dim for s in steps}
@@ -180,19 +175,14 @@ def compile_process(
             final_basis=eig_f.eigenvectors,
             final_probs=np.clip(eig_f.eigenvalues.real, 0.0, None),
         )
-    # equilibrium boundaries
-    beta = spec.beta
-    eig_i = hermitian_eig(spec.h_initial, tol)
-    eig_f = hermitian_eig(spec.h_final, tol)
-    p_i = np.exp(-beta * eig_i.eigenvalues)
-    p_i /= np.sum(p_i)
-    p_f = np.exp(-beta * eig_f.eigenvalues)
-    p_f /= np.sum(p_f)
+    # equilibrium boundaries: Gibbs populations of H_i and H_f at one beta
+    eig_i, eig_f = hermitian_eig(spec.h_initial, tol), hermitian_eig(spec.h_final, tol)
+    p_i, p_f = (np.exp(-spec.beta * eig.eigenvalues) for eig in (eig_i, eig_f))
     return BoundaryData(
         initial_basis=eig_i.eigenvectors,
-        initial_probs=p_i,
+        initial_probs=p_i / np.sum(p_i),
         final_basis=eig_f.eigenvectors,
-        final_probs=p_f,
+        final_probs=p_f / np.sum(p_f),
     )
 
 
@@ -200,10 +190,6 @@ def _evolve(steps, rho: np.ndarray) -> np.ndarray:
     for step in steps:
         rho = apply_map(step.map, rho)
     return rho
-
-
-def _state_from_populations(basis: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    return (basis * probs) @ adjoint(basis)
 
 
 def sigma_boundary(
@@ -472,8 +458,7 @@ def build_dual_process(
         dual_steps.append(ProcessStep(map=dual.map, structure=structure))
 
     def transform_basis(basis: np.ndarray) -> np.ndarray:
-        cols = [sym.on_vector(basis[:, j]) for j in range(basis.shape[1])]
-        return np.column_stack(cols)
+        return np.column_stack([sym.on_vector(column) for column in basis.T])
 
     boundary = BoundaryData(
         initial_basis=transform_basis(bnd.final_basis),
@@ -484,9 +469,6 @@ def build_dual_process(
     return ProcessSpec(
         steps=tuple(dual_steps),
         boundary_mode=spec.boundary_mode,
-        initial_state=None,
-        h_initial=None,
-        h_final=None,
         beta=spec.beta,
         symmetry=sym,
         explicit_boundary=boundary,
@@ -644,6 +626,6 @@ def work_statistics(
 def entropy_change(spec: ProcessSpec, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Von Neumann entropy of the evolved state minus the initial state's."""
     bnd = compile_process(spec, tol)
-    rho_i = _state_from_populations(bnd.initial_basis, bnd.initial_probs)
+    rho_i = (bnd.initial_basis * bnd.initial_probs) @ adjoint(bnd.initial_basis)
     rho_f = _evolve(spec.steps, rho_i)
     return von_neumann_entropy(rho_f, tol) - von_neumann_entropy(rho_i, tol)

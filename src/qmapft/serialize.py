@@ -21,7 +21,7 @@ from .linalg import as_complex_matrix
 from .maps import KrausMap, kraus_map
 from .potential import SymmetryOp
 from . import models
-from .process import ProcessSpec, TrajectoryEnsemble, make_step, process_spec
+from .process import ENTROPIC, EQUILIBRIUM, ProcessSpec, TrajectoryEnsemble, make_step, process_spec
 
 SCHEMA_VERSION = 1
 
@@ -63,8 +63,9 @@ def map_from_json(data) -> KrausMap:
         raise _Malformed("map file must be an object with an 'operators' key")
     ops = [matrix_from_json(m) for m in data["operators"]]
     kmap = kraus_map(ops, labels=data.get("labels"))
-    if "dim" in data and int(data["dim"]) != kmap.dim:
-        raise _Malformed(f"declared dim {data['dim']} does not match operators ({kmap.dim})")
+    dim = data.get("dim", kmap.dim)
+    if type(dim) is not int or dim != kmap.dim:  # JSON true and false are not ints here
+        raise _Malformed(f"declared dim {dim!r} is not the operators' dimension {kmap.dim}")
     return kmap
 
 
@@ -102,6 +103,19 @@ def load_matrix_file(path) -> np.ndarray:
         return matrix_from_json(data)
 
 
+def load_tolerances(path) -> Tolerances:
+    """Tolerances of a JSON object of known keys; Tolerances checks each value."""
+    data = _read_json(Path(path))
+    if not isinstance(data, dict):
+        raise ProcessFileError(f"{path}: tolerance file must be a JSON object")
+    known = {f.name for f in dataclasses.fields(Tolerances)}
+    for key in data:
+        if key not in known:
+            raise ProcessFileError(f"{path}: unknown tolerance {key!r}")
+    with _file_content(path):
+        return Tolerances(**data)
+
+
 def _build_model(entry: dict) -> KrausMap:
     name = entry["model"]
     if name == "thermal_qubit":
@@ -122,6 +136,14 @@ def _build_model(entry: dict) -> KrausMap:
     raise _Malformed(f"unknown model {name!r}")
 
 
+def _boolean(data: dict, key: str, default: bool) -> bool:
+    """data[key], which must be a JSON boolean: bool("false") is true."""
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise _Malformed(f"{key!r} must be true or false, got {value!r}")
+    return value
+
+
 def step_from_json(entry: dict, base_dir: Path, tol: Tolerances):
     if "map_file" in entry:
         kmap = load_map_file(base_dir / entry["map_file"])
@@ -132,7 +154,7 @@ def step_from_json(entry: dict, base_dir: Path, tol: Tolerances):
     else:
         raise _Malformed("each step needs one of 'map_file', 'map', or 'model'")
     pi = matrix_from_json(entry["pi"]) if "pi" in entry else None
-    return make_step(kmap, pi=pi, unital=bool(entry.get("unital", False)), tol=tol)
+    return make_step(kmap, pi=pi, unital=_boolean(entry, "unital", False), tol=tol)
 
 
 def load_process_file(
@@ -145,20 +167,20 @@ def load_process_file(
         raise ProcessFileError(f"{path}: process file must be a JSON object")
     with _file_content(path):
         steps = [step_from_json(e, path.parent, tol) for e in data.get("steps", [])]
-        mode = data.get("boundary_mode", "entropic")
+        mode = data.get("boundary_mode", ENTROPIC)
         symmetry = None
         if "symmetry" in data:
             symmetry = SymmetryOp(
                 matrix=matrix_from_json(data["symmetry"]["matrix"]),
-                antiunitary=bool(data["symmetry"].get("antiunitary", True)),
+                antiunitary=_boolean(data["symmetry"], "antiunitary", True),
             )
         kwargs = {}
-        if mode == "entropic":
+        if mode == ENTROPIC:
             kwargs["initial_state"] = matrix_from_json(data["initial_state"])
-        else:
+        elif mode == EQUILIBRIUM:  # any other mode is named by process_spec
             kwargs["h_initial"] = matrix_from_json(data["H_i"])
             kwargs["h_final"] = matrix_from_json(data["H_f"])
-            kwargs["beta"] = float(data["beta"])
+            kwargs["beta"] = data["beta"]  # process_spec checks it is a finite number
         spec = process_spec(
             steps, boundary_mode=mode, symmetry=symmetry, tol=tol, **kwargs
         )

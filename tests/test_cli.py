@@ -5,6 +5,7 @@ import pytest
 
 import qmapft as q
 from qmapft.cli import main
+from test_potential import EDGE_TOLERANCES, shifted_pi
 from qmapft.serialize import (
     dumps_report,
     load_map_file,
@@ -393,6 +394,19 @@ BAD_PROCESS_SETTINGS = {
         "steps": [{"map": dict(GAD_MAP, labels=["a", "b", "c", "d", "e"])}]},
     "no-operators": {"steps": [{"map": dict(GAD_MAP, operators=[])}]},
     "dim-not-a-number": {"steps": [{"map": dict(GAD_MAP, dim="x")}]},
+    # these passed through int(), float() or bool() and built something else
+    "dim-not-an-integer": {"steps": [{"map": dict(GAD_MAP, dim=2.7)}]},
+    "dim-a-string-of-digits": {"steps": [{"map": dict(GAD_MAP, dim="2")}]},
+    "dim-true": {"steps": [{"map": dict(GAD_MAP, dim=True)}]},
+    "beta-a-string-of-digits": dict(EQUILIBRIUM_BOUNDARY, beta="0.5"),
+    "beta-nan": dict(EQUILIBRIUM_BOUNDARY, beta=float("nan")),
+    "beta-infinity": dict(EQUILIBRIUM_BOUNDARY, beta=float("inf")),
+    "unital-a-string": {"steps": [
+        {"model": "thermal_qubit", "beta_omega": LN2, "gamma": 0.5, "unital": "false"}]},
+    "antiunitary-a-string": {"symmetry": {"matrix": matrix_to_json(np.eye(2)),
+                                          "antiunitary": "false"}},
+    # this one was reported as a missing 'H_i'
+    "unknown-boundary-mode-with-initial-state": {"boundary_mode": "bogus"},
     # these two once printed their parse error without the file's name
     "unknown-model": {"steps": [{"model": "bogus"}]},
     "step-without-a-map": {"steps": [{"pi": matrix_to_json(np.eye(2) / 2)}]},
@@ -419,7 +433,8 @@ def test_cli_bad_values_in_process_file_are_parse_errors(tmp_path, capsys, case,
 
 
 @pytest.mark.parametrize("case", ["more-labels-than-operators", "no-operators",
-                                  "dim-not-a-number"])
+                                  "dim-not-a-number", "dim-not-an-integer",
+                                  "dim-a-string-of-digits", "dim-true"])
 def test_cli_bad_values_in_map_file_are_parse_errors(tmp_path, capsys, case):
     bad_map = BAD_PROCESS_SETTINGS[case]["steps"][0]["map"]
     map_path = tmp_path / "map.json"
@@ -505,6 +520,23 @@ def test_cli_tolerances_must_be_finite_and_not_negative(tmp_path, capsys, text):
     )
 
 
+def test_cli_unknown_boundary_mode_is_named(tmp_path, capsys):
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, boundary_mode="bogus")  # the file keeps its initial_state
+    assert main(["verify", str(proc)]) == 2
+    assert "unknown boundary mode 'bogus'" in assert_one_parse_error(capsys, proc)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1, True, "1e-9"])
+def test_tolerances_rule_holds_in_the_library(value):
+    with pytest.raises(ValueError, match="tolerance 'eps_prob' must be a number in"):
+        q.Tolerances(eps_prob=value)
+
+
+def test_tolerances_accept_zero_in_the_library():
+    assert q.Tolerances(eps_prob=0, eps_fix=0.0).eps_prob == 0
+
+
 def test_cli_tolerances_accept_zero(tmp_path, capsys):
     proc = tmp_path / "proc.json"
     write_gad_process(proc)
@@ -541,3 +573,27 @@ def test_cli_histogram_over_the_bin_cap_is_a_resource_error(tmp_path, capsys, wi
     assert len(lines) == 1 and lines[0].startswith("error: histogram needs"), captured.err
     assert "above the cap 1000000" in lines[0]
     assert captured.out == "" and not hist.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "dual"])
+def test_cli_pi_file_at_the_eps_fix_and_eps_pos_edges(tmp_path, capsys, command):
+    map_path, pi_path, tol_path = (tmp_path / n for n in ("map.json", "pi.json", "tol.json"))
+    kmap = write_gad_map(map_path)
+    pi = q.invariant_state(kmap)
+    argv = ["--tolerances", str(tol_path), command, str(map_path), "--pi", str(pi_path)]
+
+    tol_path.write_text(json.dumps({"eps_fix": EDGE_TOLERANCES.eps_fix}))
+    for residual, code in ((0.99, 0), (1.01, 1)):
+        pi_path.write_text(json.dumps(matrix_to_json(
+            shifted_pi(kmap, pi, residual * EDGE_TOLERANCES.eps_fix))))
+        assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: state is not a fixed point of the map: residual")
+
+    pi_path.write_text(json.dumps(matrix_to_json(pi)))
+    low = float(q.hermitian_eig(pi).eigenvalues[0])
+    for eps_pos, code in ((float(np.nextafter(low, 0)), 0), (low, 1)):
+        tol_path.write_text(json.dumps({"eps_pos": eps_pos}))
+        assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: invariant state has eigenvalue") and "not above eps_pos" in err

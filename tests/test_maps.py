@@ -232,3 +232,10 @@ def test_pure_state_probabilities_match_density_form():
 def test_validate_density_rejects_bad_trace():
     with pytest.raises(ValueError):
         q.validate_density(np.diag([0.5, 0.6]).astype(complex))
+
+
+def test_invariant_state_singular_fixed_point():
+    # full amplitude damping: the unique fixed point |0><0| has eigenvalue 0
+    kmap = q.kraus_map([P0, np.array([[0, 1], [0, 0]], dtype=complex)])
+    with pytest.raises(q.SingularStateError, match="not above eps_pos"):
+        q.invariant_state(kmap)

@@ -323,3 +323,69 @@ def test_stacked_layers_match_per_operator_loops_on_ladder_maps(example):
         target = np.exp(structure.delta_phi[k] / 2) * m.T
         assert balance.residuals[k] == frob(dual.map.operators[k] - target)
         assert balance.relative_residuals[k] == balance.residuals[k] / norm
+
+
+def reference_dual_operators(kmap, pi, symmetry):
+    """Dual operators with pi^(+-1/2) from two matrix_power_of_positive calls."""
+    sq = q.matrix_power_of_positive(pi, 0.5)
+    sqinv = q.matrix_power_of_positive(pi, -0.5)
+    return symmetry.on_matrix(sq @ q.adjoint(kmap.operators) @ sqinv)
+
+
+def test_dual_matches_matrix_power_reference_on_model_library(library):
+    for spec in library.values():
+        for step in spec.steps:
+            pi = step.structure.pi
+            dual = q.build_dual(step.map, pi, spec.symmetry)
+            expected = reference_dual_operators(step.map, pi, spec.symmetry)
+            assert np.array_equal(dual.map.operators, expected)
+
+
+@given(ladder_maps((2, 16)))
+@settings(max_examples=15, deadline=None)
+def test_dual_matches_matrix_power_reference_on_ladder_maps(example):
+    dual = q.build_dual(example.kmap, example.pi)
+    expected = reference_dual_operators(example.kmap, example.pi, q.theta(example.kmap.dim))
+    assert np.array_equal(dual.map.operators, expected)
+
+
+def shifted_pi(kmap, pi, residual):
+    """pi + t diag(1, -1): a unit-trace state in pi's eigenbasis whose fixed-point
+    residual ||E(pi) - pi||_F is `residual`, up to pi's own residual of about 1e-16."""
+    x = np.diag([1.0, -1.0]).astype(complex)
+    return pi + residual / frob(q.apply_map(kmap, x) - x) * x
+
+
+# eps_fix below the default: a state off the fixed point by the default 1e-10
+# makes a dual whose trace-preservation defect, about 3e-10, fails eps_tp first
+EDGE_TOLERANCES = q.Tolerances(eps_fix=1e-12)
+
+
+@pytest.mark.parametrize("build", [q.build_potential_structure, q.build_dual],
+                         ids=["classify", "dual"])
+def test_pi_residual_edge_at_eps_fix(gad, build):
+    kmap, pi = gad
+    eps_fix = EDGE_TOLERANCES.eps_fix
+    build(kmap, shifted_pi(kmap, pi, 0.99 * eps_fix), tol=EDGE_TOLERANCES)
+    with pytest.raises(q.SingularStateError, match="not a fixed point.*exceeds eps_fix"):
+        build(kmap, shifted_pi(kmap, pi, 1.01 * eps_fix), tol=EDGE_TOLERANCES)
+
+
+@pytest.mark.parametrize("build", [q.build_potential_structure, q.build_dual],
+                         ids=["classify", "dual"])
+def test_pi_eigenvalue_edge_at_eps_pos(gad, build):
+    kmap, pi = gad
+    low = hermitian_eig(pi).eigenvalues[0]
+    build(kmap, pi, tol=q.Tolerances(eps_pos=float(np.nextafter(low, 0))))
+    with pytest.raises(q.SingularStateError, match="not above eps_pos"):
+        build(kmap, pi, tol=q.Tolerances(eps_pos=float(low)))
+
+
+def test_one_eigendecomposition_checks_pi_and_builds_the_dual(gad, monkeypatch):
+    kmap, pi = gad
+    calls = []
+    for module in (q.linalg, q.maps):  # matrix_power_of_positive calls the one in linalg
+        monkeypatch.setattr(module, "hermitian_eig",
+                            lambda *a, **k: calls.append(1) or hermitian_eig(*a, **k))
+    q.build_dual(kmap, pi)
+    assert len(calls) == 1
