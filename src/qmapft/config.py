@@ -21,7 +21,6 @@ MAX_DIM = 16
 class Tolerances:
     """Bundle of numerical tolerances used across all checks, each a finite number >= 0."""
 
-    eps_eig: float = 1e-12      # eigendecomposition reconstruction (relative)
     eps_herm: float = 1e-10     # allowed Hermiticity defect (relative)
     eps_pos: float = 1e-12      # smallest eigenvalue counted as positive
     eps_zero: float = 1e-10     # Kraus coefficient zero threshold (relative)

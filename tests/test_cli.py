@@ -354,6 +354,17 @@ def test_cli_tolerances_file_parse_errors(tmp_path, capsys):
         assert "parse error" in err and message in err
 
 
+def test_cli_eps_eig_is_not_a_tolerance(tmp_path, capsys):
+    # it set a threshold that nothing read; reports no longer list it
+    map_path, tol_path = tmp_path / "gad.json", tmp_path / "tol.json"
+    write_gad_map(map_path)
+    assert main(["validate", str(map_path)]) == 0
+    assert "eps_eig" not in json.loads(capsys.readouterr().out)["tolerances"]
+    tol_path.write_text(json.dumps({"eps_eig": 1e-12}))
+    assert main(["--tolerances", str(tol_path), "validate", str(map_path)]) == 2
+    assert "unknown tolerance 'eps_eig'" in assert_one_parse_error(capsys, tol_path)
+
+
 def test_cli_verify_with_every_branch_pruned(tmp_path, capsys):
     proc_path = tmp_path / "proc.json"
     write_gad_process(proc_path, steps=3)
