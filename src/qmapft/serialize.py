@@ -64,7 +64,7 @@ def map_from_json(data) -> KrausMap:
     ops = [matrix_from_json(m) for m in data["operators"]]
     kmap = kraus_map(ops, labels=data.get("labels"))
     dim = data.get("dim", kmap.dim)
-    if type(dim) is not int or dim != kmap.dim:  # JSON true and false are not ints here
+    if type(dim) is not int or dim != kmap.dim:  # type(): isinstance counts true as an int
         raise _Malformed(f"declared dim {dim!r} is not the operators' dimension {kmap.dim}")
     return kmap
 

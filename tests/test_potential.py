@@ -357,7 +357,7 @@ def shifted_pi(kmap, pi, residual):
 
 
 # eps_fix below the default: a state off the fixed point by the default 1e-10
-# makes a dual whose trace-preservation defect, about 3e-10, fails eps_tp first
+# makes a dual whose trace-preservation defect, 2.3e-10, fails eps_tp first
 EDGE_TOLERANCES = q.Tolerances(eps_fix=1e-12)
 
 
