@@ -18,6 +18,7 @@ from .errors import (
     NotUnitaryError,
     ProcessFileError,
     QmapError,
+    SampleCountTooLarge,
     SingularStateError,
     ZeroProbabilityBranch,
 )
@@ -42,6 +43,7 @@ from .models import (
     check_bohr_ladder,
     dephasing_map,
     free_energy,
+    gibbs_populations,
     gibbs_state,
     lindblad_step,
     multi_reservoir_step,
@@ -75,7 +77,6 @@ from .process import (
     make_step,
     process_spec,
     sample_trajectories,
-    sigma_boundary,
     verify_detailed_ft,
     verify_integral_ft,
     work_statistics,

@@ -23,6 +23,7 @@ from .errors import (
     NonUniqueInvariantState,
     ProcessFileError,
     QmapError,
+    SampleCountTooLarge,
 )
 from .maps import choose_invariant_state, validate_cptp
 from .potential import build_dual, build_potential_structure, check_ladder_commutators
@@ -248,7 +249,7 @@ def main(argv=None) -> int:
     except ProcessFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except (EnumerationTooLarge, HistogramTooLarge) as exc:
+    except (EnumerationTooLarge, HistogramTooLarge, SampleCountTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_CAP
     except NonUniqueInvariantState as exc:

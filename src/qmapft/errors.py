@@ -78,6 +78,10 @@ class EnumerationTooLarge(QmapError):
         )
 
 
+class SampleCountTooLarge(QmapError):
+    """Monte Carlo sampling would draw more trajectories than the cap."""
+
+
 class HistogramTooLarge(QmapError):
     """A histogram would need more bins than the cap."""
 

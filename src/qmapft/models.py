@@ -176,19 +176,29 @@ def thermal_lindblad_pair(
     return [down, up]
 
 
+def gibbs_populations(energies: np.ndarray, beta: float) -> tuple:
+    """(Populations e^{-beta E} / Z, ln Z) of a vector of energies E.
+
+    The largest exponent is shifted to 0, so no weight overflows; that moves no bit
+    when the lowest beta E is 0."""
+    exponent = -beta * np.asarray(energies)
+    top = np.max(exponent)
+    w = np.exp(exponent - top)
+    total = np.sum(w)
+    return w / total, float(np.log(total) + top)
+
+
 def gibbs_state(h: np.ndarray, beta: float, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """e^{-beta H} / Tr e^{-beta H}."""
     eig = hermitian_eig(as_complex_matrix(h), tol)
-    w = np.exp(-beta * eig.eigenvalues)
-    w /= np.sum(w)
     v = eig.eigenvectors
-    return (v * w) @ adjoint(v)
+    return (v * gibbs_populations(eig.eigenvalues, beta)[0]) @ adjoint(v)
 
 
 def free_energy(h: np.ndarray, beta: float, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """-ln(Tr e^{-beta H}) / beta."""
     vals = hermitian_eig(as_complex_matrix(h), tol).eigenvalues
-    return float(-np.log(np.sum(np.exp(-beta * vals))) / beta)
+    return -gibbs_populations(vals, beta)[1] / beta
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,9 @@ from .maps import KrausMap, apply_map, check_invariant_state, kraus_map, validat
 class SymmetryOp:
     """A unitary or anti-unitary operator, stored as (V, conjugation flag).
 
-    Acts on vectors as V x (linear) or V conj(x) (anti-unitary), and on
-    matrices by the corresponding sandwich.
+    Acts on vectors as V x (linear) or V conj(x) (anti-unitary), as
+    build_dual_process applies it to measurement bases, and on matrices by
+    the corresponding sandwich.
     """
 
     matrix: np.ndarray
@@ -39,10 +40,6 @@ class SymmetryOp:
 
     def __post_init__(self):
         check_unitary(self.matrix, atol=1e-12)
-
-    def on_vector(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.complex128)
-        return self.matrix @ (x.conj() if self.antiunitary else x)
 
     def on_matrix(self, m: np.ndarray) -> np.ndarray:
         core = m.conj() if self.antiunitary else m

@@ -28,6 +28,7 @@ from .errors import (
     AbsoluteContinuityViolation,
     DimensionMismatchError,
     EnumerationTooLarge,
+    SampleCountTooLarge,
     ZeroProbabilityBranch,
 )
 from .linalg import adjoint, as_complex_matrix, hermitian_eig, von_neumann_entropy
@@ -39,7 +40,7 @@ from .potential import (
     build_potential_structure,
     theta,
 )
-from .models import free_energy
+from .models import gibbs_populations
 
 ENTROPIC = "entropic"
 EQUILIBRIUM = "equilibrium"
@@ -67,10 +68,10 @@ class ProcessStep:
 class BoundaryData:
     """Measurement bases and populations at both ends of a process.
 
-    compile_process resolves one for every ProcessSpec.  Given as a spec's
-    explicit_boundary it overrides boundary_mode; dual processes use this,
-    because their bases come from transforming the forward bases rather
-    than from re-diagonalizing anything.
+    compile_process resolves one for every ProcessSpec.  A dual process
+    carries its own as explicit_boundary, because its bases come from
+    transforming the forward bases rather than from re-diagonalizing
+    anything.
     """
 
     initial_basis: np.ndarray   # columns
@@ -112,35 +113,28 @@ def process_spec(
     h_final=None,
     beta: float | None = None,
     symmetry: SymmetryOp | None = None,
-    explicit_boundary: BoundaryData | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ProcessSpec:
     """Validated ProcessSpec constructor."""
     steps = tuple(steps)
-    if boundary_mode not in (ENTROPIC, EQUILIBRIUM):
-        raise ValueError(f"unknown boundary mode {boundary_mode!r}")
-    if explicit_boundary is None:
-        if boundary_mode == ENTROPIC:
-            if initial_state is None:
-                raise ValueError("entropic mode needs an initial state")
-            initial_state = validate_density(initial_state, tol)
-        else:
-            if h_initial is None or h_final is None or beta is None:
-                raise ValueError("equilibrium mode needs H_i, H_f and beta")
-            number = isinstance(beta, numbers.Real) and not isinstance(beta, bool)
-            if not (number and math.isfinite(beta)):
-                raise ValueError(f"beta must be a finite number, got {beta!r}")
-            beta = float(beta)
-            h_initial = as_complex_matrix(h_initial)
-            h_final = as_complex_matrix(h_final)
     dims = {s.map.dim for s in steps}
-    if explicit_boundary is not None:
-        dims.add(explicit_boundary.initial_basis.shape[0])
-    elif boundary_mode == ENTROPIC:
+    if boundary_mode == ENTROPIC:
+        if initial_state is None:
+            raise ValueError("entropic mode needs an initial state")
+        initial_state = validate_density(initial_state, tol)
         dims.add(initial_state.shape[0])
+    elif boundary_mode == EQUILIBRIUM:
+        if h_initial is None or h_final is None or beta is None:
+            raise ValueError("equilibrium mode needs H_i, H_f and beta")
+        number = isinstance(beta, numbers.Real) and not isinstance(beta, bool)
+        if not (number and math.isfinite(beta)):
+            raise ValueError(f"beta must be a finite number, got {beta!r}")
+        beta = float(beta)
+        h_initial = as_complex_matrix(h_initial)
+        h_final = as_complex_matrix(h_final)
+        dims.update((h_initial.shape[0], h_final.shape[0]))
     else:
-        dims.add(h_initial.shape[0])
-        dims.add(h_final.shape[0])
+        raise ValueError(f"unknown boundary mode {boundary_mode!r}")
     if symmetry is not None:
         dims.add(symmetry.matrix.shape[0])
     if len(dims) != 1:
@@ -156,7 +150,6 @@ def process_spec(
         h_final=h_final,
         beta=beta,
         symmetry=symmetry,
-        explicit_boundary=explicit_boundary,
     )
 
 
@@ -177,12 +170,11 @@ def compile_process(
         )
     # equilibrium boundaries: Gibbs populations of H_i and H_f at one beta
     eig_i, eig_f = hermitian_eig(spec.h_initial, tol), hermitian_eig(spec.h_final, tol)
-    p_i, p_f = (np.exp(-spec.beta * eig.eigenvalues) for eig in (eig_i, eig_f))
     return BoundaryData(
         initial_basis=eig_i.eigenvectors,
-        initial_probs=p_i / np.sum(p_i),
+        initial_probs=gibbs_populations(eig_i.eigenvalues, spec.beta)[0],
         final_basis=eig_f.eigenvectors,
-        final_probs=p_f / np.sum(p_f),
+        final_probs=gibbs_populations(eig_f.eigenvalues, spec.beta)[0],
     )
 
 
@@ -190,19 +182,6 @@ def _evolve(steps, rho: np.ndarray) -> np.ndarray:
     for step in steps:
         rho = apply_map(step.map, rho)
     return rho
-
-
-def sigma_boundary(
-    boundary: BoundaryData, n: int, m: int, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
-    """Boundary term ln p_i(n) - ln p~_f(m) for one outcome pair."""
-    p_n = boundary.initial_probs[n]
-    p_m = boundary.final_probs[m]
-    if p_n <= tol.eps_prob or p_m <= tol.eps_prob:
-        raise ZeroProbabilityBranch(
-            f"boundary populations p_i({n})={p_n:.3e}, p_f({m})={p_m:.3e}"
-        )
-    return float(math.log(p_n) - math.log(p_m))
 
 
 @dataclass(frozen=True)
@@ -286,15 +265,13 @@ class TrajectoryRecords(Sequence):
 
 
 def _boundary_table(bnd: BoundaryData, tol: Tolerances) -> np.ndarray:
-    """Boundary terms of all (n, m) pairs; NaN marks a pair the dual cannot start from."""
-    dim = len(bnd.initial_probs)
-    table = np.full((dim, dim), np.nan)
-    for i, j in np.ndindex(dim, dim):
-        try:
-            table[i, j] = sigma_boundary(bnd, i, j, tol)
-        except ZeroProbabilityBranch:
-            pass
-    return table
+    """ln p_i(n) - ln p~_f(m) of all (n, m) pairs; NaN where a population is <= eps_prob."""
+    # math.log per population: np.log is not bit-identical to it
+    log_i, log_f = (
+        np.array([math.log(p) if p > tol.eps_prob else math.nan for p in probs.tolist()])
+        for probs in (bnd.initial_probs, bnd.final_probs)
+    )
+    return log_i[:, None] - log_f[None, :]
 
 
 def _live(phi: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -414,7 +391,13 @@ def sample_trajectories(
     integer below 2**128), read as a (sample_count, R + 2) array: row i
     holds trajectory i's draws for n, each step's Kraus label and m, so it
     depends only on (seed, i) and a longer run extends a shorter one.
+    A sample_count above DEFAULT_BRANCH_CAP raises SampleCountTooLarge
+    before anything is allocated.
     """
+    if sample_count > DEFAULT_BRANCH_CAP:
+        raise SampleCountTooLarge(
+            f"{sample_count} samples are above the cap {DEFAULT_BRANCH_CAP}; draw fewer samples"
+        )
     bnd = compile_process(spec, tol)
     u = np.random.Generator(np.random.Philox(key=seed)).random(
         (sample_count, len(spec.steps) + 2)
@@ -458,7 +441,9 @@ def build_dual_process(
         dual_steps.append(ProcessStep(map=dual.map, structure=structure))
 
     def transform_basis(basis: np.ndarray) -> np.ndarray:
-        return np.column_stack([sym.on_vector(column) for column in basis.T])
+        cols = basis.T.conj() if sym.antiunitary else basis.T
+        # a gemv per column, as V @ x of one vector: the gemm V @ basis rounds differently
+        return np.ascontiguousarray((sym.matrix[None] @ cols[:, :, None])[:, :, 0].T)
 
     boundary = BoundaryData(
         initial_basis=transform_basis(bnd.final_basis),
@@ -466,13 +451,7 @@ def build_dual_process(
         final_basis=transform_basis(bnd.initial_basis),
         final_probs=bnd.initial_probs,
     )
-    return ProcessSpec(
-        steps=tuple(dual_steps),
-        boundary_mode=spec.boundary_mode,
-        beta=spec.beta,
-        symmetry=sym,
-        explicit_boundary=boundary,
-    )
+    return ProcessSpec(steps=tuple(dual_steps), symmetry=sym, explicit_boundary=boundary)
 
 
 def _encode(n: np.ndarray, ks: np.ndarray, m: np.ndarray, radices: list) -> np.ndarray:
@@ -595,11 +574,9 @@ def work_statistics(
     if spec.boundary_mode != EQUILIBRIUM:
         raise ValueError("work statistics require equilibrium boundaries")
     beta = spec.beta
-    eig_i = hermitian_eig(spec.h_initial, tol)
-    eig_f = hermitian_eig(spec.h_final, tol)
-    delta_f = free_energy(spec.h_final, beta, tol) - free_energy(
-        spec.h_initial, beta, tol
-    )
+    eig_i, eig_f = hermitian_eig(spec.h_initial, tol), hermitian_eig(spec.h_final, tol)
+    f_i, f_f = (-gibbs_populations(e.eigenvalues, beta)[1] / beta for e in (eig_i, eig_f))
+    delta_f = f_f - f_i
     heats = -ensemble.delta_phi_sum / beta
     works = (eig_f.eigenvalues[ensemble.m] - eig_i.eigenvalues[ensemble.n]) + heats
     # math.exp per trajectory: np.exp is not bit-identical to it

@@ -188,8 +188,6 @@ def load_process_file(
 
 
 def _format_value(v) -> str:
-    if isinstance(v, np.bool_):
-        v = bool(v)
     if isinstance(v, bool) or v is None:
         return json.dumps(v)
     if isinstance(v, float):
@@ -205,11 +203,7 @@ def _format_value(v) -> str:
         return "{" + items + "}"
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_format_value(x) for x in v) + "]"
-    if isinstance(v, (np.floating,)):
-        return _format_value(float(v))
-    if isinstance(v, (np.integer,)):
-        return str(int(v))
-    if isinstance(v, np.ndarray):
+    if isinstance(v, (np.generic, np.ndarray)):
         return _format_value(v.tolist())
     if dataclasses.is_dataclass(v):
         # a report: its fields in declaration order, then its verdict if it has one

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -608,3 +609,61 @@ def test_cli_pi_file_at_the_eps_fix_and_eps_pos_edges(tmp_path, capsys, command)
         assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: invariant state has eigenvalue") and "not above eps_pos" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("command", [["verify", "--mode", "mc"], ["sample"]],
+                         ids=["verify-mc", "sample"])
+def test_cli_sample_count_above_the_cap_is_a_resource_error(tmp_path, capsys, command, source):
+    # 10^13 rows of uniforms would be 218 TiB; the count is rejected before that
+    proc, out = tmp_path / "proc.json", tmp_path / "report.json"
+    count = 10**13
+    if source == "file":
+        write_process_with(proc, samples=count)
+        extra = []
+    else:
+        write_gad_process(proc)
+        extra = ["--samples", str(count)]
+    assert main([command[0], str(proc), *command[1:], *extra, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0] == f"error: {count} samples are above the cap 10000000; draw fewer samples"
+    assert captured.out == "" and not out.exists()
+
+
+def write_equilibrium_process(path, beta, energies):
+    h = matrix_to_json(np.diag(energies))
+    path.write_text(json.dumps({
+        "steps": [{"model": "thermal_qubit", "beta_omega": LN2, "gamma": 0.5}],
+        "boundary_mode": "equilibrium", "H_i": h, "H_f": h, "beta": beta,
+    }))
+
+
+def test_cli_equilibrium_at_beta_zero_verifies(tmp_path, capsys):
+    proc = tmp_path / "proc.json"
+    write_equilibrium_process(proc, 0, [0.0, 1.0])
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["verify", str(proc)]) == 0
+    assert not seen
+    assert json.loads(capsys.readouterr().out)["verify"]["detailed_ft"]["passed"] is True
+
+
+@pytest.mark.parametrize("beta, trajectory", [(1e6, "(0, (3,), 1)"), (-1e3, "(1, (1,), 0)")])
+def test_cli_equilibrium_at_large_beta_names_the_unmatched_trajectory(
+        tmp_path, capsys, beta, trajectory):
+    # one Gibbs population underflows to 0, so the dual cannot start where the
+    # thermal step excites (k = 3) or decays (k = 1) the one populated level;
+    # the unshifted weights overflowed to NaN instead
+    proc = tmp_path / "proc.json"
+    write_equilibrium_process(proc, beta, [-1.0, 1.0])
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["verify", str(proc)]) == 1
+    assert not seen
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, captured.err
+    assert lines[0].startswith(f"error: forward trajectory {trajectory} has probability")
+    assert lines[0].endswith("but its reverse is absent from the dual process")

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -206,6 +207,45 @@ def test_gibbs_state_and_free_energy():
     assert np.allclose(pi, np.diag([2 / 3, 1 / 3]), atol=1e-14)
     z = 1 + np.exp(-beta)
     assert q.free_energy(h, beta) == pytest.approx(-np.log(z) / beta, abs=1e-14)
+
+
+def unshifted_gibbs(h, beta):
+    """Reference: gibbs_state's and free_energy's expressions before the exponent shift."""
+    eig = q.hermitian_eig(h)
+    w = np.exp(-beta * eig.eigenvalues)
+    w /= np.sum(w)
+    v = eig.eigenvectors
+    f = float(-np.log(np.sum(np.exp(-beta * eig.eigenvalues))) / beta) if beta else None
+    return w, (v * w) @ adjoint(v), f
+
+
+def test_gibbs_populations_match_unshifted_expressions_when_lowest_beta_e_is_zero():
+    rng = np.random.default_rng(8)
+    for d in range(2, 17):
+        levels = np.cumsum(np.concatenate([[0.0], rng.uniform(0.1, 2.0, size=d - 1)]))
+        # the lowest beta E is 0: at E = 0 for beta > 0, at the top level for beta < 0
+        for beta, energies in ((rng.uniform(0.1, 3.0), levels), (-rng.uniform(0.1, 3.0), -levels),
+                               (0.0, levels)):
+            h = np.diag(energies).astype(complex)
+            pops, log_z = q.gibbs_populations(q.hermitian_eig(h).eigenvalues, beta)
+            want_pops, want_state, want_f = unshifted_gibbs(h, beta)
+            assert pops.tobytes() == want_pops.tobytes(), (d, beta)
+            assert q.gibbs_state(h, beta).tobytes() == want_state.tobytes(), (d, beta)
+            if beta:
+                assert q.free_energy(h, beta) == want_f, (d, beta)
+            else:
+                assert log_z == math.log(d)
+
+
+@pytest.mark.parametrize("beta, populations, f", [(1e6, [1.0, 0.0], -1.0),
+                                                  (-1e3, [0.0, 1.0], 1.0)])
+def test_gibbs_weights_stay_finite_at_large_beta(beta, populations, f):
+    # the unshifted e^{-beta E} overflowed here; RuntimeWarnings fail the test
+    h = np.diag([-1.0, 1.0]).astype(complex)
+    pops, log_z = q.gibbs_populations(np.array([-1.0, 1.0]), beta)
+    assert pops.tolist() == populations and log_z == abs(beta)
+    assert q.free_energy(h, beta) == f
+    assert np.array_equal(q.gibbs_state(h, beta), np.diag(populations))
 
 
 def test_gibbs_state_basis_independent():

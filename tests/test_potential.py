@@ -222,7 +222,16 @@ def test_symmetry_op_antiunitary_action():
     sym = q.theta(2)
     m = np.array([[1j, 0], [0, 2]], dtype=complex)
     assert np.allclose(sym.on_matrix(m), m.conj())
-    assert np.allclose(sym.on_vector(np.array([1j, 1])), [-1j, 1])
+    # on vectors: the dual process measures in the conjugated forward bases
+    psi = np.array([1j, 1]) / np.sqrt(2)
+    rho = 0.7 * np.outer(psi, psi.conj()) + 0.3 * np.outer(psi.conj(), psi)
+    spec = q.process_spec([q.make_step(q.unitary_map(np.eye(2)), unital=True)],
+                          initial_state=rho, symmetry=sym)
+    forward = q.compile_process(spec)
+    dual = q.build_dual_process(spec).explicit_boundary
+    assert np.abs(forward.initial_basis.imag).max() > 0.5  # conjugation is visible
+    assert np.allclose(dual.final_basis, forward.initial_basis.conj())
+    assert np.allclose(dual.initial_basis, forward.final_basis.conj())
 
 
 def test_symmetry_op_requires_unitary():

@@ -6,7 +6,7 @@ import pytest
 import qmapft as q
 import qmapft.process
 from qmapft.linalg import adjoint, frob
-from qmapft.process import BoundaryData, compile_process, sigma_boundary
+from qmapft.process import BoundaryData, _boundary_table, compile_process
 
 LN2 = np.log(2.0)
 OMEGA = 1.0
@@ -36,6 +36,17 @@ def gad_process(rho=None, steps=3):
     return q.process_spec([step] * steps, initial_state=rho)
 
 
+def sigma_boundary(boundary, n, m, tol=q.DEFAULT_TOLERANCES):
+    """Reference: the boundary term of one outcome pair, as the per-pair loop computed it."""
+    p_n = boundary.initial_probs[n]
+    p_m = boundary.final_probs[m]
+    if p_n <= tol.eps_prob or p_m <= tol.eps_prob:
+        raise q.ZeroProbabilityBranch(
+            f"boundary populations p_i({n})={p_n:.3e}, p_f({m})={p_m:.3e}"
+        )
+    return float(math.log(p_n) - math.log(p_m))
+
+
 def test_sigma_boundary_indices_follow_eigenvalue_order():
     # gamma = 1 thermalizes in one step: rho_f = diag(2/3, 1/3) regardless
     rho_i = np.diag([0.75, 0.25]).astype(complex)
@@ -46,6 +57,7 @@ def test_sigma_boundary_indices_follow_eigenvalue_order():
     m = int(np.argmin(comp.final_probs))     # outcome with p = 1/3
     assert sigma_boundary(comp, n, m) == pytest.approx(np.log(0.75 / (1 / 3)), abs=1e-12)
     assert sigma_boundary(comp, n, m) == pytest.approx(np.log(9 / 4), abs=1e-12)
+    assert _boundary_table(comp, q.DEFAULT_TOLERANCES)[n, m] == sigma_boundary(comp, n, m)
 
 
 def test_sigma_boundary_zero_probability():
@@ -58,6 +70,33 @@ def test_sigma_boundary_zero_probability():
     m = int(np.argmin(comp.final_probs))
     with pytest.raises(q.ZeroProbabilityBranch):
         sigma_boundary(comp, n, m)
+    assert np.isnan(_boundary_table(comp, q.DEFAULT_TOLERANCES)[n, m])
+
+
+def _reference_table(bnd, tol):
+    """The per-pair loop the boundary table replaced: NaN where sigma_boundary raises."""
+    dim = len(bnd.initial_probs)
+    table = np.full((dim, dim), np.nan)
+    for i, j in np.ndindex(dim, dim):
+        try:
+            table[i, j] = sigma_boundary(bnd, i, j, tol)
+        except q.ZeroProbabilityBranch:
+            pass
+    return table
+
+
+def test_boundary_table_matches_per_pair_formula(library):
+    for name, spec in library.items():
+        for label, s in ((name, spec), (name + " dual", q.build_dual_process(spec))):
+            bnd = compile_process(s)
+            # eps_prob equal to the smallest initial population: its row turns NaN
+            low = float(np.min(bnd.initial_probs))
+            for tol in (q.DEFAULT_TOLERANCES, q.Tolerances(eps_prob=low)):
+                got, want = _boundary_table(bnd, tol), _reference_table(bnd, tol)
+                assert np.array_equal(got, want, equal_nan=True), (label, tol.eps_prob)
+                dead = np.logical_or.outer(bnd.initial_probs <= tol.eps_prob,
+                                           bnd.final_probs <= tol.eps_prob)
+                assert np.array_equal(np.isnan(got), dead), (label, tol.eps_prob)
 
 
 def test_enumeration_r0_pure_boundary():
@@ -119,8 +158,9 @@ def test_enumeration_absolute_continuity_violation(run):
         final_basis=basis,
         final_probs=np.array([1.0, 0.0]),
     )
-    spec = q.process_spec(
-        [q.make_step(q.unitary_map(np.eye(2)), unital=True)],
+    spec = q.ProcessSpec(
+        steps=(q.make_step(q.unitary_map(np.eye(2)), unital=True),),
+        symmetry=q.theta(2),
         explicit_boundary=boundary,
     )
     with pytest.raises(q.AbsoluteContinuityViolation):
@@ -207,7 +247,7 @@ def _qubit_spec(initial_probs, steps, final_probs=(0.5, 0.5)):
         final_basis=basis,
         final_probs=np.array(final_probs, dtype=float),
     )
-    return q.process_spec(steps, explicit_boundary=boundary)
+    return q.ProcessSpec(steps=tuple(steps), symmetry=q.theta(2), explicit_boundary=boundary)
 
 
 HALF_OR_REST = [0.5 * np.eye(2), math.sqrt(0.75) * np.eye(2)]
@@ -264,6 +304,45 @@ def test_dual_process_single_unitary_step():
     dual = q.build_dual_process(spec)
     assert len(dual.steps) == 1
     assert frob(dual.steps[0].map.operators[0] - u.T) <= 1e-12
+
+
+def _haar_unitary(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    qr, r = np.linalg.qr(z)
+    return qr * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _per_column_bases(spec):
+    """Reference: the dual bases as SymmetryOp.on_vector built them, one column at a time."""
+    bnd = compile_process(spec)
+    sym = spec.symmetry
+
+    def on_vector(x):
+        x = np.asarray(x, dtype=np.complex128)
+        return sym.matrix @ (x.conj() if sym.antiunitary else x)
+
+    def transform(basis):
+        return np.column_stack([on_vector(column) for column in basis.T])
+
+    return transform(bnd.final_basis), transform(bnd.initial_basis)
+
+
+@pytest.mark.parametrize("antiunitary", [True, False], ids=["antiunitary", "unitary"])
+def test_dual_bases_match_per_column_transform(antiunitary):
+    rng = np.random.default_rng([5, antiunitary])
+    for d in range(2, 17):
+        u, v, w = (_haar_unitary(rng, d) for _ in range(3))
+        rho = (w * rng.dirichlet(np.ones(d))) @ adjoint(w)
+        spec = q.process_spec(
+            [q.make_step(q.unitary_map(u), unital=True)],
+            initial_state=rho,
+            symmetry=q.SymmetryOp(v, antiunitary=antiunitary),
+        )
+        dual = q.build_dual_process(spec).explicit_boundary
+        want_initial, want_final = _per_column_bases(spec)
+        # bit for bit, signed zeros included, and in column_stack's memory layout
+        for got, want in ((dual.initial_basis, want_initial), (dual.final_basis, want_final)):
+            assert got.tobytes() == want.tobytes() and got.flags.c_contiguous, d
 
 
 def test_dual_process_reverses_step_order():
@@ -416,6 +495,20 @@ def test_sampling_accepts_full_philox_key_range():
             q.sample_trajectories(spec, 20, seed=seed)
 
 
+def test_sample_count_above_the_cap_is_rejected_before_allocating():
+    # 10^13 rows of uniforms would be 218 TiB; the cap is checked first
+    with pytest.raises(q.SampleCountTooLarge, match="above the cap 10000000") as got:
+        q.sample_trajectories(gad_process(), 10**13, seed=0)
+    assert "Monte Carlo" not in str(got.value)
+
+
+def test_sample_cap_edge(monkeypatch):
+    monkeypatch.setattr(qmapft.process, "DEFAULT_BRANCH_CAP", 100)
+    assert len(q.sample_trajectories(gad_process(), 100, seed=0)) == 100
+    with pytest.raises(q.SampleCountTooLarge):
+        q.sample_trajectories(gad_process(), 101, seed=0)
+
+
 def test_sampling_matches_enumeration():
     spec = gad_process(steps=1)
     exact = {t.key(): t.probability for t in q.enumerate_trajectories(spec).trajectories}
@@ -501,6 +594,18 @@ def test_work_statistics_agrees_with_per_trajectory_loop(library):
             mean_w += t.probability * work
         assert report.mean_exp_neg_beta_wdiss == pytest.approx(mean_exp, abs=1e-14), name
         assert report.mean_work == pytest.approx(mean_w, abs=1e-14), name
+
+
+def test_work_statistics_makes_two_eigendecompositions(library, monkeypatch):
+    spec = library["quench_then_thermalize"]
+    ens = q.enumerate_trajectories(spec)
+    want = q.work_statistics(spec, ens)
+    calls = []
+    counted = lambda *a, **k: calls.append(1) or q.hermitian_eig(*a, **k)
+    for module in (q.linalg, q.models, qmapft.process):
+        monkeypatch.setattr(module, "hermitian_eig", counted)
+    assert q.work_statistics(spec, ens) == want
+    assert len(calls) == 2
 
 
 def test_work_statistics_requires_equilibrium_mode():

@@ -166,6 +166,21 @@ def test_report_objects_serialize_in_their_former_to_dict_layout(library, case):
 def test_complex_arrays_are_not_serialized():
     with pytest.raises(TypeError):
         dumps_report({"pi": np.eye(2, dtype=complex)})
+    with pytest.raises(TypeError):
+        dumps_report({"z": np.complex128(1j)})
+
+
+def test_numpy_scalars_and_arrays_write_as_the_four_numpy_branches_did():
+    # the text the np.bool_, np.floating, np.integer and ndarray branches wrote
+    report = {"b": np.bool_(True), "f": np.float64(0.1), "h": np.float32(0.1),
+              "i": np.int64(-7), "u": np.uint8(200),
+              "a": np.array([[1 / 3, 2.0], [np.inf, np.nan]]),
+              "k": np.arange(3), "m": np.array([True, False])}
+    assert dumps_report(report) == (
+        '{"b": true, "f": 0.10000000000000001, "h": 0.10000000149011612, "i": -7, '
+        '"u": 200, "a": [[0.33333333333333331, 2], ["inf", "nan"]], "k": [0, 1, 2], '
+        '"m": [true, false]}\n'
+    )
 
 
 def mask_loop_histogram(ensemble, bin_width):
