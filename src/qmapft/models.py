@@ -67,8 +67,8 @@ def dephasing_map(basis, strength: float) -> KrausMap:
 def thermal_qubit_map(beta_omega: float, gamma: float) -> KrausMap:
     """Generalized amplitude damping with Gibbs fixed point diag(p, 1-p).
 
-    Level splitting omega with ground energy 0; p = e^{beta omega} /
-    (1 + e^{beta omega}).  gamma in (0, 1] is the excited-state decay
+    Level splitting omega, ground energy 0: p = 1 / (1 + e^{-beta omega}) is the
+    ground Gibbs population.  gamma in (0, 1] is the excited-state decay
     strength; gamma = 1 thermalizes completely in one application.
     Operator order: diagonal-ground, decay, diagonal-excited, excitation.
     """
@@ -76,7 +76,7 @@ def thermal_qubit_map(beta_omega: float, gamma: float) -> KrausMap:
         raise ValueError(f"gamma {gamma} outside (0, 1]")
     if not np.isfinite(beta_omega):
         raise ValueError("beta_omega must be finite")
-    p = np.exp(beta_omega) / (1.0 + np.exp(beta_omega))
+    p = gibbs_populations(np.array([0.0, beta_omega]), 1.0)[0][0]
     k_diag0 = np.sqrt(p) * np.array([[1, 0], [0, np.sqrt(1 - gamma)]])
     k_decay = np.sqrt(p * gamma) * np.array([[0, 1], [0, 0]])
     k_diag1 = np.sqrt(1 - p) * np.array([[np.sqrt(1 - gamma), 0], [0, 1]])

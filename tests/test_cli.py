@@ -667,3 +667,22 @@ def test_cli_equilibrium_at_large_beta_names_the_unmatched_trajectory(
     assert captured.out == "" and len(lines) == 1, captured.err
     assert lines[0].startswith(f"error: forward trajectory {trajectory} has probability")
     assert lines[0].endswith("but its reverse is absent from the dual process")
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("beta_omega", [800, -800])
+def test_cli_thermal_qubit_at_extreme_beta_omega_has_a_singular_pi(tmp_path, capsys, beta_omega,
+                                                                 mode):
+    # p = 1 or 0 exactly: pi = diag(p, 1 - p) is singular; e^{800} once overflowed
+    # to two RuntimeWarnings and a parse error about NaN entries
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, steps=[{"model": "thermal_qubit", "beta_omega": beta_omega,
+                                     "gamma": 0.5}])
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["verify", str(proc), "--mode", mode]) == 1
+    assert not seen
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, captured.err
+    assert lines[0].startswith("error: invariant state has eigenvalue 0.000e+00, not above eps_pos")

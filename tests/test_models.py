@@ -72,6 +72,17 @@ def test_thermal_qubit_gibbs_fixed_point():
         assert frob(q.apply_map(kmap, pi) - pi) <= 1e-14
 
 
+@pytest.mark.parametrize("beta_omega, ground", [(800, 1.0), (-800, 0.0)])
+def test_thermal_qubit_at_extreme_beta_omega_has_a_singular_fixed_point(beta_omega, ground):
+    # e^{800} overflowed to NaN operators; RuntimeWarnings fail the test
+    kmap = q.thermal_qubit_map(beta_omega, 0.5)
+    assert np.isfinite(kmap.operators).all()
+    pi = np.diag([ground, 1 - ground]).astype(complex)
+    assert frob(q.apply_map(kmap, pi) - pi) == 0
+    with pytest.raises(q.SingularStateError):
+        q.make_step(kmap)
+
+
 @pytest.mark.parametrize(
     "beta_omega,gamma",
     list(itertools.product([0.2, 0.7, LN2, 1.5, 2.3], [0.1, 0.3, 0.5, 0.8, 1.0])),
