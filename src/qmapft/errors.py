@@ -39,7 +39,7 @@ class NonUniqueInvariantState(QmapError):
 
 
 class ZeroProbabilityBranch(QmapError):
-    """An outcome, or every branch of an enumeration, has probability at or below eps_prob."""
+    """Every branch of an enumeration has probability at or below eps_prob."""
 
 
 class MixedPotentialOperator(QmapError):

@@ -442,7 +442,8 @@ def build_dual_process(
 
     def transform_basis(basis: np.ndarray) -> np.ndarray:
         cols = basis.T.conj() if sym.antiunitary else basis.T
-        # a gemv per column, as V @ x of one vector: the gemm V @ basis rounds differently
+        # a gemv per column, as V @ x of one vector: the gemm V @ basis rounds differently;
+        # C order, as column_stack gave: the enumerator's products round by operand layout
         return np.ascontiguousarray((sym.matrix[None] @ cols[:, :, None])[:, :, 0].T)
 
     boundary = BoundaryData(
