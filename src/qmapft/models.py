@@ -182,9 +182,9 @@ def gibbs_populations(energies: np.ndarray, beta: float) -> tuple:
     The largest exponent is shifted to 0, so no weight overflows; that moves no bit
     when the lowest beta E is 0."""
     exponent = -beta * np.asarray(energies)
-    top = np.max(exponent)
+    top = exponent.max()
     w = np.exp(exponent - top)
-    total = np.sum(w)
+    total = w.sum()
     return w / total, float(np.log(total) + top)
 
 
