@@ -91,7 +91,7 @@ class ProcessSpec:
     h_final: np.ndarray | None = None
     beta: float | None = None
     symmetry: SymmetryOp | None = None
-    explicit_boundary: BoundaryData | None = None
+    explicit_boundary: BoundaryData | None = None  # dual processes, from build_dual_process
 
 
 def make_step(
