@@ -207,9 +207,10 @@ class Trajectory:
 class TrajectoryEnsemble:
     """Exact (probability-weighted) or sampled trajectories as parallel arrays.
 
-    Row i is the outcome record (n[i], ks[i], m[i]) with its probability (1
-    for a sample), boundary term and summed potential change.  Exact rows
-    are enumerated breadth first and come in lexicographic (n, k_1 .. k_R, m) order.
+    Row i is the outcome record (n[i], ks[i], m[i]) with its weight in the
+    distribution (its probability, or 1/N for one of N samples), boundary term
+    and summed potential change.  Exact rows are enumerated breadth first and
+    come in lexicographic (n, k_1 .. k_R, m) order.
     """
 
     n: np.ndarray                # (N,) initial outcomes
@@ -233,6 +234,13 @@ class TrajectoryEnsemble:
 
     def probabilities(self) -> np.ndarray:
         return self.probability
+
+    def mean(self, values: np.ndarray) -> float:
+        """Expectation of per-row values: sum p * x when exact, the sample mean when sampled."""
+        if self.mode == "exact":
+            return float(np.sum(self.probability * values))
+        # np.mean, not a sum with 1/N weights: the two round differently
+        return float(np.mean(values))
 
     @property
     def trajectories(self) -> "TrajectoryRecords":
@@ -280,9 +288,7 @@ def _live(phi: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 
 def enumerate_trajectories(
-    spec: ProcessSpec,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    branch_cap: int = DEFAULT_BRANCH_CAP,
+    spec: ProcessSpec, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> TrajectoryEnsemble:
     """Exact enumeration of the trajectory distribution, breadth first over arrays.
 
@@ -295,8 +301,8 @@ def enumerate_trajectories(
     bnd = compile_process(spec, tol)
     dim = bnd.initial_basis.shape[0]
     count = dim * dim * math.prod(len(step.map) for step in spec.steps)
-    if count > branch_cap:
-        raise EnumerationTooLarge(count, branch_cap)
+    if count > DEFAULT_BRANCH_CAP:
+        raise EnumerationTooLarge(count, DEFAULT_BRANCH_CAP)
 
     n = np.flatnonzero(bnd.initial_probs > tol.eps_prob)
     phi = bnd.initial_basis.T[n]
@@ -414,7 +420,7 @@ def sample_trajectories(
         n=n,
         ks=ks,
         m=m,
-        probability=np.ones(sample_count),
+        probability=np.full(sample_count, 1.0 / sample_count),
         sigma_boundary=_boundary_table(bnd, tol)[n, m],
         delta_phi_sum=dphi,
         mode="mc",
@@ -525,27 +531,19 @@ def verify_integral_ft(ensemble: TrajectoryEnsemble) -> IntegralFTReport:
         raise ValueError("ensemble is empty")
     sigmas = ensemble.sigmas()
     weights = np.exp(-sigmas)
-    if ensemble.mode == "exact":
-        probs = ensemble.probabilities()
-        mean = float(np.sum(probs * weights))
-        mean_sigma = float(np.sum(probs * sigmas))
-        return IntegralFTReport(
-            mode="exact",
-            mean_exp_neg_sigma=mean,
-            deviation=abs(mean - 1.0),
-            mean_sigma=mean_sigma,
-        )
-    n = len(sigmas)
-    mean = float(np.mean(weights))
-    se = float(np.std(weights, ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-    z = (mean - 1.0) / se if se > 0 else 0.0
+    mean = ensemble.mean(weights)
+    se = z = None
+    if ensemble.mode == "mc":
+        n = len(sigmas)
+        se = float(np.std(weights, ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
+        z = (mean - 1.0) / se if se > 0 else 0.0
     return IntegralFTReport(
-        mode="mc",
+        mode=ensemble.mode,
         mean_exp_neg_sigma=mean,
         deviation=abs(mean - 1.0),
-        mean_sigma=float(np.mean(sigmas)),
+        mean_sigma=ensemble.mean(sigmas),
         standard_error=se,
-        z_score=float(z),
+        z_score=z,
     )
 
 
@@ -582,22 +580,14 @@ def work_statistics(
     works = (eig_f.eigenvalues[ensemble.m] - eig_i.eigenvalues[ensemble.n]) + heats
     # math.exp per trajectory: np.exp is not bit-identical to it
     exps = np.frompyfunc(math.exp, 1, 1)(-beta * (works - delta_f)).astype(float)
-    if ensemble.mode == "exact":
-        probs = ensemble.probabilities()
-        mean_exp = float(np.sum(probs * exps))
-        mean_w = float(np.sum(probs * works))
-        mean_q = float(np.sum(probs * heats))
-    else:
-        mean_exp = float(np.mean(exps))
-        mean_w = float(np.mean(works))
-        mean_q = float(np.mean(heats))
+    mean_exp = ensemble.mean(exps)
     return WorkReport(
         beta=beta,
         delta_f=delta_f,
         mean_exp_neg_beta_wdiss=mean_exp,
         deviation=abs(mean_exp - 1.0),
-        mean_work=mean_w,
-        mean_heat=mean_q,
+        mean_work=ensemble.mean(works),
+        mean_heat=ensemble.mean(heats),
     )
 
 

@@ -31,7 +31,7 @@ MAX_BINS = 1_000_000
 
 def matrix_to_json(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=np.complex128)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 class _Malformed(ProcessFileError, ValueError):
@@ -53,7 +53,7 @@ def matrix_from_json(data) -> np.ndarray:
 def map_to_json(kmap: KrausMap) -> dict:
     return {
         "dim": kmap.dim,
-        "operators": [matrix_to_json(m) for m in kmap.operators],
+        "operators": matrix_to_json(kmap.operators),
         "labels": list(kmap.labels),
     }
 
@@ -241,17 +241,13 @@ def sigma_histogram_csv(
     lo, hi = (float(np.floor(float(s) / bin_width)) for s in (np.min(sigmas), np.max(sigmas)))
     if not hi - lo + 1 <= MAX_BINS:
         raise HistogramTooLarge(hi - lo + 1, MAX_BINS)
-    if ensemble.mode == "exact":
-        weights = ensemble.probabilities()
-    else:
-        weights = np.full(len(sigmas), 1.0 / len(sigmas))
     edges = np.arange(int(lo), int(hi) + 2) * bin_width
     # bin b is [edges[b], edges[b + 1]), the last one closed; -1 and len(edges) - 1
     # collect the samples outside every edge, which no bin reports
     bins = np.searchsorted(edges, sigmas, side="right") - 1
     bins[sigmas == edges[-1]] = len(edges) - 2
     order = np.argsort(bins, kind="stable")
-    weights = weights[order]
+    weights = ensemble.probabilities()[order]
     bounds = np.searchsorted(bins[order], np.arange(len(edges))).tolist()
     edges = edges.tolist()
     lines = ["bin_left,bin_right,probability"]

@@ -6,7 +6,13 @@ import pytest
 import qmapft as q
 import qmapft.process
 from qmapft.linalg import adjoint, frob
-from qmapft.process import BoundaryData, _boundary_table, compile_process
+from qmapft.process import (
+    BoundaryData,
+    IntegralFTReport,
+    WorkReport,
+    _boundary_table,
+    compile_process,
+)
 
 LN2 = np.log(2.0)
 OMEGA = 1.0
@@ -139,9 +145,14 @@ def test_enumeration_mean_sigma_nonnegative():
     assert report.deviation <= 1e-12
 
 
-def test_enumeration_branch_cap():
-    with pytest.raises(q.EnumerationTooLarge):
-        q.enumerate_trajectories(gad_process(steps=4), branch_cap=100)
+def test_enumeration_branch_cap(monkeypatch):
+    spec = gad_process(steps=4)  # 2 * 2 * 4**4 = 1024 branches
+    monkeypatch.setattr(qmapft.process, "DEFAULT_BRANCH_CAP", 1024)
+    assert len(q.enumerate_trajectories(spec)) > 0
+    monkeypatch.setattr(qmapft.process, "DEFAULT_BRANCH_CAP", 1023)
+    with pytest.raises(q.EnumerationTooLarge) as info:
+        q.enumerate_trajectories(spec)
+    assert (info.value.branch_count, info.value.cap) == (1024, 1023)
 
 
 @pytest.mark.parametrize(
@@ -650,3 +661,89 @@ def test_process_spec_checks_symmetry_dimension():
     symmetry = q.SymmetryOp(np.eye(3, dtype=complex))
     with pytest.raises(q.DimensionMismatchError):
         q.process_spec([step], initial_state=np.eye(2) / 2, symmetry=symmetry)
+
+
+def forked_integral_ft(ensemble):
+    """verify_integral_ft as it was, with its own exact and Monte Carlo bodies."""
+    sigmas = ensemble.sigmas()
+    weights = np.exp(-sigmas)
+    if ensemble.mode == "exact":
+        probs = ensemble.probabilities()
+        mean = float(np.sum(probs * weights))
+        mean_sigma = float(np.sum(probs * sigmas))
+        return IntegralFTReport(
+            mode="exact",
+            mean_exp_neg_sigma=mean,
+            deviation=abs(mean - 1.0),
+            mean_sigma=mean_sigma,
+        )
+    n = len(sigmas)
+    mean = float(np.mean(weights))
+    se = float(np.std(weights, ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
+    z = (mean - 1.0) / se if se > 0 else 0.0
+    return IntegralFTReport(
+        mode="mc",
+        mean_exp_neg_sigma=mean,
+        deviation=abs(mean - 1.0),
+        mean_sigma=float(np.mean(sigmas)),
+        standard_error=se,
+        z_score=float(z),
+    )
+
+
+def forked_work_statistics(spec, ensemble, tol=q.DEFAULT_TOLERANCES):
+    """work_statistics as it was, with its own exact and Monte Carlo means."""
+    beta = spec.beta
+    eig_i, eig_f = q.hermitian_eig(spec.h_initial, tol), q.hermitian_eig(spec.h_final, tol)
+    f_i, f_f = (-q.gibbs_populations(e.eigenvalues, beta)[1] / beta for e in (eig_i, eig_f))
+    delta_f = f_f - f_i
+    heats = -ensemble.delta_phi_sum / beta
+    works = (eig_f.eigenvalues[ensemble.m] - eig_i.eigenvalues[ensemble.n]) + heats
+    exps = np.frompyfunc(math.exp, 1, 1)(-beta * (works - delta_f)).astype(float)
+    if ensemble.mode == "exact":
+        probs = ensemble.probabilities()
+        mean_exp = float(np.sum(probs * exps))
+        mean_w = float(np.sum(probs * works))
+        mean_q = float(np.sum(probs * heats))
+    else:
+        mean_exp = float(np.mean(exps))
+        mean_w = float(np.mean(works))
+        mean_q = float(np.mean(heats))
+    return WorkReport(
+        beta=beta,
+        delta_f=delta_f,
+        mean_exp_neg_beta_wdiss=mean_exp,
+        deviation=abs(mean_exp - 1.0),
+        mean_work=mean_w,
+        mean_heat=mean_q,
+    )
+
+
+EQUILIBRIUM_LIBRARY = ("thermal_equilibrium_same_h", "sudden_quench", "quench_then_thermalize")
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_one_mean_reports_equal_the_forked_bodies(library, mode):
+    assert len(library) == 12
+    for name, spec in library.items():
+        if mode == "exact":
+            ens = q.enumerate_trajectories(spec)
+        else:
+            ens = q.sample_trajectories(spec, 2000, seed=9)
+        assert q.verify_integral_ft(ens) == forked_integral_ft(ens), name
+        if name in EQUILIBRIUM_LIBRARY:
+            assert q.work_statistics(spec, ens) == forked_work_statistics(spec, ens), name
+
+
+def test_sampled_rows_weigh_one_over_n_and_mean_follows_the_mode(library):
+    spec = library["gad_mixed_r4"]
+    for count in (1, 3, 2000):
+        sampled = q.sample_trajectories(spec, count, seed=9)
+        assert sampled.probability.tolist() == [1.0 / count] * count
+        assert [t.probability for t in sampled.trajectories] == [1.0 / count] * count
+        x = np.exp(-sampled.sigmas())
+        assert sampled.mean(x) == float(np.mean(x))
+    exact = q.enumerate_trajectories(spec)
+    x = np.exp(-exact.sigmas())
+    assert exact.mean(x) == float(np.sum(exact.probability * x))
+    assert exact.mean(exact.sigmas()) == float(np.sum(exact.probability * exact.sigmas()))

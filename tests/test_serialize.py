@@ -16,7 +16,7 @@ import pytest
 import qmapft as q
 import qmapft.serialize
 from qmapft.config import DEFAULT_TOLERANCES
-from qmapft.serialize import dumps_report, sigma_histogram_csv
+from qmapft.serialize import dumps_report, map_to_json, matrix_to_json, sigma_histogram_csv
 
 LN2 = np.log(2.0)
 GAD = q.thermal_qubit_map(LN2, 0.5)
@@ -223,8 +223,9 @@ def test_histogram_edges_drop_and_close_like_mask_loop():
     # sample at 1.7, which no bin counts; 43 * 0.1 lies on the right edge of the
     # last bin, [42 * 0.1, 43 * 0.1], which is closed.
     sigmas = np.array([1.7, 1.75, 43 * 0.1, 1.8, 1.75])
-    probs = np.array([0.125, 0.25, 0.5, 0.0625, 0.0625])
-    for mode in ("exact", "mc"):
+    weights = {"exact": np.array([0.125, 0.25, 0.5, 0.0625, 0.0625]),
+               "mc": np.full(5, 1.0 / 5)}  # a sampled row weighs 1/N
+    for mode, probs in weights.items():
         ensemble = SimpleNamespace(mode=mode, sigmas=lambda: sigmas, probabilities=lambda: probs)
         for bin_width in (0.1, 0.05, 0.3, 1e-3):
             expected = mask_loop_histogram(ensemble, bin_width)
@@ -254,3 +255,28 @@ def test_histogram_bin_width_must_be_positive_and_finite(width):
     ensemble = SimpleNamespace(mode="mc", sigmas=lambda: np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         sigma_histogram_csv(ensemble, width)
+
+
+def comprehension_matrix_to_json(m):
+    """matrix_to_json as it was: one [re, im] pair per entry, built in Python."""
+    m = np.asarray(m, dtype=np.complex128)
+    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+
+def test_matrix_codec_equals_the_comprehension_with_negative_zeros():
+    rng = np.random.default_rng(3)
+    for d in range(2, 17):
+        stack = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+        stack.real[rng.random((3, d, d)) < 0.2] = -0.0
+        stack.imag[rng.random((3, d, d)) < 0.2] = -0.0
+        expected = [comprehension_matrix_to_json(m) for m in stack]
+        got = matrix_to_json(stack)
+        assert got == expected and repr(got) == repr(expected), d
+        got = matrix_to_json(stack[0])
+        assert got == expected[0] and repr(got) == repr(expected[0]), d
+    assert "-0.0" in repr(expected)
+    real = np.array([[0.9, -0.0], [0, 1]])
+    assert repr(matrix_to_json(real)) == repr(comprehension_matrix_to_json(real))
+    data = map_to_json(GAD)
+    expected = [comprehension_matrix_to_json(m) for m in GAD.operators]
+    assert repr(data["operators"]) == repr(expected)
