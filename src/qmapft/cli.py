@@ -41,8 +41,8 @@ from .serialize import (
     load_process_file,
     load_tolerances,
     make_report,
-    map_to_json,
-    matrix_to_json,
+    map_pairs,
+    matrix_pairs,
     sigma_histogram_csv,
 )
 
@@ -93,7 +93,7 @@ def cmd_classify(args, tol: Tolerances) -> int:
         return EXIT_CHECK_FAILED
     comm = check_ladder_commutators(kmap, structure)
     body = {
-        "pi": matrix_to_json(pi),
+        "pi": matrix_pairs(pi),
         # pi is written above, as a complex matrix; its eigendecomposition is left out
         "structure": {name: getattr(structure, name) for name in
                       ("potentials", "classes", "class_potentials", "delta_phi")},
@@ -109,8 +109,8 @@ def cmd_dual(args, tol: Tolerances) -> int:
     pi = _resolve_pi(kmap, args, tol)
     dual = build_dual(kmap, pi, tol=tol)
     body = {
-        "map": map_to_json(dual.map),
-        "pi_dual": matrix_to_json(dual.pi_dual),
+        "map": map_pairs(dual.map),
+        "pi_dual": matrix_pairs(dual.pi_dual),
     }
     _emit(make_report({"dual": body}, tol), args.out)
     return EXIT_OK

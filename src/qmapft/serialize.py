@@ -2,7 +2,7 @@
 
 Matrices serialize as nested row-major arrays of [re, im] pairs; this
 format is shared by map files, process files, and reports.  Report floats
-are printed with 17 significant digits so golden files round-trip exactly.
+are printed with 17 significant digits, so they read back bit-exactly.
 """
 
 from __future__ import annotations
@@ -29,9 +29,14 @@ SCHEMA_VERSION = 1
 MAX_BINS = 1_000_000
 
 
-def matrix_to_json(m: np.ndarray) -> list:
+def matrix_pairs(m: np.ndarray) -> np.ndarray:
+    """A matrix, or a stack of them, as a (..., 2) float array of [re, im] pairs."""
     m = np.asarray(m, dtype=np.complex128)
-    return np.stack([m.real, m.imag], axis=-1).tolist()
+    return np.stack([m.real, m.imag], axis=-1)
+
+
+def matrix_to_json(m: np.ndarray) -> list:
+    return matrix_pairs(m).tolist()
 
 
 class _Malformed(ProcessFileError, ValueError):
@@ -50,12 +55,19 @@ def matrix_from_json(data) -> np.ndarray:
         raise _Malformed(f"malformed matrix of [re, im] pairs: {exc}") from exc
 
 
-def map_to_json(kmap: KrausMap) -> dict:
+def map_pairs(kmap: KrausMap) -> dict:
+    """map_to_json's object with the operators left a matrix_pairs array, for reports."""
     return {
         "dim": kmap.dim,
-        "operators": matrix_to_json(kmap.operators),
+        "operators": matrix_pairs(kmap.operators),
         "labels": list(kmap.labels),
     }
+
+
+def map_to_json(kmap: KrausMap) -> dict:
+    data = map_pairs(kmap)
+    data["operators"] = data["operators"].tolist()
+    return data
 
 
 def map_from_json(data) -> KrausMap:
@@ -203,6 +215,14 @@ def _format_value(v) -> str:
         return "{" + items + "}"
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_format_value(x) for x in v) + "]"
+    if (type(v) is np.ndarray and v.dtype == np.float64 and v.ndim and v.size
+            and np.isfinite(v).all()):
+        # the general path's bytes, from one C-level template per row, then per outer axis
+        rows, fmt = v.ravel().tolist(), "%.17g"
+        for n in reversed(v.shape):
+            rows = map(f"[{', '.join([fmt] * n)}]".__mod__, zip(*[iter(rows)] * n))
+            fmt = "%s"
+        return next(rows)
     if isinstance(v, (np.generic, np.ndarray)):
         return _format_value(v.tolist())
     if dataclasses.is_dataclass(v):

@@ -3,20 +3,35 @@
 The reference layouts are the hand-written to_dict methods the report
 classes had before serialize learned to write dataclasses; the reference
 histogram is the per-bin mask loop sigma_histogram_csv had before it
-assigned each sample to its bin in one pass.
+assigned each sample to its bin in one pass; the reference writer is
+_format_value as it was before it wrote finite float arrays row by row.
 """
 
+import dataclasses
+import json
 import math
 from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import qmapft as q
 import qmapft.serialize
+from qmapft.cli import main
 from qmapft.config import DEFAULT_TOLERANCES
-from qmapft.serialize import dumps_report, map_to_json, matrix_to_json, sigma_histogram_csv
+from qmapft.maps import choose_invariant_state
+from qmapft.serialize import (
+    dumps_report,
+    load_map_file,
+    map_from_json,
+    map_to_json,
+    matrix_from_json,
+    matrix_to_json,
+    sigma_histogram_csv,
+)
+from test_ladder_properties import ladder_maps
 
 LN2 = np.log(2.0)
 GAD = q.thermal_qubit_map(LN2, 0.5)
@@ -167,6 +182,8 @@ def test_complex_arrays_are_not_serialized():
     with pytest.raises(TypeError):
         dumps_report({"pi": np.eye(2, dtype=complex)})
     with pytest.raises(TypeError):
+        dumps_report({"map": np.zeros((3, 2, 2), dtype=complex)})
+    with pytest.raises(TypeError):
         dumps_report({"z": np.complex128(1j)})
 
 
@@ -280,3 +297,125 @@ def test_matrix_codec_equals_the_comprehension_with_negative_zeros():
     data = map_to_json(GAD)
     expected = [comprehension_matrix_to_json(m) for m in GAD.operators]
     assert repr(data["operators"]) == repr(expected)
+
+
+def reference_format_value(v) -> str:
+    """_format_value as it was before it wrote float arrays row by row: one call per value."""
+    if isinstance(v, bool) or v is None:
+        return json.dumps(v)
+    if isinstance(v, float):
+        if v != v or v in (float("inf"), float("-inf")):
+            return json.dumps(str(v))
+        return format(v, ".17g")
+    if isinstance(v, (int, str)):
+        return json.dumps(v)
+    if isinstance(v, dict):
+        items = ", ".join(
+            f"{json.dumps(str(k))}: {reference_format_value(x)}" for k, x in v.items()
+        )
+        return "{" + items + "}"
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(reference_format_value(x) for x in v) + "]"
+    if isinstance(v, (np.generic, np.ndarray)):
+        return reference_format_value(v.tolist())
+    if dataclasses.is_dataclass(v):
+        items = {f.name: getattr(v, f.name) for f in dataclasses.fields(v)}
+        if isinstance(getattr(type(v), "passed", None), property):
+            items["passed"] = v.passed
+        return reference_format_value(items)
+    raise TypeError(f"cannot serialize {type(v)}")
+
+
+def writer_calls(monkeypatch, value) -> tuple[str, int]:
+    """dumps_report's text of value, and how many _format_value calls wrote it."""
+    calls = []
+    inner = qmapft.serialize._format_value
+
+    def counted(v):
+        calls.append(v)
+        return inner(v)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qmapft.serialize, "_format_value", counted)
+        return dumps_report(value), len(calls)
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, -3.3e-320,
+               2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 3.0, -3.0, 1e16, 2.0**53 + 2, 123456789012345680.0,
+               0.1, 1 / 3, 1e-5, 1e-4, 1e21, 1e22, 9.999999999999999e16, 0.5]
+
+
+def random_finite_floats(rng, size):
+    bits = rng.integers(0, 2**64, size=4 * size, dtype=np.uint64, endpoint=False)
+    floats = bits.view(np.float64)
+    return floats[np.isfinite(floats)][:size]
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (4, 4, 2), (3, 5, 5, 2), (1, 5), (3, 1, 2),
+                                   (1, 1, 1), (2, 1, 3, 1), (16, 16, 2), (31, 16, 16, 2)])
+def test_float_arrays_write_the_reference_bytes_row_by_row(monkeypatch, shape):
+    rng = np.random.default_rng(sum(shape))
+    size = math.prod(shape)
+    pools = [random_finite_floats(rng, size),
+             rng.choice(EDGE_FLOATS, size=size),
+             rng.normal(size=size) * 10.0 ** rng.integers(-320, 300, size=size)]
+    for flat in pools:
+        a = flat.reshape(shape)
+        assert np.isfinite(a).all()
+        text, calls = writer_calls(monkeypatch, a)
+        assert calls == 1  # no recursion: the array was written by its row templates
+        assert text == reference_format_value(a.tolist()) + "\n"
+        # inside a report, and as a non-contiguous view, the bytes are the same
+        report = {"x": a, "t": a.T, "s": [a[..., ::-1]]}
+        expected = {"x": a.tolist(), "t": a.T.tolist(), "s": [a[..., ::-1].tolist()]}
+        assert dumps_report(report) == reference_format_value(expected) + "\n"
+
+
+def test_every_edge_float_writes_as_the_general_path_does(monkeypatch):
+    a = np.array(EDGE_FLOATS)
+    text, calls = writer_calls(monkeypatch, a)
+    assert calls == 1
+    assert text == reference_format_value(a.tolist()) + "\n"
+    assert text.startswith("[0, -0, 4.9406564584124654e-324, -4.9406564584124654e-324, ")
+    assert "1.7976931348623157e+308, -1.7976931348623157e+308, 3, -3, 10000000000000000, " in text
+
+
+@pytest.mark.parametrize("value", [
+    np.array([1.0, np.nan]), np.array([[np.inf, 2.0], [0.5, -np.inf]]),
+    np.arange(6).reshape(2, 3), np.array([True, False]), np.array([0.1, 2.5], dtype=np.float32),
+    np.array(1.5), np.array(-0.0), np.zeros((0,)), np.zeros((2, 0)), np.zeros((0, 3, 2)),
+], ids=["nan", "inf", "int", "bool", "float32", "0-d", "0-d-negative-zero", "empty",
+        "empty-rows", "empty-stack"])
+def test_other_arrays_keep_the_general_path(monkeypatch, value):
+    text, calls = writer_calls(monkeypatch, value)
+    assert calls > 1  # the array went on as value.tolist(), written value by value
+    assert text == reference_format_value(value.tolist()) + "\n"
+
+
+@pytest.mark.parametrize("dims, examples", [((2, 15), 6), ((16, 16), 2)])
+def test_classify_and_dual_reports_read_back_bit_exactly(tmp_path_factory, dims, examples):
+    @given(ladder_maps(dims))
+    @settings(max_examples=examples, deadline=None)
+    def check(example):
+        tmp = tmp_path_factory.mktemp("ladder")
+        path = tmp / "map.json"
+        path.write_text(json.dumps(map_to_json(example.kmap)))
+        kmap = load_map_file(path)
+        pi = choose_invariant_state(kmap)
+        dual = q.build_dual(kmap, pi)
+        structure = q.build_potential_structure(kmap, pi)
+
+        assert main(["dual", str(path), "--out", str(tmp / "dual.json")]) == 0
+        report = json.loads((tmp / "dual.json").read_text())["dual"]
+        back = map_from_json(report["map"])
+        assert np.array_equal(back.operators, dual.map.operators)
+        assert back.labels == dual.map.labels
+        assert np.array_equal(matrix_from_json(report["pi_dual"]), dual.pi_dual)
+
+        main(["classify", str(path), "--out", str(tmp / "classify.json")])
+        report = json.loads((tmp / "classify.json").read_text())["classify"]
+        assert np.array_equal(matrix_from_json(report["pi"]), pi)
+        assert np.array_equal(report["structure"]["delta_phi"], structure.delta_phi)
+
+    check()
