@@ -32,7 +32,9 @@ def haar_unitary(rng, d):
 
 
 @st.composite
-def ladder_maps(draw, dims):
+def ladder_maps(draw, dims, haar=True):
+    """A random ladder map; haar=False keeps U = 1, so pi and the operators are in the
+    computational basis and the superoperator is exactly block-sparse."""
     d = draw(st.integers(*dims))
     gaps = draw(st.lists(st.floats(1e-3, 0.25), min_size=d - 1, max_size=d - 1))
     flux = draw(st.floats(0.0, 0.9))
@@ -50,7 +52,7 @@ def ladder_maps(draw, dims):
         for src, dst in ((a, b), (b, c), (c, a)):
             t[dst, src] += j / p[src]
             t[src, src] -= j / p[src]
-    u = haar_unitary(rng, d)
+    u = haar_unitary(rng, d) if haar else np.eye(d)
     ops, dphi = [], []
     for jj in range(d):
         for ii in range(d):

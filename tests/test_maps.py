@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 import qmapft as q
 from qmapft.linalg import frob
-from qmapft.maps import tp_defect
-from test_ladder_properties import ladder_maps
+from qmapft.maps import BLOCK_SPLIT_MIN_DIM, superoperator_blocks, superoperator_view, tp_defect
+from test_ladder_properties import haar_unitary, ladder_maps
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -239,3 +240,141 @@ def test_invariant_state_singular_fixed_point():
     kmap = q.kraus_map([P0, np.array([[0, 1], [0, 0]], dtype=complex)])
     with pytest.raises(q.SingularStateError, match="not above eps_pos"):
         q.invariant_state(kmap)
+
+
+def dense_window(kmap):
+    """Reference: the eigenvectors of one dense eig of S whose eigenvalues lie within 1e-9 of 1."""
+    vals, vecs = np.linalg.eig(q.build_superoperator(kmap))
+    return vecs[:, np.abs(vals - 1.0) <= 1e-9]
+
+
+def dense_invariant_state(kmap):
+    """Reference: pi as the single dense eig of S gives it, for a one-dimensional window."""
+    x = dense_window(kmap)[:, 0].reshape(kmap.dim, kmap.dim)
+    pi = (x + x.conj().T) / 2
+    return pi / np.trace(pi).real
+
+
+def lindblad_ladder(d, collective=False, beta=0.7, rate=0.3):
+    """A discretized thermal ladder in its energy basis, with generic gaps.
+
+    One jump pair per neighbouring pair of levels keeps every coherence |i><j| a block of
+    its own; collective=True uses the truncated annihilation operator instead, which
+    couples |i><j| to |i-1><j-1|, one block per diagonal of rho.
+    """
+    energies = np.cumsum(np.linspace(1.0, 1.5, d)) - 1.0
+    h = np.diag(energies).astype(complex)
+    lowers = [np.outer(np.eye(d)[i - 1], np.eye(d)[i]) for i in range(1, d)]
+    if collective:
+        lowers = [sum(np.sqrt(i) * low for i, low in enumerate(lowers, 1))]
+    gaps = [1.0] if collective else np.diff(energies)
+    jumps = []
+    for low, gap in zip(lowers, gaps):
+        jumps += [np.sqrt(rate) * low, np.sqrt(rate * np.exp(-beta * gap)) * low.T]
+    return q.lindblad_step(h, jumps, 0.05 / max(frob(l) ** 2 for l in jumps))
+
+
+def stinespring_map(d, count, seed):
+    """A Haar-random isometry C^d -> C^(count d), cut into count Kraus operators."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((count * d, d)) + 1j * rng.standard_normal((count * d, d))
+    return q.kraus_map(list(np.linalg.qr(z)[0].reshape(count, d, d)))
+
+
+def assert_blocks_exact(kmap):
+    """The blocks are the components of S's pattern and S vanishes outside them;
+    returns the number of blocks."""
+    s = q.build_superoperator(kmap)
+    assert np.array_equal(superoperator_view(kmap).reshape(s.shape), s)
+    labels = superoperator_blocks(superoperator_view(kmap))
+    assert labels.shape == (len(s),)
+    # each index carries the least index of its block, so the blocks partition range(d^2)
+    assert np.all(labels <= np.arange(len(s))) and np.array_equal(labels[labels], labels)
+    count, reference = connected_components((s != 0) | (s != 0).T, directed=False)
+    assert len(np.unique(labels)) == count
+    assert len(np.unique(np.stack([labels, reference]), axis=1)[0]) == count
+    assert np.all(s[labels[:, None] != labels[None, :]] == 0)
+    return count
+
+
+@given(st.booleans().flatmap(lambda haar: ladder_maps((BLOCK_SPLIT_MIN_DIM, 16), haar)))
+@settings(max_examples=15, deadline=None)
+def test_block_split_is_exact_on_ladder_maps(example):
+    d = example.kmap.dim
+    # in the computational basis, each coherence |i><j| is mapped to 0 alone
+    assert assert_blocks_exact(example.kmap) in (1, d * d - d + 1)
+    assert_superoperator_and_fixed_point_match_kron(example.kmap)
+    assert np.max(np.abs(q.invariant_state(example.kmap) - example.pi)) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [BLOCK_SPLIT_MIN_DIM, 9, 16])
+@pytest.mark.parametrize("collective", [False, True])
+def test_block_split_is_exact_on_lindblad_ladders(d, collective):
+    # 1 x 1 coherence blocks, or one block per diagonal of rho (2d - 1 of them)
+    kmap = lindblad_ladder(d, collective)
+    assert assert_blocks_exact(kmap) == (2 * d - 1 if collective else d * d - d + 1)
+    assert_superoperator_and_fixed_point_match_kron(kmap)
+
+
+def test_block_split_of_a_dense_map_is_one_block():
+    kmap = stinespring_map(BLOCK_SPLIT_MIN_DIM + 1, 3, seed=4)
+    assert assert_blocks_exact(kmap) == 1
+    assert_superoperator_and_fixed_point_match_kron(kmap)
+
+
+def test_dense_path_below_the_crossover_is_unchanged_on_model_library(library):
+    maps = {id(s.map): s.map for spec in library.values() for s in spec.steps}
+    for kmap in maps.values():
+        assert kmap.dim < BLOCK_SPLIT_MIN_DIM
+        window = dense_window(kmap).shape[1]
+        if window == 1:
+            assert np.array_equal(q.invariant_state(kmap), dense_invariant_state(kmap))
+        else:
+            with pytest.raises(q.NonUniqueInvariantState) as info:
+                q.invariant_state(kmap)
+            assert info.value.subspace_dim == window
+
+
+DEGENERATE_MAPS = {
+    "identity": lambda d: q.kraus_map([np.eye(d)]),
+    "permutation": lambda d: q.unitary_map(np.eye(d)[np.random.default_rng(d).permutation(d)]),
+    "measurement": lambda d: q.projective_measurement(list(np.eye(d))),
+    "haar_measurement": lambda d: q.projective_measurement(
+        list(haar_unitary(np.random.default_rng(d), d).T)),
+    "dephasing": lambda d: q.dephasing_map(list(np.eye(d)), 1.0),
+}
+
+
+@pytest.mark.parametrize("d", [6, 8, 16])
+@pytest.mark.parametrize("name", sorted(DEGENERATE_MAPS))
+def test_degenerate_maps_above_the_crossover(name, d):
+    assert d >= BLOCK_SPLIT_MIN_DIM
+    kmap = DEGENERATE_MAPS[name](d)
+    with pytest.raises(q.NonUniqueInvariantState) as info:
+        q.invariant_state(kmap)
+    assert info.value.subspace_dim == dense_window(kmap).shape[1] > 1
+    # every one of these maps is unital, so 1/N is offered
+    assert np.array_equal(info.value.candidate, np.eye(d) / d)
+
+
+@pytest.mark.parametrize("d", [BLOCK_SPLIT_MIN_DIM, 16])
+def test_full_amplitude_damping_ladder_is_singular_above_the_crossover(d):
+    e = np.eye(d)
+    kmap = q.kraus_map([np.outer(e[0], e[0])] + [np.outer(e[i - 1], e[i]) for i in range(1, d)])
+    # S's pattern is not symmetric: |i><i| -> |i-1><i-1| one way; coherences go to 0
+    assert assert_blocks_exact(kmap) == d * d - d + 1
+    with pytest.raises(q.SingularStateError, match="not above eps_pos"):
+        q.invariant_state(kmap)
+
+
+def test_d16_ladder_takes_no_eig_of_the_whole_superoperator(monkeypatch):
+    shapes = []
+    eig = np.linalg.eig
+
+    def recording_eig(a):
+        shapes.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(q.maps.np.linalg, "eig", recording_eig)
+    q.invariant_state(lindblad_ladder(16))
+    assert max(shapes) == (16, 16)
