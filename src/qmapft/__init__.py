@@ -40,7 +40,6 @@ from .maps import (
     validate_density,
 )
 from .models import (
-    check_bohr_ladder,
     dephasing_map,
     free_energy,
     gibbs_populations,
@@ -60,6 +59,7 @@ from .potential import (
     SymmetryOp,
     build_dual,
     build_potential_structure,
+    check_bohr_ladder,
     check_detailed_balance,
     check_ladder_commutators,
     delta_phi_pi_independence,

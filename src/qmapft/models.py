@@ -1,4 +1,4 @@
-"""Constructors for the standard map families.
+"""Constructors for the standard map families, and Gibbs weights.
 
 Unitary, projective-measurement, dephasing, thermal-qubit, and discretized
 Lindblad maps.  Discretized maps are renormalized by the unique positive
@@ -9,7 +9,7 @@ identities hold exactly rather than to first order in the time step.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -200,78 +200,3 @@ def free_energy(h: np.ndarray, beta: float, tol: Tolerances = DEFAULT_TOLERANCES
     vals = hermitian_eig(as_complex_matrix(h), tol).eigenvalues
     return -gibbs_populations(vals, beta)[1] / beta
 
-
-@dataclass(frozen=True)
-class BohrLadderReport:
-    """Outcome of checking [L, H] = omega L for a single Bohr frequency."""
-
-    omega: float | None
-    residual: float
-    frequencies: tuple            # distinct E_j - E_i over nonzero entries of L
-    f_value: float | None         # f(omega) when f supplied, else None
-    delta_phi: float | None       # implied potential change, -f(omega)
-    potential_residual: float | None
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        ok = self.omega is not None and self.residual <= self.tolerance
-        if ok and self.potential_residual is not None:
-            ok = self.potential_residual <= self.tolerance
-        return bool(ok)
-
-
-def check_bohr_ladder(
-    h: np.ndarray,
-    l: np.ndarray,
-    f=None,
-    pi: np.ndarray | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> BohrLadderReport:
-    """Check that L is a ladder operator of H with a single Bohr frequency.
-
-    When both `f` (a function of the energy difference) and `pi` are given
-    and pi's eigenvalue ratios follow pi(i)/pi(j) = e^{f(E_j - E_i)}, also
-    confirms that L changes the potential of pi by exactly -f(omega), i.e.
-    [L, ln pi] = -f(omega) L.
-    """
-    h = as_complex_matrix(h)
-    l = as_complex_matrix(l)
-    eig = hermitian_eig(h, tol)
-    v = eig.eigenvectors
-    coeff = adjoint(v) @ l @ v
-    nl = max(frob(l), 1e-300)
-
-    freqs = eig.eigenvalues[None, :] - eig.eigenvalues[:, None]  # E_i - E_j at (j, i)
-    nonzero = np.hypot(coeff.real, coeff.imag) > tol.eps_zero * nl  # abs() entry by entry
-    distinct = sorted(set(round(w, 12) for w in freqs[nonzero].tolist()))
-
-    comm = l @ h - h @ l
-    if len(distinct) == 1:
-        omega = distinct[0]
-        residual = frob(comm - omega * l) / nl
-    else:
-        omega = None
-        residual = float("inf")
-
-    f_value = None
-    delta_phi = None
-    potential_residual = None
-    if f is not None and pi is not None and omega is not None:
-        pig = hermitian_eig(as_complex_matrix(pi), tol)
-        w = pig.eigenvectors
-        log_pi = (w * np.log(pig.eigenvalues)) @ adjoint(w)
-        f_value = float(f(omega))
-        delta_phi = -f_value
-        potential_residual = (
-            frob(l @ log_pi - log_pi @ l - delta_phi * l) / nl
-        )
-    return BohrLadderReport(
-        omega=omega,
-        residual=residual,
-        frequencies=tuple(distinct),
-        f_value=f_value,
-        delta_phi=delta_phi,
-        potential_residual=potential_residual,
-        tolerance=1e-10,
-    )

@@ -4,7 +4,10 @@ The potential of eigenstate i of an invariant state pi is -ln pi(i).  A map
 belongs to the ladder family when every Kraus operator only connects
 eigenstate pairs with one common potential gap; that gap is the operator's
 potential change and fixes the generalized detailed balance relation
-between the map and its dual.
+between the map and its dual.  That ladder relation, [M_k, ln pi] = dPhi_k M_k,
+has one connection test (connections) and one residual (commutator_residuals);
+for a thermal environment it is the Bohr ladder [L, H] = omega L with
+dPhi = -beta omega (check_bohr_ladder).
 """
 
 from __future__ import annotations
@@ -22,8 +25,30 @@ from .linalg import (
     check_unitary,
     frob,
     frobs,
+    hermitian_eig,
 )
 from .maps import KrausMap, apply_map, check_invariant_state, kraus_map, validate_cptp
+
+
+# Tolerance of the ladder reports: Bohr ladder, ladder commutators, detailed balance.
+LADDER_CHECK_TOL = 1e-10
+
+
+def _norms(ops: np.ndarray) -> np.ndarray:
+    """||M_k||_F of each operator of a (K, d, d) stack, floored so a zero operator divides."""
+    return np.maximum(frobs(ops), 1e-300)
+
+
+def connections(ops: np.ndarray, basis: np.ndarray, eps_zero: float) -> np.ndarray:
+    """[k, j, i] is true when |<v_j|M_k|v_i>| > eps_zero ||M_k||_F, for the columns v of basis."""
+    coeff = adjoint(basis) @ ops @ basis
+    # hypot, not np.abs: it rounds as abs() of one entry does
+    return np.hypot(coeff.real, coeff.imag) > eps_zero * _norms(ops)[:, None, None]
+
+
+def commutator_residuals(ops: np.ndarray, x: np.ndarray, shifts) -> np.ndarray:
+    """||[M_k, X] - s_k M_k||_F / ||M_k||_F for each operator of a (K, d, d) stack."""
+    return frobs(ops @ x - x @ ops - np.asarray(shifts)[:, None, None] * ops) / _norms(ops)
 
 
 @dataclass(frozen=True)
@@ -93,13 +118,7 @@ def build_potential_structure(
     eig = check_invariant_state(kmap, pi, tol)
     potentials = -np.log(eig.eigenvalues)
     classes, class_pot = _group_classes(potentials, tol.eps_group)
-    v = eig.eigenvectors
-    ops = kmap.operators
-
-    coeff = adjoint(v) @ ops @ v  # coeff[k, j, i] = <pi_j| M_k |pi_i>
-    thresh = tol.eps_zero * np.maximum(frobs(ops), 1e-300)
-    # hypot, not np.abs: it rounds as abs() of one entry does
-    connects = np.hypot(coeff.real, coeff.imag) > thresh[:, None, None]
+    connects = connections(kmap.operators, eig.eigenvectors, tol.eps_zero)
     pot = class_pot[list(classes)]
     gap_table = pot[:, None] - pot[None, :]  # gap of each pair (j, i)
     delta_phi = np.zeros(len(kmap))
@@ -184,8 +203,8 @@ def check_detailed_balance(
     res = frobs(dual.map.operators - scale * dual.symmetry.on_matrix(adjoint(ops)))
     return BalanceReport(
         residuals=res,
-        relative_residuals=res / np.maximum(frobs(ops), 1e-300),
-        tolerance=1e-10,
+        relative_residuals=res / _norms(ops),
+        tolerance=LADDER_CHECK_TOL,
     )
 
 
@@ -207,15 +226,13 @@ class CommutatorReport:
 
 def check_ladder_commutators(kmap: KrausMap, structure: PotentialStructure) -> CommutatorReport:
     """Check [M_k, ln pi] = dPhi_k M_k and [M_k† M_k, pi] = 0."""
-    v = structure.eigen.eigenvectors
+    v, ops = structure.eigen.eigenvectors, kmap.operators
     log_pi = (v * np.log(structure.eigen.eigenvalues)) @ adjoint(v)
-    ops, pi = kmap.operators, structure.pi
-    ladder = ops @ log_pi - log_pi @ ops - structure.delta_phi[:, None, None] * ops
     w = adjoint(ops) @ ops
     return CommutatorReport(
-        ladder_residuals=frobs(ladder) / np.maximum(frobs(ops), 1e-300),
-        weight_residuals=frobs(w @ pi - pi @ w) / np.maximum(frobs(w), 1e-300),
-        tolerance=1e-10,
+        ladder_residuals=commutator_residuals(ops, log_pi, structure.delta_phi),
+        weight_residuals=commutator_residuals(w, structure.pi, np.zeros(len(w))),
+        tolerance=LADDER_CHECK_TOL,
     )
 
 
@@ -241,3 +258,55 @@ def delta_phi_pi_independence(
     return IndependenceReport(
         delta_phi_sets=tuple(sets), max_spread=spread, tolerance=1e-9
     )
+
+
+@dataclass(frozen=True)
+class BohrLadderReport:
+    """Outcome of checking [L, H] = omega L for a single Bohr frequency."""
+
+    omega: float | None
+    residual: float
+    frequencies: tuple            # distinct E_j - E_i over nonzero entries of L
+    f_value: float | None         # f(omega) when f supplied, else None
+    delta_phi: float | None       # implied potential change, -f(omega)
+    potential_residual: float | None
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        ok = self.omega is not None and self.residual <= self.tolerance
+        if ok and self.potential_residual is not None:
+            ok = self.potential_residual <= self.tolerance
+        return bool(ok)
+
+
+def check_bohr_ladder(
+    h: np.ndarray, l: np.ndarray, f=None, pi: np.ndarray | None = None,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> BohrLadderReport:
+    """Check that L is a ladder operator of H with a single Bohr frequency.
+
+    When both `f` (a function of the energy difference) and `pi` are given
+    and pi's eigenvalue ratios follow pi(i)/pi(j) = e^{f(E_j - E_i)}, also
+    confirms that L changes the potential of pi by exactly -f(omega), i.e.
+    [L, ln pi] = -f(omega) L.
+    """
+    h = as_complex_matrix(h)
+    ls = as_complex_matrix(l)[None]
+    eig = hermitian_eig(h, tol)
+    freqs = eig.eigenvalues[None, :] - eig.eigenvalues[:, None]  # E_i - E_j at (j, i)
+    nonzero = connections(ls, eig.eigenvectors, tol.eps_zero)[0]
+    distinct = sorted(set(round(w, 12) for w in freqs[nonzero].tolist()))
+    omega = distinct[0] if len(distinct) == 1 else None
+    residual = float("inf") if omega is None else float(commutator_residuals(ls, h, [omega])[0])
+
+    f_value = delta_phi = potential_residual = None
+    if f is not None and pi is not None and omega is not None:
+        f_value = float(f(omega))
+        delta_phi = -f_value
+        pig = hermitian_eig(as_complex_matrix(pi), tol)
+        log_pi = (pig.eigenvectors * np.log(pig.eigenvalues)) @ adjoint(pig.eigenvectors)
+        potential_residual = float(commutator_residuals(ls, log_pi, [delta_phi])[0])
+    return BohrLadderReport(
+        omega=omega, residual=residual, frequencies=tuple(distinct), f_value=f_value,
+        delta_phi=delta_phi, potential_residual=potential_residual, tolerance=LADDER_CHECK_TOL)

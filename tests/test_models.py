@@ -317,6 +317,18 @@ def bohr_frequencies_by_entry(h, l, tol=q.DEFAULT_TOLERANCES):
     return tuple(sorted(set(round(w, 12) for w in freqs)))
 
 
+def bohr_residuals_inline(h, l, omega, f, pi, tol=q.DEFAULT_TOLERANCES):
+    """Reference: (residual, potential_residual) from check_bohr_ladder's former inline
+    expressions, before commutator_residuals."""
+    nl = max(frob(l), 1e-300)
+    comm = l @ h - h @ l
+    pig = q.hermitian_eig(pi, tol)
+    w = pig.eigenvectors
+    log_pi = (w * np.log(pig.eigenvalues)) @ adjoint(w)
+    delta_phi = -float(f(omega))
+    return frob(comm - omega * l) / nl, frob(l @ log_pi - log_pi @ l - delta_phi * l) / nl
+
+
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=6))
 @settings(max_examples=30, deadline=None)
 def test_bohr_frequencies_match_entry_loop(seed, dim):
@@ -325,5 +337,13 @@ def test_bohr_frequencies_match_entry_loop(seed, dim):
     h = u @ np.diag(np.round(rng.uniform(0, 3, dim), 1)) @ adjoint(u)
     jump = np.zeros((dim, dim), complex)
     jump[0, 1] = 1.0
+    beta = rng.uniform(0.1, 2.0)
+    pi, f = q.gibbs_state(h, beta), lambda w: beta * w
     for l in (u @ jump @ adjoint(u), rng.standard_normal((dim, dim)) + 0j):
         assert q.check_bohr_ladder(h, l).frequencies == bohr_frequencies_by_entry(h, l)
+        report = q.check_bohr_ladder(h, l, f=f, pi=pi)
+        if report.omega is None:
+            assert report.residual == float("inf") and report.potential_residual is None
+        else:  # bit for bit
+            residuals = (report.residual, report.potential_residual)
+            assert residuals == bohr_residuals_inline(h, l, report.omega, f, pi)
