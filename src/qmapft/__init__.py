@@ -15,6 +15,7 @@ from .errors import (
     MixedPotentialOperator,
     NonHermitianError,
     NonUniqueInvariantState,
+    NotTracePreservingError,
     NotUnitaryError,
     ProcessFileError,
     QmapError,

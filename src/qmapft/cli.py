@@ -25,7 +25,7 @@ from .errors import (
     QmapError,
     SampleCountTooLarge,
 )
-from .maps import choose_invariant_state, validate_cptp
+from .maps import choose_invariant_state, require_trace_preserving, validate_cptp
 from .potential import build_dual, build_potential_structure, check_ladder_commutators
 from .process import (
     RNG_SCHEME,
@@ -85,6 +85,7 @@ def cmd_validate(args, tol: Tolerances) -> int:
 
 def cmd_classify(args, tol: Tolerances) -> int:
     kmap = load_map_file(args.map_file)
+    require_trace_preserving(kmap, tol)
     pi = _resolve_pi(kmap, args, tol)
     try:
         structure = build_potential_structure(kmap, pi, tol)
@@ -106,6 +107,7 @@ def cmd_classify(args, tol: Tolerances) -> int:
 
 def cmd_dual(args, tol: Tolerances) -> int:
     kmap = load_map_file(args.map_file)
+    require_trace_preserving(kmap, tol)
     pi = _resolve_pi(kmap, args, tol)
     dual = build_dual(kmap, pi, tol=tol)
     body = {

@@ -19,6 +19,10 @@ class NotUnitaryError(QmapError):
     """A matrix required to be unitary deviates beyond tolerance."""
 
 
+class NotTracePreservingError(QmapError):
+    """A map's sum_k M_k† M_k deviates from the identity beyond eps_tp."""
+
+
 class SingularStateError(QmapError):
     """A state required to be strictly positive has a (near-)zero eigenvalue."""
 

@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatchError,
     NonHermitianError,
     NonUniqueInvariantState,
+    NotTracePreservingError,
     SingularStateError,
 )
 from .linalg import (HermitianEigenDecomposition, adjoint, as_complex_matrix, frob,
@@ -94,6 +95,16 @@ def validate_cptp(kmap: KrausMap, tol: Tolerances = DEFAULT_TOLERANCES) -> Valid
     return ValidationReport(
         tp_deviation=dev, tolerance=tol.eps_tp, trace_preserving=dev <= tol.eps_tp
     )
+
+
+def require_trace_preserving(kmap: KrausMap, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
+    """Raise NotTracePreservingError unless validate_cptp passes."""
+    report = validate_cptp(kmap, tol)
+    if not report.passed:
+        raise NotTracePreservingError(
+            f"map is not trace preserving: ||sum_k M_k† M_k - 1||_F = "
+            f"{report.tp_deviation:.3e} exceeds eps_tp={tol.eps_tp}"
+        )
 
 
 def validate_density(rho: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -225,8 +236,8 @@ def invariant_state(
     eig below dimension BLOCK_SPLIT_MIN_DIM, else one eig per diagonal block of
     S (see the module docstring), with the fixed dimension counted over all
     blocks.  A degenerate subspace raises NonUniqueInvariantState (with 1/N
-    offered as candidate when it is itself fixed), a singular fixed point
-    raises SingularStateError.
+    offered as candidate when it is itself fixed), a singular or traceless fixed
+    point raises SingularStateError.
     """
     if kmap.dim < BLOCK_SPLIT_MIN_DIM:
         count, vector = _dense_fixed_vector(build_superoperator(kmap))
@@ -244,9 +255,12 @@ def invariant_state(
     pi = (x + adjoint(x)) / 2
     tr = np.trace(pi).real
     if abs(tr) < 1e-14:
-        # Hermitian part vanished; use the anti-Hermitian part instead
-        pi = (x - adjoint(x)) / 2j
-        tr = np.trace(pi).real
+        # eig makes a vector's largest entry real; for a trace-preserving map with a positive
+        # pi that is a diagonal entry, so the fixed vector is a real multiple of pi
+        raise SingularStateError(
+            f"the map's only fixed vector has zero trace ({tr:.3e}, below 1e-14), "
+            f"so it is no multiple of a density matrix"
+        )
     pi = pi / tr
     check_invariant_state(kmap, pi, tol)
     return pi

@@ -18,7 +18,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import HistogramTooLarge, ProcessFileError
 from .linalg import as_complex_matrix
-from .maps import KrausMap, kraus_map
+from .maps import KrausMap, kraus_map, require_trace_preserving
 from .potential import SymmetryOp
 from . import models
 from .process import ENTROPIC, EQUILIBRIUM, ProcessSpec, TrajectoryEnsemble, make_step, process_spec
@@ -74,7 +74,10 @@ def map_from_json(data) -> KrausMap:
     if not isinstance(data, dict) or "operators" not in data:
         raise _Malformed("map file must be an object with an 'operators' key")
     ops = [matrix_from_json(m) for m in data["operators"]]
-    kmap = kraus_map(ops, labels=data.get("labels"))
+    labels = data.get("labels")
+    if labels is not None and not isinstance(labels, list):  # a string would be split
+        raise _Malformed(f"'labels' must be a list, got {labels!r}")
+    kmap = kraus_map(ops, labels=labels)
     dim = data.get("dim", kmap.dim)
     if type(dim) is not int or dim != kmap.dim:  # type(): isinstance counts true as an int
         raise _Malformed(f"declared dim {dim!r} is not the operators' dimension {kmap.dim}")
@@ -128,22 +131,31 @@ def load_tolerances(path) -> Tolerances:
         return Tolerances(**data)
 
 
-def _build_model(entry: dict) -> KrausMap:
+def _number(entry: dict, key: str):
+    """entry[key], which must be a JSON number: a JSON true would build with 1."""
+    value = entry[key]
+    if type(value) not in (int, float):  # type(): isinstance counts true as an int
+        raise _Malformed(f"{key!r} must be a number, got {value!r}")
+    return value
+
+
+def _build_model(entry: dict, tol: Tolerances) -> KrausMap:
     name = entry["model"]
     if name == "thermal_qubit":
-        return models.thermal_qubit_map(entry["beta_omega"], entry["gamma"])
+        return models.thermal_qubit_map(_number(entry, "beta_omega"), _number(entry, "gamma"))
     if name == "unitary":
         return models.unitary_map(matrix_from_json(entry["U"]))
     if name == "projective":
         # basis vectors are the rows of a matrix
         return models.projective_measurement(matrix_from_json(entry["basis"]))
     if name == "dephasing":
-        return models.dephasing_map(matrix_from_json(entry["basis"]), entry["strength"])
+        return models.dephasing_map(matrix_from_json(entry["basis"]), _number(entry, "strength"))
     if name == "lindblad_step":
         return models.lindblad_step(
             matrix_from_json(entry["H"]),
             [matrix_from_json(l) for l in entry["lindblads"]],
-            entry["dt"],
+            _number(entry, "dt"),
+            tol,
         )
     raise _Malformed(f"unknown model {name!r}")
 
@@ -162,9 +174,10 @@ def step_from_json(entry: dict, base_dir: Path, tol: Tolerances):
     elif "map" in entry:
         kmap = map_from_json(entry["map"])
     elif "model" in entry:
-        kmap = _build_model(entry)
+        kmap = _build_model(entry, tol)
     else:
         raise _Malformed("each step needs one of 'map_file', 'map', or 'model'")
+    require_trace_preserving(kmap, tol)  # before pi: a map that loses trace has no dual
     pi = matrix_from_json(entry["pi"]) if "pi" in entry else None
     return make_step(kmap, pi=pi, unital=_boolean(entry, "unital", False), tol=tol)
 

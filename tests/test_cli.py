@@ -686,3 +686,75 @@ def test_cli_thermal_qubit_at_extreme_beta_omega_has_a_singular_pi(tmp_path, cap
     lines = captured.err.splitlines()
     assert captured.out == "" and len(lines) == 1, captured.err
     assert lines[0].startswith("error: invariant state has eigenvalue 0.000e+00, not above eps_pos")
+
+
+# values that once built a map: JSON true counted as the number 1, and a string
+# of labels was split into one label per character
+WRONG_TYPES_THAT_BUILT = {
+    "beta_omega": {"model": "thermal_qubit", "beta_omega": True, "gamma": 0.5},
+    "gamma": {"model": "thermal_qubit", "beta_omega": LN2, "gamma": True},
+    "strength": {"model": "dephasing", "basis": matrix_to_json(np.eye(2)), "strength": True},
+    "dt": dict(LINDBLAD_STEP, dt=True),
+    "labels": {"map": dict(GAD_MAP, labels="abcd")},
+}
+
+
+@pytest.mark.parametrize("key", list(WRONG_TYPES_THAT_BUILT))
+def test_cli_booleans_and_label_strings_are_parse_errors_naming_the_key(tmp_path, capsys, key):
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, steps=[WRONG_TYPES_THAT_BUILT[key]])
+    assert main(["verify", str(proc)]) == 2
+    assert repr(key) in assert_one_parse_error(capsys, proc)
+
+
+def test_cli_label_string_in_map_file_is_a_parse_error(tmp_path, capsys):
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps(WRONG_TYPES_THAT_BUILT["labels"]["map"]))
+    assert main(["validate", str(map_path)]) == 2
+    assert "'labels'" in assert_one_parse_error(capsys, map_path)
+
+
+# sum_k M_k† M_k = 2|0><0|: classify once passed it, and verify blamed the dual map
+LEAKY_MAP = map_to_json(q.kraus_map([np.diag([1.0, 0.0]), np.array([[0.0, 0.0], [1.0, 0.0]])]))
+
+
+def assert_not_trace_preserving(capsys):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, captured.err
+    assert lines[0] == ("error: map is not trace preserving: ||sum_k M_k† M_k - 1||_F = "
+                        "1.414e+00 exceeds eps_tp=1e-10")
+
+
+@pytest.mark.parametrize("command", ["classify", "dual"])
+def test_cli_map_file_that_is_not_trace_preserving_exits_1(tmp_path, capsys, command):
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps(LEAKY_MAP))
+    assert main([command, str(map_path)]) == 1
+    assert_not_trace_preserving(capsys)
+    assert main(["validate", str(map_path)]) == 1  # validate still writes its report
+    assert json.loads(capsys.readouterr().out)["validate"]["passed"] is False
+
+
+@pytest.mark.parametrize("command", [["verify"], ["verify", "--mode", "mc"], ["sample"]],
+                         ids=["exact", "mc", "sample"])
+def test_cli_process_step_that_is_not_trace_preserving_exits_1(tmp_path, capsys, command):
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, steps=[{"model": "thermal_qubit", "beta_omega": LN2, "gamma": 0.5},
+                                    {"map": LEAKY_MAP}])
+    assert main([command[0], str(proc), *command[1:], "--samples", "10"]) == 1
+    assert_not_trace_preserving(capsys)
+
+
+def test_cli_tolerances_reach_lindblad_step_models(tmp_path, capsys):
+    # H with a Hermiticity defect of 1e-8: above the default eps_herm, below 1e-6
+    h = np.diag([0.5e-8j, 1.0])
+    lindblads = [matrix_to_json(l) for l in q.thermal_lindblad_pair(1.0, LN2, 0.5)]
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, steps=[dict(LINDBLAD_STEP, H=matrix_to_json(h), lindblads=lindblads)])
+    assert main(["verify", str(proc)]) == 1
+    assert "eps_herm" in capsys.readouterr().err
+    tol_path = tmp_path / "tol.json"
+    tol_path.write_text(json.dumps({"eps_herm": 1e-6}))
+    assert main(["--tolerances", str(tol_path), "verify", str(proc)]) == 0
+    assert json.loads(capsys.readouterr().out)["verify"]["detailed_ft"]["passed"] is True

@@ -378,3 +378,13 @@ def test_d16_ladder_takes_no_eig_of_the_whole_superoperator(monkeypatch):
     monkeypatch.setattr(q.maps.np.linalg, "eig", recording_eig)
     q.invariant_state(lindblad_ladder(16))
     assert max(shapes) == (16, 16)
+
+
+def test_traceless_fixed_vector_is_a_singular_state_error():
+    # not trace preserving: the only eigenvalue-1 vector of S is sigma_z, whose
+    # zero trace once ended in a divide warning and a NaN pi
+    e01 = np.array([[0, 1], [0, 0]], dtype=complex)
+    kmap = q.kraus_map([P0, P1, np.sqrt(0.3) * P0, np.sqrt(0.3) * e01])
+    assert tp_defect(kmap) > 0.1
+    with pytest.raises(q.SingularStateError, match="zero trace"):
+        q.invariant_state(kmap)
