@@ -34,6 +34,27 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
+def as_complex_stack(a, dim: int | None = None) -> np.ndarray:
+    """A new finite complex128 (K, d, d) stack of square matrices, enforcing the dimension cap.
+
+    With dim given the matrices must be dim x dim, and no matrices is the (0, dim, dim) stack.
+    """
+    try:
+        s = np.array(a, dtype=np.complex128)
+    except ValueError as exc:  # numpy's "inhomogeneous shape" of matrices of different sizes
+        raise DimensionMismatchError(f"the matrices do not stack into one array: {exc}") from exc
+    if dim is not None and s.shape[:1] == (0,):
+        s = s.reshape(0, dim, dim)
+    if s.ndim != 3 or s.shape[1] != s.shape[2] or dim not in (None, s.shape[1]):
+        want = "square matrices" if dim is None else f"{dim} x {dim} matrices"
+        raise DimensionMismatchError(f"expected a stack of {want}, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    if s.shape[1] > MAX_DIM:
+        raise DimensionMismatchError(f"dimension {s.shape[1]} exceeds the cap {MAX_DIM}")
+    return s
+
+
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
     return a.conj().swapaxes(-1, -2)

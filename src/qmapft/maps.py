@@ -28,8 +28,8 @@ from .errors import (
     NotTracePreservingError,
     SingularStateError,
 )
-from .linalg import (HermitianEigenDecomposition, adjoint, as_complex_matrix, frob,
-                     hermitian_eig, hermiticity_defect)
+from .linalg import (HermitianEigenDecomposition, adjoint, as_complex_matrix, as_complex_stack,
+                     frob, hermitian_eig, hermiticity_defect)
 
 
 @dataclass(frozen=True)
@@ -48,25 +48,22 @@ class KrausMap:
 
 
 def kraus_map(operators, labels=None) -> KrausMap:
-    """Build a KrausMap from a nonempty list of square matrices of one size."""
-    ops = [as_complex_matrix(m) for m in operators]
-    if not ops:
+    """Build a KrausMap from a nonempty (K, d, d) stack, or list, of square matrices of one size.
+
+    The operators are copied into a new read-only array, checked once as a whole
+    (as_complex_stack): finite, square, of one size and within MAX_DIM.
+    """
+    if len(operators) == 0:
         raise ValueError("a Kraus map needs at least one operator")
-    dim = ops[0].shape[0]
-    for m in ops:
-        if m.shape != (dim, dim):
-            raise DimensionMismatchError(
-                f"operator shape {m.shape} does not match dimension {dim}"
-            )
+    ops = as_complex_stack(operators)
     if labels is None:
         labels = tuple(f"K{k}" for k in range(len(ops)))
     else:
         labels = tuple(str(s) for s in labels)
         if len(labels) != len(ops):
             raise ValueError("labels length does not match operator count")
-    stacked = np.stack(ops)
-    stacked.setflags(write=False)
-    return KrausMap(operators=stacked, labels=labels)
+    ops.setflags(write=False)
+    return KrausMap(operators=ops, labels=labels)
 
 
 def tp_defect(kmap: KrausMap) -> float:

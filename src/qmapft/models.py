@@ -18,8 +18,10 @@ from .errors import DimensionMismatchError, NonHermitianError
 from .linalg import (
     adjoint,
     as_complex_matrix,
+    as_complex_stack,
     check_unitary,
     frob,
+    frobs,
     hermitian_eig,
     hermiticity_defect,
     matrix_power_of_positive,
@@ -87,11 +89,10 @@ def thermal_qubit_map(beta_omega: float, gamma: float) -> KrausMap:
     )
 
 
-def _renormalize_trace_preserving(ops, tol: Tolerances):
-    """Right-multiply all operators by (sum M†M)^(-1/2)."""
-    total = sum(adjoint(m) @ m for m in ops)
-    correction = matrix_power_of_positive(total, -0.5, tol)
-    return [m @ correction for m in ops]
+def _renormalize_trace_preserving(ops: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Right-multiply a (K, d, d) stack of operators by (sum M†M)^(-1/2)."""
+    total = (adjoint(ops) @ ops).sum(axis=0)
+    return ops @ matrix_power_of_positive(total, -0.5, tol)
 
 
 def lindblad_step(
@@ -104,25 +105,27 @@ def lindblad_step(
 
     M_0 = 1 - (iH + sum L†L / 2) dt, M_k = L_k sqrt(dt), followed by the
     exact renormalization; the pre-normalization trace defect is O(dt^2).
+    H must be square; `lindblads` is a (K, d, d) stack, or a possibly empty
+    list, of matrices of H's size, checked once as a whole.  The products run
+    over the stack; each sum over k adds in operator order, as a loop would.
     """
     h = as_complex_matrix(h)
+    if h.shape[0] != h.shape[1]:
+        raise DimensionMismatchError(f"Hamiltonian is not square: {h.shape}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if hermiticity_defect(h) > tol.eps_herm:
         raise NonHermitianError("Hamiltonian is not Hermitian within eps_herm")
-    ls = [as_complex_matrix(l) for l in lindblads]
     dim = h.shape[0]
-    for l in ls:
-        if l.shape != (dim, dim):
-            raise DimensionMismatchError("Lindblad operator shape mismatch")
-    if ls and max(frob(l) ** 2 * dt for l in ls) > 0.1:
+    ls = as_complex_stack(lindblads, dim)
+    if len(ls) and (frobs(ls) ** 2 * dt).max() > 0.1:
         warnings.warn(
             "max ||L||_F^2 dt > 0.1: the first-order discretization is coarse",
             stacklevel=2,
         )
-    decay = sum((adjoint(l) @ l for l in ls), np.zeros((dim, dim), complex))
+    decay = (adjoint(ls) @ ls).sum(axis=0)
     m0 = np.eye(dim) - (1j * h + decay / 2) * dt
-    ops = _renormalize_trace_preserving([m0] + [l * np.sqrt(dt) for l in ls], tol)
+    ops = _renormalize_trace_preserving(np.concatenate([m0[None], ls * np.sqrt(dt)]), tol)
     labels = ["M0"] + [f"L{k}" for k in range(len(ls))]
     return kraus_map(ops, labels=labels)
 
@@ -135,7 +138,7 @@ def multi_reservoir_step(
 ) -> list[KrausMap]:
     """Split one Lindblad time step into a unitary map plus one map per reservoir.
 
-    `reservoirs` is a list of (lindblad list, invariant state) pairs; each
+    `reservoirs` is a list of (Lindblad stack or list, invariant state) pairs; each
     invariant state must be annihilated, within 1e-8, by its reservoir's
     dissipator.  Each map is a lindblad_step (the unitary one without jumps,
     each reservoir's without H), relabelled U0 and M0,a / Lk,a; the
@@ -145,12 +148,11 @@ def multi_reservoir_step(
     unitary = lindblad_step(h, [], dt, tol)
     steps = [replace(unitary, labels=("U0",))]
     for alpha, (lindblads, pi_alpha) in enumerate(reservoirs):
-        ls = [as_complex_matrix(l) for l in lindblads]
+        ls = as_complex_stack(lindblads, len(h))
         pi_alpha = as_complex_matrix(pi_alpha)
-        dissipated = np.zeros(h.shape, dtype=np.complex128)
-        for l in ls:
-            anti = adjoint(l) @ l
-            dissipated += l @ pi_alpha @ adjoint(l) - (anti @ pi_alpha + pi_alpha @ anti) / 2
+        anti = adjoint(ls) @ ls
+        dissipated = (ls @ pi_alpha @ adjoint(ls)
+                      - (anti @ pi_alpha + pi_alpha @ anti) / 2).sum(axis=0)
         if frob(dissipated) > 1e-8:
             raise ValueError(
                 f"reservoir {alpha}: supplied state is not a dissipator fixed "

@@ -1,7 +1,10 @@
 """JSON and CSV input/output.
 
 Matrices serialize as nested row-major arrays of [re, im] pairs; this
-format is shared by map files, process files, and reports.  Report floats
+format is shared by map files, process files, and reports.  A list of
+matrices (a map's "operators", a lindblad_step's "lindblads") must hold
+matrices of one shape and is read as one (K, m, n) stack by
+matrices_from_json; a single matrix is its K = 1 case.  Report floats
 are printed with 17 significant digits, so they read back bit-exactly.
 """
 
@@ -11,13 +14,13 @@ import dataclasses
 import json
 import math
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import HistogramTooLarge, ProcessFileError
-from .linalg import as_complex_matrix
+from .config import DEFAULT_TOLERANCES, MAX_DIM, Tolerances
+from .errors import DimensionMismatchError, HistogramTooLarge, ProcessFileError
 from .maps import KrausMap, kraus_map, require_trace_preserving
 from .potential import SymmetryOp
 from . import models
@@ -43,16 +46,57 @@ class _Malformed(ProcessFileError, ValueError):
     """Bad content, to be named by _file_content; other ProcessFileErrors name their file."""
 
 
-def matrix_from_json(data) -> np.ndarray:
+def matrices_from_json(data, key: str | None) -> np.ndarray:
+    """A JSON array of K matrices of [re, im] pairs as one (K, m, n) complex128 stack.
+
+    One pass over the nesting: each level is flattened and every length checked
+    (rows of a matrix, entries of a row, two numbers per pair); the entries must
+    be JSON numbers or booleans, each read as complex(re, im) reads it, and are
+    converted by one np.array call and checked to be finite.  Bad content is a
+    parse error naming `key`, if given; well-formed matrices of different
+    shapes, or a dimension above MAX_DIM, raise DimensionMismatchError.  An
+    empty array is the (0, 0, 0) stack.
+    """
+    if type(data) is not list:
+        raise _Malformed(f"{key!r} must be an array of matrices, got {data!r}")
     try:
-        # unpacking rejects an entry that is not a pair; complex() rejects strings,
-        # and raises OverflowError on an integer too large for a float
-        rows = [[complex(re, im) for re, im in row] for row in data]
-        if not rows or not all(rows):
+        rows = list(chain.from_iterable(data))
+        pairs = list(chain.from_iterable(rows))
+        if set(map(len, pairs)) - {2}:
+            bad = next(p for p in pairs if len(p) != 2)
+            raise ValueError(f"entry {bad!r} is not an [re, im] pair")
+        numbers = list(chain.from_iterable(pairs))
+        try:  # np.array reads the string "1" as 1.0 and null as NaN; sum() refuses both
+            sum(numbers)
+        except TypeError:
+            bad = next(x for x in numbers if type(x) not in (int, float, bool))
+            raise TypeError(f"entry {bad!r} is not a number") from None
+        values = np.array(numbers, dtype=np.float64)  # OverflowError past the float range
+        if not np.isfinite(values).all():
+            raise ValueError("matrix contains NaN or Inf entries")
+        counts, widths = set(map(len, data)), set(map(len, rows))
+        if 0 in counts | widths:
             raise ValueError("it has no entries")
-        return as_complex_matrix(np.array(rows, dtype=np.complex128))
+        if len(counts) > 1 or len(widths) > 1:
+            shapes = [(len(m), *sorted(set(map(len, m)))) for m in data]
+            ragged = next((s for s in shapes if len(s) > 2), None)
+            if ragged:
+                raise ValueError(f"its rows have different lengths {list(ragged[1:])}")
+            other = next(s for s in shapes if s != shapes[0])
+            raise DimensionMismatchError(
+                f"the matrices of {key!r} have different shapes {shapes[0]} and {other}")
     except (TypeError, ValueError, OverflowError) as exc:
-        raise _Malformed(f"malformed matrix of [re, im] pairs: {exc}") from exc
+        where = f" in {key!r}" if key else ""
+        raise _Malformed(f"malformed matrix of [re, im] pairs{where}: {exc}") from exc
+    shape = (len(data), *counts, *widths) if data else (0, 0, 0)
+    if max(shape[1:]) > MAX_DIM:
+        raise DimensionMismatchError(f"dimension {max(shape[1:])} exceeds the cap {MAX_DIM}")
+    return values.view(np.complex128).reshape(shape)
+
+
+def matrix_from_json(data) -> np.ndarray:
+    """One matrix of [re, im] pairs: the K = 1 case of matrices_from_json."""
+    return matrices_from_json([data], None)[0]
 
 
 def map_pairs(kmap: KrausMap) -> dict:
@@ -73,7 +117,7 @@ def map_to_json(kmap: KrausMap) -> dict:
 def map_from_json(data) -> KrausMap:
     if not isinstance(data, dict) or "operators" not in data:
         raise _Malformed("map file must be an object with an 'operators' key")
-    ops = [matrix_from_json(m) for m in data["operators"]]
+    ops = matrices_from_json(data["operators"], "operators")
     labels = data.get("labels")
     if labels is not None and not isinstance(labels, list):  # a string would be split
         raise _Malformed(f"'labels' must be a list, got {labels!r}")
@@ -153,7 +197,7 @@ def _build_model(entry: dict, tol: Tolerances) -> KrausMap:
     if name == "lindblad_step":
         return models.lindblad_step(
             matrix_from_json(entry["H"]),
-            [matrix_from_json(l) for l in entry["lindblads"]],
+            matrices_from_json(entry["lindblads"], "lindblads"),
             _number(entry, "dt"),
             tol,
         )
@@ -169,6 +213,8 @@ def _boolean(data: dict, key: str, default: bool) -> bool:
 
 
 def step_from_json(entry: dict, base_dir: Path, tol: Tolerances):
+    if not isinstance(entry, dict):
+        raise _Malformed(f"each entry of 'steps' must be an object, got {entry!r}")
     if "map_file" in entry:
         kmap = load_map_file(base_dir / entry["map_file"])
     elif "map" in entry:
@@ -191,7 +237,10 @@ def load_process_file(
     if not isinstance(data, dict):
         raise ProcessFileError(f"{path}: process file must be a JSON object")
     with _file_content(path):
-        steps = [step_from_json(e, path.parent, tol) for e in data.get("steps", [])]
+        steps = data.get("steps", [])
+        if not isinstance(steps, list):  # a string would be read letter by letter
+            raise _Malformed(f"'steps' must be an array of step objects, got {steps!r}")
+        steps = [step_from_json(e, path.parent, tol) for e in steps]
         mode = data.get("boundary_mode", ENTROPIC)
         symmetry = None
         if "symmetry" in data:

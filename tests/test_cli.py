@@ -758,3 +758,116 @@ def test_cli_tolerances_reach_lindblad_step_models(tmp_path, capsys):
     tol_path.write_text(json.dumps({"eps_herm": 1e-6}))
     assert main(["--tolerances", str(tol_path), "verify", str(proc)]) == 0
     assert json.loads(capsys.readouterr().out)["verify"]["detailed_ft"]["passed"] is True
+
+
+def with_matrix_inserted(matrices, bad, at=1):
+    return matrices[:at] + [bad] + matrices[at:]
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_MATRICES))
+def test_cli_malformed_matrix_among_operators_names_it(tmp_path, capsys, case):
+    bad_map = dict(GAD_MAP, operators=with_matrix_inserted(GAD_MAP["operators"],
+                                                           MALFORMED_MATRICES[case]))
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps(bad_map))
+    assert main(["validate", str(map_path)]) == 2
+    assert "malformed matrix of [re, im] pairs in 'operators'" in assert_one_parse_error(
+        capsys, map_path)
+
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, steps=[{"map": bad_map}])
+    assert main(["verify", str(proc)]) == 2
+    assert "in 'operators'" in assert_one_parse_error(capsys, proc)
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_MATRICES))
+def test_cli_malformed_matrix_among_lindblads_names_it(tmp_path, capsys, case):
+    proc = tmp_path / "proc.json"
+    lindblads = with_matrix_inserted(LINDBLAD_STEP["lindblads"] * 2, MALFORMED_MATRICES[case])
+    write_process_with(proc, steps=[dict(LINDBLAD_STEP, lindblads=lindblads)])
+    for mode in ("exact", "mc"):
+        assert main(["verify", str(proc), "--mode", mode, "--samples", "10"]) == 2
+        assert "malformed matrix of [re, im] pairs in 'lindblads'" in assert_one_parse_error(
+            capsys, proc)
+
+
+RAGGED_MATRIX = [[[0, 0], [1, 0]], [[0, 0]]]
+
+
+def test_cli_ragged_rows_in_a_list_of_matrices_are_parse_errors(tmp_path, capsys):
+    map_path, proc = tmp_path / "map.json", tmp_path / "proc.json"
+    map_path.write_text(json.dumps(dict(GAD_MAP, operators=with_matrix_inserted(
+        GAD_MAP["operators"], RAGGED_MATRIX))))
+    assert main(["validate", str(map_path)]) == 2
+    assert "rows have different lengths [1, 2]" in assert_one_parse_error(capsys, map_path)
+    write_process_with(proc, steps=[dict(LINDBLAD_STEP, lindblads=[RAGGED_MATRIX])])
+    assert main(["verify", str(proc)]) == 2
+    assert "rows have different lengths [1, 2]" in assert_one_parse_error(capsys, proc)
+
+
+def assert_one_error(capsys) -> str:
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    return lines[0]
+
+
+def test_cli_matrices_of_different_sizes_exit_1(tmp_path, capsys):
+    qutrit = matrix_to_json(np.eye(3) / 2)
+    map_path, proc = tmp_path / "map.json", tmp_path / "proc.json"
+    map_path.write_text(json.dumps(dict(GAD_MAP, operators=with_matrix_inserted(
+        GAD_MAP["operators"], qutrit))))
+    assert main(["validate", str(map_path)]) == 1
+    assert "'operators' have different shapes (2, 2) and (3, 3)" in assert_one_error(capsys)
+    write_process_with(proc, steps=[dict(LINDBLAD_STEP, lindblads=LINDBLAD_STEP["lindblads"]
+                                         + [qutrit])])
+    assert main(["verify", str(proc)]) == 1
+    assert "'lindblads' have different shapes (2, 2) and (3, 3)" in assert_one_error(capsys)
+    write_process_with(proc, steps=[dict(LINDBLAD_STEP, lindblads=[qutrit])])
+    assert main(["verify", str(proc)]) == 1
+    assert "expected a stack of 2 x 2 matrices, got shape (1, 3, 3)" in assert_one_error(capsys)
+
+
+def test_cli_hamiltonian_that_is_not_square_exits_1(tmp_path, capsys):
+    proc = tmp_path / "proc.json"
+    for shape in ((2, 3), (3, 2)):
+        write_process_with(proc, steps=[dict(LINDBLAD_STEP, H=matrix_to_json(np.zeros(shape)))])
+        assert main(["verify", str(proc)]) == 1
+        assert assert_one_error(capsys) == f"error: Hamiltonian is not square: {shape}"
+
+
+def test_cli_lindblad_step_without_jumps_is_unitary(tmp_path, capsys):
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, steps=[dict(LINDBLAD_STEP, lindblads=[], unital=True)])
+    spec, _ = load_process_file(proc)
+    kmap = spec.steps[0].map
+    want = q.lindblad_step(np.diag([0.0, 1.0]), [], LINDBLAD_STEP["dt"])
+    assert kmap.labels == ("M0",) and kmap.operators.tobytes() == want.operators.tobytes()
+    assert main(["verify", str(proc)]) == 0
+    assert json.loads(capsys.readouterr().out)["verify"]["detailed_ft"]["passed"] is True
+
+
+# content that is not the JSON type its key needs: each once ended in a TypeError
+# or ValueError message that named no key
+NOT_ARRAYS_OR_OBJECTS = {
+    "steps": {"steps": 5},
+    "steps-a-string": {"steps": "ab"},
+    "steps-an-object": {"steps": {"model": "thermal_qubit"}},
+    "a-step-a-number": {"steps": [5]},
+    "a-step-an-array": {"steps": [["thermal_qubit"]]},
+    "lindblads-a-string": {"steps": [dict(LINDBLAD_STEP, lindblads="ab")]},
+    "lindblads-a-number": {"steps": [dict(LINDBLAD_STEP, lindblads=3)]},
+    "lindblads-one-matrix": {"steps": [dict(LINDBLAD_STEP, lindblads=LINDBLAD_STEP["H"])]},
+    "operators-a-string": {"steps": [{"map": dict(GAD_MAP, operators="ab")}]},
+}
+NAMED_KEY = {"steps": "'steps'", "a-step": "each entry of 'steps' must be an object",
+             "lindblads": "'lindblads'", "operators": "'operators'"}
+
+
+@pytest.mark.parametrize("case", list(NOT_ARRAYS_OR_OBJECTS))
+def test_cli_wrong_json_types_are_parse_errors_naming_the_key(tmp_path, capsys, case):
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, **NOT_ARRAYS_OR_OBJECTS[case])
+    assert main(["verify", str(proc)]) == 2
+    key = next(v for k, v in NAMED_KEY.items() if case.startswith(k))
+    assert key in assert_one_parse_error(capsys, proc)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmapft as q
-from qmapft.linalg import _fix_phases, as_complex_matrix, check_unitary, frob
+from qmapft.linalg import _fix_phases, as_complex_matrix, as_complex_stack, check_unitary, frob
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -147,3 +147,26 @@ def test_fix_phases_matches_column_loop(seed, dim):
     fixed = _fix_phases(vecs)
     pivots = fixed[np.argmax(np.abs(fixed), axis=0), np.arange(dim)]
     assert np.all(np.abs(pivots.imag) <= 1e-15) and np.all(pivots.real >= 0)
+
+
+def test_as_complex_stack_checks_the_whole_stack_once():
+    ops = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+    stack = as_complex_stack(ops)
+    assert stack.dtype == np.complex128 and np.array_equal(stack, ops)
+    assert not np.shares_memory(stack, ops)  # a new array, which kraus_map makes read-only
+    assert as_complex_stack(list(ops), 2).shape == (2, 2, 2)
+    for empty in ([], np.zeros((0, 2, 2)), np.zeros((0, 0, 0))):
+        assert as_complex_stack(empty, 2).shape == (0, 2, 2)
+    ragged = [[[1.0]], [[1.0, 2.0]]]
+    for bad in ([np.eye(2), np.eye(3)], np.zeros((2, 2, 3)), np.eye(2), ragged):
+        with pytest.raises(q.DimensionMismatchError):
+            as_complex_stack(bad)
+    with pytest.raises(q.DimensionMismatchError, match="expected a stack of 3 x 3 matrices"):
+        as_complex_stack(ops, 3)
+    with pytest.raises(q.DimensionMismatchError, match="exceeds the cap"):
+        as_complex_stack(np.zeros((1, 17, 17)))
+    for value in (np.nan, np.inf, 1j * np.inf):
+        bad = ops.astype(complex)
+        bad[1, 0, 1] = value
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            as_complex_stack(bad)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmapft as q
-from qmapft.linalg import adjoint, frob
+from qmapft.linalg import (adjoint, as_complex_matrix, frob, hermiticity_defect,
+                           matrix_power_of_positive)
+from test_process import _ladder_chain
 
 LN2 = np.log(2.0)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -347,3 +350,126 @@ def test_bohr_frequencies_match_entry_loop(seed, dim):
         else:  # bit for bit
             residuals = (report.residual, report.potential_residual)
             assert residuals == bohr_residuals_inline(h, l, report.omega, f, pi)
+
+
+def kraus_map_per_operator(operators, labels=None):
+    """Reference: kraus_map as it was, one as_complex_matrix call per operator."""
+    ops = [as_complex_matrix(m) for m in operators]
+    if not ops:
+        raise ValueError("a Kraus map needs at least one operator")
+    dim = ops[0].shape[0]
+    for m in ops:
+        if m.shape != (dim, dim):
+            raise q.DimensionMismatchError(
+                f"operator shape {m.shape} does not match dimension {dim}"
+            )
+    if labels is None:
+        labels = tuple(f"K{k}" for k in range(len(ops)))
+    else:
+        labels = tuple(str(s) for s in labels)
+        if len(labels) != len(ops):
+            raise ValueError("labels length does not match operator count")
+    stacked = np.stack(ops)
+    stacked.setflags(write=False)
+    return q.KrausMap(operators=stacked, labels=labels)
+
+
+def lindblad_step_per_matrix(h, lindblads, dt, tol=q.DEFAULT_TOLERANCES):
+    """Reference: lindblad_step as it was, with one product and one sum term per matrix
+    (and its _renormalize_trace_preserving inlined)."""
+    h = as_complex_matrix(h)
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if hermiticity_defect(h) > tol.eps_herm:
+        raise q.NonHermitianError("Hamiltonian is not Hermitian within eps_herm")
+    ls = [as_complex_matrix(l) for l in lindblads]
+    dim = h.shape[0]
+    for l in ls:
+        if l.shape != (dim, dim):
+            raise q.DimensionMismatchError("Lindblad operator shape mismatch")
+    decay = sum((adjoint(l) @ l for l in ls), np.zeros((dim, dim), complex))
+    m0 = np.eye(dim) - (1j * h + decay / 2) * dt
+    ops = [m0] + [l * np.sqrt(dt) for l in ls]
+    total = sum(adjoint(m) @ m for m in ops)
+    correction = matrix_power_of_positive(total, -0.5, tol)
+    ops = [m @ correction for m in ops]
+    labels = ["M0"] + [f"L{k}" for k in range(len(ls))]
+    return kraus_map_per_operator(ops, labels=labels)
+
+
+def ladder_chain_inputs(monkeypatch, d):
+    """The (H, jumps, dt) of each lindblad_step that test_process._ladder_chain builds."""
+    seen, build = [], q.lindblad_step
+    monkeypatch.setattr(q, "lindblad_step", lambda *args: seen.append(args) or build(*args))
+    _ladder_chain(d, 2, 0)
+    monkeypatch.undo()
+    return seen
+
+
+def haar_unitary(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    qr, r = np.linalg.qr(z)
+    return qr * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def assert_same_map(kmap, reference):
+    assert kmap.labels == reference.labels
+    assert kmap.operators.shape == reference.operators.shape
+    assert kmap.operators.tobytes() == reference.operators.tobytes()  # signed zeros too
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_stacked_builders_are_the_per_matrix_code_bit_for_bit(monkeypatch, d):
+    rng = np.random.default_rng([14, d])
+    for h, jumps, dt in ladder_chain_inputs(monkeypatch, d):
+        u = haar_unitary(rng, d)
+        rotated = [u @ l @ adjoint(u) for l in jumps]
+        for hh, ls in ((h, jumps), (u @ h @ adjoint(u), rotated)):
+            reference = lindblad_step_per_matrix(hh, ls, dt)
+            assert_same_map(q.lindblad_step(hh, ls, dt), reference)
+            assert_same_map(q.lindblad_step(hh, np.array(ls), dt), reference)
+            assert_same_map(q.lindblad_step(hh, [], dt), lindblad_step_per_matrix(hh, [], dt))
+            for ops in (reference.operators, ls):
+                assert_same_map(q.kraus_map(ops), kraus_map_per_operator(ops))
+                assert_same_map(q.kraus_map(list(ops)), kraus_map_per_operator(ops))
+
+
+def test_kraus_map_keeps_signed_zeros_and_copies_its_input():
+    ops = np.array([[[-0.0, 1.0], [0.0, -0.0j]], [[0.0, -0.0], [-0.0, 0.0]]], dtype=complex)
+    ops.imag[0] = -0.0
+    kmap = q.kraus_map(ops)
+    assert_same_map(kmap, kraus_map_per_operator(ops))
+    assert not kmap.operators.flags.writeable and ops.flags.writeable
+    ops[0, 0, 0] = 5.0  # the caller's array stays theirs
+    assert kmap.operators[0, 0, 0] == 0.0
+
+
+def test_builders_check_each_stack_once(monkeypatch):
+    import qmapft.maps
+    import qmapft.models
+
+    h, jumps, dt = ladder_chain_inputs(monkeypatch, 16)[0]
+    calls = []
+    for module in (qmapft.maps, qmapft.models):
+        for name in ("as_complex_matrix", "as_complex_stack"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda a, *rest, _f=real, _n=name: (
+                calls.append((_n, np.shape(a))) or _f(a, *rest)))
+    q.lindblad_step(h, jumps, dt)
+    # H once, the jumps once, the renormalized operators once in kraus_map
+    assert calls == [("as_complex_matrix", (16, 16)), ("as_complex_stack", (30, 16, 16)),
+                     ("as_complex_stack", (31, 16, 16))]
+
+
+def test_lindblad_step_refuses_a_hamiltonian_that_is_not_square():
+    for h in (np.zeros((2, 3)), np.zeros((3, 2))):
+        with pytest.raises(q.DimensionMismatchError,
+                           match=re.escape(f"Hamiltonian is not square: {h.shape}")):
+            q.lindblad_step(h, [], 0.1)
+
+
+def test_lindblad_step_refuses_jumps_of_another_size():
+    down = np.array([[0, 1], [0, 0]], dtype=complex)
+    for ls in ([np.eye(3)], [down, np.eye(3)], np.zeros((1, 3, 3))):
+        with pytest.raises(q.DimensionMismatchError):
+            q.lindblad_step(np.diag([0.0, 1.0]), ls, 0.1)

@@ -4,7 +4,9 @@ The reference layouts are the hand-written to_dict methods the report
 classes had before serialize learned to write dataclasses; the reference
 histogram is the per-bin mask loop sigma_histogram_csv had before it
 assigned each sample to its bin in one pass; the reference writer is
-_format_value as it was before it wrote finite float arrays row by row.
+_format_value as it was before it wrote finite float arrays row by row; the
+reference parser is matrix_from_json as it was before it read a list of
+matrices as one stack, one complex() call per entry.
 """
 
 import dataclasses
@@ -21,16 +23,19 @@ import qmapft as q
 import qmapft.serialize
 from qmapft.cli import main
 from qmapft.config import DEFAULT_TOLERANCES
+from qmapft.linalg import as_complex_matrix
 from qmapft.maps import choose_invariant_state
 from qmapft.serialize import (
     dumps_report,
     load_map_file,
     map_from_json,
     map_to_json,
+    matrices_from_json,
     matrix_from_json,
     matrix_to_json,
     sigma_histogram_csv,
 )
+from test_cli import MALFORMED_MATRICES
 from test_ladder_properties import ladder_maps
 
 LN2 = np.log(2.0)
@@ -419,3 +424,100 @@ def test_classify_and_dual_reports_read_back_bit_exactly(tmp_path_factory, dims,
         assert np.array_equal(report["structure"]["delta_phi"], structure.delta_phi)
 
     check()
+
+
+def matrix_from_json_per_entry(data):
+    """Reference: matrix_from_json with one complex() call per entry."""
+    try:
+        rows = [[complex(re, im) for re, im in row] for row in data]
+        if not rows or not all(rows):
+            raise ValueError("it has no entries")
+        return as_complex_matrix(np.array(rows, dtype=np.complex128))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise q.ProcessFileError(f"malformed matrix of [re, im] pairs: {exc}") from exc
+
+
+# JSON numbers whose float value is easy to get wrong: signed zeros, subnormals,
+# integers a float cannot hold exactly, and the booleans complex() reads as 1 and 0
+AWKWARD_ENTRIES = [-0.0, 0.0, 0, -0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+                   True, False, 1, -7, 2**53 + 1, -(2**63) - 1, 2**64 + 1, 10**300, 1e308]
+
+
+def awkward_stack(rng, k, d):
+    """A JSON (k, d, d) stack of [re, im] pairs: Gaussian floats, a quarter of them awkward."""
+    values = (rng.standard_normal((k, d, d, 2)) * 10.0 ** rng.integers(-3, 4)).tolist()
+    flat = [pair for m in values for row in m for pair in row]
+    for pair in flat:
+        for i in (0, 1):
+            if rng.random() < 0.25:
+                pair[i] = AWKWARD_ENTRIES[rng.integers(len(AWKWARD_ENTRIES))]
+    return json.loads(json.dumps(values))
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_matrices_from_json_is_the_per_entry_parser_bit_for_bit(d):
+    rng = np.random.default_rng([14, d])
+    for k in (1, 2, 2 * d - 1):
+        data = awkward_stack(rng, k, d)
+        stack = matrices_from_json(data, "operators")
+        reference = np.stack([matrix_from_json_per_entry(m) for m in data])
+        assert stack.dtype == np.complex128 and stack.shape == (k, d, d)
+        assert stack.tobytes() == reference.tobytes()
+        for m, want in zip(data, reference):
+            assert matrix_from_json(m).tobytes() == want.tobytes()
+
+
+def test_matrix_from_json_reads_rectangular_matrices_bit_for_bit():
+    data = awkward_stack(np.random.default_rng(5), 1, 3)[0][:2]  # 2 x 3
+    assert matrix_from_json(data).tobytes() == matrix_from_json_per_entry(data).tobytes()
+
+
+# entries np.array would have read as numbers, and nestings that are not matrices
+NOT_MATRICES = {
+    **MALFORMED_MATRICES,
+    "numeric-string": [[["1", 0]]],
+    "null-entry": [[[None, 0]]],
+    "boolean-string": [[["true", 0]]],
+    "one-number": [[[1.0]]],
+    "nested-entry": [[[[1.0], 0]]],
+    "object-entry": [[[{"re": 1}, 0]]],
+    "object-pair": [[{"re": 1, "im": 0}]],
+    "string-pair": [["ab"]],
+    "number-row": [1.0],
+    "string-matrix": "ab",
+    "number-matrix": 5,
+    "null-matrix": None,
+    "ragged-rows": [[[1, 0], [0, 0]], [[1, 0]]],
+    "nan": [[[float("nan"), 0]]],
+    "infinity": [[[0, float("inf")]]],
+    "integer-past-the-float-range": [[[0, -(10**400)]]],
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_MATRICES))
+def test_matrix_from_json_refuses_what_the_per_entry_parser_refused(case):
+    data = json.loads(json.dumps(NOT_MATRICES[case]))
+    with pytest.raises(q.ProcessFileError, match="malformed matrix"):
+        matrix_from_json_per_entry(data)
+    with pytest.raises(q.ProcessFileError, match="malformed matrix"):
+        matrix_from_json(data)
+    with pytest.raises(q.ProcessFileError, match="malformed matrix of \\[re, im\\] pairs in 'L'"):
+        matrices_from_json([matrix_to_json(np.eye(2)), data], "L")
+
+
+def test_matrices_from_json_names_a_key_that_is_not_an_array():
+    for data in ["ab", 5, None, {"a": 1}]:
+        with pytest.raises(q.ProcessFileError, match="'lindblads' must be an array of matrices"):
+            matrices_from_json(data, "lindblads")
+
+
+def test_matrices_of_different_shapes_are_a_dimension_error():
+    data = [matrix_to_json(np.eye(2)), matrix_to_json(np.eye(3))]
+    with pytest.raises(q.DimensionMismatchError, match=r"different shapes \(2, 2\) and \(3, 3\)"):
+        matrices_from_json(data, "operators")
+    with pytest.raises(q.DimensionMismatchError, match="exceeds the cap 16"):
+        matrices_from_json([matrix_to_json(np.eye(17))], "operators")
+
+
+def test_an_empty_array_is_the_empty_stack():
+    assert matrices_from_json([], "lindblads").shape == (0, 0, 0)
