@@ -284,7 +284,11 @@ def _boundary_table(bnd: BoundaryData, tol: Tolerances) -> np.ndarray:
 
 def _live(phi: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Rows of phi whose squared norm is above the pruning floor."""
-    return np.flatnonzero(np.sum(phi.real**2 + phi.imag**2, axis=1) > tol.eps_prob)
+    squares = phi.real**2
+    squares += phi.imag**2
+    # the columns added left to right, as np.sum adds fewer than 8 numbers;
+    # its reduction per row is slow on rows this short
+    return np.flatnonzero(sum(squares.T[1:], squares[:, 0]) > tol.eps_prob)
 
 
 def enumerate_trajectories(
@@ -296,43 +300,50 @@ def enumerate_trajectories(
     unnormalized states; rows with squared norm at or below eps_prob are
     pruned and every operator is applied to every row at once, children in
     (row, k) order.  Rows of the result are therefore in lexicographic
-    (n, k_1 .. k_R, m) order.
+    (n, k_1 .. k_R, m) order.  Each row carries its outcome prefix
+    (n, k_1 .. k_r) as one mixed-radix integer, read back into n and ks
+    once, after the last pruning.
     """
     bnd = compile_process(spec, tol)
     dim = bnd.initial_basis.shape[0]
-    count = dim * dim * math.prod(len(step.map) for step in spec.steps)
-    if count > DEFAULT_BRANCH_CAP:
-        raise EnumerationTooLarge(count, DEFAULT_BRANCH_CAP)
+    strings = math.prod(len(step.map) for step in spec.steps)
+    if dim * dim * strings > DEFAULT_BRANCH_CAP:
+        raise EnumerationTooLarge(dim * dim * strings, DEFAULT_BRANCH_CAP)
 
-    n = np.flatnonzero(bnd.initial_probs > tol.eps_prob)
-    phi = bnd.initial_basis.T[n]
-    ks = np.zeros((len(n), len(spec.steps)), dtype=np.int64)
-    dphi = np.zeros(len(n))
-    for r, step in enumerate(spec.steps):
+    code = np.flatnonzero(bnd.initial_probs > tol.eps_prob)
+    phi = bnd.initial_basis.T[code]
+    dphi = np.zeros(len(code))
+    for step in spec.steps:
         live = _live(phi, tol)
         ops = step.map.operators
-        # a gemv per (row, k), the kernel of ops @ phi: gemm-shaped products round differently
-        phi = (ops[None] @ phi[live, None, :, None]).reshape(-1, dim)
-        parent = np.repeat(live, len(ops))
-        k = np.tile(np.arange(len(ops)), len(live))
-        n, ks, dphi = n[parent], ks[parent], dphi[parent] + step.structure.delta_phi[k]
-        ks[:, r] = k
+        # one gemv per row against the K operators stacked as K*d rows: each
+        # output is the dot product a gemv per (row, k) gives, bit for bit;
+        # phi @ ops and gemm-shaped products round differently
+        phi = (ops.reshape(-1, dim)[None] @ phi[live, :, None]).reshape(-1, dim)
+        code = (code[live, None] * len(ops) + np.arange(len(ops))).ravel()
+        dphi = (dphi[live, None] + step.structure.delta_phi).ravel()
     live = _live(phi, tol)
     amps = (adjoint(bnd.final_basis)[None] @ phi[live, :, None])[:, :, 0]
     # hypot and float_power round as the scalar abs(z) ** 2 does; np.abs and ** 2 do not
-    p_n = bnd.initial_probs[n[live], None]
+    p_n = bnd.initial_probs[code[live] // strings, None]
     probs = np.float_power(np.hypot(amps.real, amps.imag), 2.0) * p_n
     row, m = np.nonzero(probs > tol.eps_prob)
     if not len(row):
         raise ZeroProbabilityBranch(f"every branch has probability <= eps_prob = {tol.eps_prob}")
-    row_live = live[row]
+    code, dphi = code[live[row]], dphi[live[row]]
+    ks = np.empty((len(spec.steps), len(code)), dtype=np.int64)
+    for r in reversed(range(len(spec.steps))):
+        radix = len(spec.steps[r].map)
+        # a floor division and a product: np.divmod and % divide by a scalar far slower
+        quotient = code // radix
+        ks[r], code = code - quotient * radix, quotient
     ensemble = TrajectoryEnsemble(
-        n=n[row_live],
-        ks=ks[row_live],
+        n=code,
+        ks=ks.T,
         m=m,
         probability=probs[row, m],
-        sigma_boundary=_boundary_table(bnd, tol)[n[row_live], m],
-        delta_phi_sum=dphi[row_live],
+        sigma_boundary=_boundary_table(bnd, tol)[code, m],
+        delta_phi_sum=dphi,
         mode="exact",
     )
     bad = np.flatnonzero(np.isnan(ensemble.sigma_boundary))
@@ -465,10 +476,9 @@ def _encode(n: np.ndarray, ks: np.ndarray, m: np.ndarray, radices: list) -> np.n
     """Outcome strings (n, k_1 .. k_R, m) as mixed-radix integers, n most significant."""
     if math.prod(radices) >= 2**63:
         raise EnumerationTooLarge(math.prod(radices), 2**63 - 1)
-    code = n.astype(np.int64)
-    for column, radix in zip(ks.T, radices[1:-1]):
-        code = code * radix + column
-    return code * radices[-1] + m
+    places = [math.prod(radices[i + 1:]) for i in range(len(radices))]
+    # an integer matmul is exact: every partial sum is below the largest code
+    return n * places[0] + ks @ np.array(places[1:-1], dtype=np.int64) + m
 
 
 @dataclass(frozen=True)
@@ -498,7 +508,10 @@ def verify_detailed_ft(
     codes = np.append(_encode(dual.n, dual.ks, dual.m, radices), np.iinfo(np.int64).max)
     probs = np.append(dual.probability, 0.0)
     wanted = _encode(forward.m, forward.ks[:, ::-1], forward.n, radices)
-    pos = np.searchsorted(codes, wanted)
+    # searched in ascending order, each search starts where the last one ended
+    order = np.argsort(wanted)
+    pos = np.empty_like(order)
+    pos[order] = np.searchsorted(codes, wanted[order])
     p_rev = np.where(codes[pos] == wanted, probs[pos], 0.0)
     unmatched = np.flatnonzero(p_rev <= tol.eps_prob)
     if unmatched.size:

@@ -94,9 +94,9 @@ def matrices_from_json(data, key: str | None) -> np.ndarray:
     return values.view(np.complex128).reshape(shape)
 
 
-def matrix_from_json(data) -> np.ndarray:
+def matrix_from_json(data, key: str | None = None) -> np.ndarray:
     """One matrix of [re, im] pairs: the K = 1 case of matrices_from_json."""
-    return matrices_from_json([data], None)[0]
+    return matrices_from_json([data], key)[0]
 
 
 def map_pairs(kmap: KrausMap) -> dict:
@@ -188,15 +188,16 @@ def _build_model(entry: dict, tol: Tolerances) -> KrausMap:
     if name == "thermal_qubit":
         return models.thermal_qubit_map(_number(entry, "beta_omega"), _number(entry, "gamma"))
     if name == "unitary":
-        return models.unitary_map(matrix_from_json(entry["U"]))
+        return models.unitary_map(matrix_from_json(entry["U"], "U"))
     if name == "projective":
         # basis vectors are the rows of a matrix
-        return models.projective_measurement(matrix_from_json(entry["basis"]))
+        return models.projective_measurement(matrix_from_json(entry["basis"], "basis"))
     if name == "dephasing":
-        return models.dephasing_map(matrix_from_json(entry["basis"]), _number(entry, "strength"))
+        return models.dephasing_map(
+            matrix_from_json(entry["basis"], "basis"), _number(entry, "strength"))
     if name == "lindblad_step":
         return models.lindblad_step(
-            matrix_from_json(entry["H"]),
+            matrix_from_json(entry["H"], "H"),
             matrices_from_json(entry["lindblads"], "lindblads"),
             _number(entry, "dt"),
             tol,
@@ -216,6 +217,8 @@ def step_from_json(entry: dict, base_dir: Path, tol: Tolerances):
     if not isinstance(entry, dict):
         raise _Malformed(f"each entry of 'steps' must be an object, got {entry!r}")
     if "map_file" in entry:
+        if not isinstance(entry["map_file"], str):
+            raise _Malformed(f"'map_file' must be a path string, got {entry['map_file']!r}")
         kmap = load_map_file(base_dir / entry["map_file"])
     elif "map" in entry:
         kmap = map_from_json(entry["map"])
@@ -224,7 +227,7 @@ def step_from_json(entry: dict, base_dir: Path, tol: Tolerances):
     else:
         raise _Malformed("each step needs one of 'map_file', 'map', or 'model'")
     require_trace_preserving(kmap, tol)  # before pi: a map that loses trace has no dual
-    pi = matrix_from_json(entry["pi"]) if "pi" in entry else None
+    pi = matrix_from_json(entry["pi"], "pi") if "pi" in entry else None
     return make_step(kmap, pi=pi, unital=_boolean(entry, "unital", False), tol=tol)
 
 
@@ -244,16 +247,19 @@ def load_process_file(
         mode = data.get("boundary_mode", ENTROPIC)
         symmetry = None
         if "symmetry" in data:
+            sym = data["symmetry"]
+            if not isinstance(sym, dict):
+                raise _Malformed(f"'symmetry' must be an object with a 'matrix' key, got {sym!r}")
             symmetry = SymmetryOp(
-                matrix=matrix_from_json(data["symmetry"]["matrix"]),
-                antiunitary=_boolean(data["symmetry"], "antiunitary", True),
+                matrix=matrix_from_json(sym["matrix"], "matrix"),
+                antiunitary=_boolean(sym, "antiunitary", True),
             )
         kwargs = {}
         if mode == ENTROPIC:
-            kwargs["initial_state"] = matrix_from_json(data["initial_state"])
+            kwargs["initial_state"] = matrix_from_json(data["initial_state"], "initial_state")
         elif mode == EQUILIBRIUM:  # any other mode is named by process_spec
-            kwargs["h_initial"] = matrix_from_json(data["H_i"])
-            kwargs["h_final"] = matrix_from_json(data["H_f"])
+            kwargs["h_initial"] = matrix_from_json(data["H_i"], "H_i")
+            kwargs["h_final"] = matrix_from_json(data["H_f"], "H_f")
             kwargs["beta"] = data["beta"]  # process_spec checks it is a finite number
         spec = process_spec(
             steps, boundary_mode=mode, symmetry=symmetry, tol=tol, **kwargs

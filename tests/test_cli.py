@@ -508,6 +508,49 @@ def test_cli_malformed_pi_file_names_it(tmp_path, capsys, case, command):
     assert_malformed_matrix_named(capsys, pi_path)
 
 
+THERMAL_STEP = {"model": "thermal_qubit", "beta_omega": LN2, "gamma": 0.5}
+
+# a number where one matrix belongs: each printed "'int' object is not
+# iterable" without saying which matrix it meant
+MATRIX_KEYS = {
+    "H": {"steps": [dict(LINDBLAD_STEP, H=5)]},
+    "U": {"steps": [{"model": "unitary", "U": 5}]},
+    "basis": {"steps": [{"model": "dephasing", "basis": 5, "strength": 0.3}]},
+    "pi": {"steps": [dict(THERMAL_STEP, pi=5)]},
+    "initial_state": {"initial_state": 5},
+    "H_i": dict(EQUILIBRIUM_BOUNDARY, H_i=5),
+    "H_f": dict(EQUILIBRIUM_BOUNDARY, H_f=5),
+    "matrix": {"symmetry": {"matrix": 5}},
+}
+
+
+@pytest.mark.parametrize("key", list(MATRIX_KEYS))
+def test_cli_malformed_single_matrix_names_its_key(tmp_path, capsys, key):
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, **MATRIX_KEYS[key])
+    assert main(["verify", str(proc)]) == 2
+    line = assert_one_parse_error(capsys, proc)
+    assert f"malformed matrix of [re, im] pairs in {key!r}" in line
+
+
+@pytest.mark.parametrize("symmetry", ["ab", [1], 5, None])
+def test_cli_symmetry_that_is_not_an_object_is_named(tmp_path, capsys, symmetry):
+    # a string once printed "string indices must be integers, not 'str'"
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, symmetry=symmetry)
+    assert main(["verify", str(proc)]) == 2
+    assert "'symmetry' must be an object" in assert_one_parse_error(capsys, proc)
+
+
+@pytest.mark.parametrize("map_file", [5, ["map.json"], None, True])
+def test_cli_map_file_that_is_not_a_string_is_named(tmp_path, capsys, map_file):
+    # 5 once printed "unsupported operand type(s) for /: 'PosixPath' and 'int'"
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, steps=[{"map_file": map_file}])
+    assert main(["verify", str(proc)]) == 2
+    assert "'map_file' must be a path string" in assert_one_parse_error(capsys, proc)
+
+
 def test_cli_package_errors_in_process_file_keep_their_exit_code(tmp_path, capsys):
     proc = tmp_path / "proc.json"
     write_process_with(proc, initial_state=matrix_to_json(np.array([[0.9, 0.3], [0.2, 0.1]])))

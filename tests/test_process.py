@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -249,6 +250,39 @@ def test_breadth_first_enumeration_matches_reference(library):
                 assert got.dtype == want.dtype and np.array_equal(got, want), (label, field)
 
 
+def _dense_complex_chain(d, r, seed):
+    """R mixtures of 2-4 Haar unitaries from a dense complex initial state.
+
+    Every operator, state and basis vector is dense and complex.  The maps are
+    unital, so they classify; the forward steps get random potential changes
+    in place of their zero ones, so that the summed changes are checked too.
+    """
+    rng = np.random.default_rng([d, r, seed])
+    steps = []
+    for _ in range(r):
+        k = int(rng.integers(2, 5))
+        z = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+        weights = np.sqrt(rng.dirichlet(np.ones(k)))[:, None, None]
+        step = q.make_step(q.kraus_map(weights * np.linalg.qr(z)[0]), unital=True)
+        structure = dataclasses.replace(step.structure, delta_phi=rng.standard_normal(k))
+        steps.append(q.ProcessStep(map=step.map, structure=structure))
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = g @ adjoint(g)
+    return q.process_spec(steps, initial_state=rho / np.trace(rho).real)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_enumeration_matches_reference_on_dense_complex_maps(d):
+    # OpenBLAS picks other gemv kernels below and above d = 4; the stacked
+    # product must round as the reference's one operator at a time on both sides
+    spec = _dense_complex_chain(d, 3, 0)
+    for label, s in (("forward", spec), ("dual", q.build_dual_process(spec))):
+        ens = q.enumerate_trajectories(s)
+        for field, want in _reference_enumerate(s).items():
+            got = getattr(ens, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (d, label, field)
+
+
 def _qubit_spec(initial_probs, steps, final_probs=(0.5, 0.5)):
     """A qubit process measured in the computational basis at both ends."""
     basis = np.eye(2, dtype=complex)
@@ -275,6 +309,18 @@ def test_enumeration_prunes_branch_with_norm_exactly_eps_prob():
     ens = q.enumerate_trajectories(spec, tol)
     assert ens.ks.tolist() == [[1, 0]]
     assert np.array_equal(ens.probability, _reference_enumerate(spec, tol)["probability"])
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_pruning_floor_at_each_rows_own_norm(d):
+    # below 8 columns np.sum adds left to right, as the column sums of _live do:
+    # with eps_prob set to a row's norm as np.sum gives it, that row is dropped
+    rng = np.random.default_rng(d)
+    phi = (rng.standard_normal((200, d)) + 1j * rng.standard_normal((200, d))) * 1e-7
+    norms = np.sum(phi.real**2 + phi.imag**2, axis=1)
+    for eps in norms[:20]:
+        want = np.flatnonzero(norms > eps)
+        assert np.array_equal(qmapft.process._live(phi, q.Tolerances(eps_prob=eps)), want)
 
 
 def test_enumeration_prunes_leaf_with_probability_exactly_eps_prob():
