@@ -242,9 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parse_args fills a new namespace on every call
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         tol = DEFAULT_TOLERANCES if args.tolerances is None else load_tolerances(args.tolerances)
         return args.func(args, tol)

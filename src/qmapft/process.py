@@ -204,13 +204,14 @@ class Trajectory:
 
 
 @dataclass(frozen=True, eq=False)
-class TrajectoryEnsemble:
+class TrajectoryEnsemble(Sequence):
     """Exact (probability-weighted) or sampled trajectories as parallel arrays.
 
     Row i is the outcome record (n[i], ks[i], m[i]) with its weight in the
     distribution (its probability, or 1/N for one of N samples), boundary term
     and summed potential change.  Exact rows are enumerated breadth first and
-    come in lexicographic (n, k_1 .. k_R, m) order.
+    come in lexicographic (n, k_1 .. k_R, m) order.  ens[i] builds row i's
+    Trajectory record when it is read; a slice gives a tuple of them.
     """
 
     n: np.ndarray                # (N,) initial outcomes
@@ -224,6 +225,19 @@ class TrajectoryEnsemble:
 
     def __len__(self) -> int:
         return len(self.n)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        n, ks, m = self.key(i)
+        return Trajectory(
+            n=n,
+            ks=ks,
+            m=m,
+            probability=float(self.probability[i]),
+            sigma_boundary=float(self.sigma_boundary[i]),
+            delta_phi_sum=float(self.delta_phi_sum[i]),
+        )
 
     def key(self, i: int) -> tuple:
         """Outcome record (n, ks, m) of row i."""
@@ -243,33 +257,9 @@ class TrajectoryEnsemble:
         return float(np.mean(values))
 
     @property
-    def trajectories(self) -> "TrajectoryRecords":
-        """Read-only sequence of Trajectory records, each built when it is read."""
-        return TrajectoryRecords(self)
-
-
-class TrajectoryRecords(Sequence):
-    """Rows of an ensemble seen as Trajectory records; len() builds none of them."""
-
-    def __init__(self, ensemble: TrajectoryEnsemble):
-        self._ensemble = ensemble
-
-    def __len__(self) -> int:
-        return len(self._ensemble)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        e = self._ensemble
-        n, ks, m = e.key(i)
-        return Trajectory(
-            n=n,
-            ks=ks,
-            m=m,
-            probability=float(e.probability[i]),
-            sigma_boundary=float(e.sigma_boundary[i]),
-            delta_phi_sum=float(e.delta_phi_sum[i]),
-        )
+    def trajectories(self) -> TrajectoryEnsemble:
+        """The ensemble itself, read as a sequence of Trajectory records."""
+        return self
 
 
 def _boundary_table(bnd: BoundaryData, tol: Tolerances) -> np.ndarray:
@@ -454,8 +444,7 @@ def build_dual_process(
     dual_steps = []
     for step in reversed(spec.steps):
         dual = build_dual(step.map, step.structure.pi, sym, tol)
-        structure = build_potential_structure(dual.map, dual.pi_dual, tol)
-        dual_steps.append(ProcessStep(map=dual.map, structure=structure))
+        dual_steps.append(make_step(dual.map, dual.pi_dual, tol=tol))
 
     def transform_basis(basis: np.ndarray) -> np.ndarray:
         cols = basis.T.conj() if sym.antiunitary else basis.T
@@ -517,8 +506,7 @@ def verify_detailed_ft(
     if unmatched.size:
         i = unmatched[0]
         raise AbsoluteContinuityViolation(forward.key(i), float(forward.probability[i]))
-    # math.log per branch: np.log is not bit-identical to it
-    log_ratio = np.frompyfunc(math.log, 1, 1)(forward.probability / p_rev).astype(float)
+    log_ratio = np.log(forward.probability / p_rev)
     return DetailedFTReport(
         branch_count=len(forward),
         max_residual=float(np.max(np.abs(log_ratio - forward.sigmas()), initial=0.0)),
@@ -591,8 +579,7 @@ def work_statistics(
     delta_f = f_f - f_i
     heats = -ensemble.delta_phi_sum / beta
     works = (eig_f.eigenvalues[ensemble.m] - eig_i.eigenvalues[ensemble.n]) + heats
-    # math.exp per trajectory: np.exp is not bit-identical to it
-    exps = np.frompyfunc(math.exp, 1, 1)(-beta * (works - delta_f)).astype(float)
+    exps = np.exp(-beta * (works - delta_f))
     mean_exp = ensemble.mean(exps)
     return WorkReport(
         beta=beta,

@@ -7,6 +7,7 @@ import pytest
 import qmapft as q
 from qmapft.cli import main
 from test_potential import EDGE_TOLERANCES, shifted_pi
+from test_process import smallest_reverse_branch
 from qmapft.serialize import (
     dumps_report,
     load_map_file,
@@ -329,6 +330,44 @@ def test_cli_seed_must_be_a_philox_key(tmp_path, capsys, command):
         assert "'seed' must be an integer in [0, 2**128)" in capsys.readouterr().err
     write_process_with(proc, seed=2**128 - 1)
     assert main(base + ["--out", str(tmp_path / "top.json")]) == 0
+
+
+def test_cli_verify_with_eps_prob_at_a_reverse_branch(tmp_path, capsys):
+    proc_path, tol_path, out = tmp_path / "proc.json", tmp_path / "tol.json", tmp_path / "r.json"
+    write_gad_process(proc_path)
+    t, p_rev = smallest_reverse_branch(load_process_file(proc_path)[0])
+    assert p_rev < t.probability
+    tol_path.write_text(json.dumps({"eps_prob": p_rev}))
+    argv = ["--tolerances", str(tol_path), "verify", str(proc_path), "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and not out.exists()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(t.key()) in lines[0]
+    tol_path.write_text(json.dumps({"eps_prob": float(np.nextafter(p_rev, 0))}))
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["verify"]["detailed_ft"]["max_residual"] <= 1e-9
+
+
+def test_cli_calls_in_one_process_share_no_state(tmp_path, capsys):
+    proc, tol_path = tmp_path / "proc.json", tmp_path / "tol.json"
+    write_process_with(proc, seed=3, samples=20)
+    tol_path.write_text(json.dumps({"eps_tp": 1e-3}))
+
+    def report(*argv):
+        out = tmp_path / "out.json"
+        assert main(list(argv) + ["--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    flagged = report("--tolerances", str(tol_path), "sample", str(proc), "--seed", "5",
+                     "--samples", "10")["sample"]
+    assert (flagged["seed"], flagged["samples"]) == (5, 10)
+    plain = report("sample", str(proc))
+    assert (plain["sample"]["seed"], plain["sample"]["samples"]) == (3, 20)
+    assert plain["tolerances"]["eps_tp"] == q.DEFAULT_TOLERANCES.eps_tp
+    assert report("verify", str(proc), "--mode", "mc")["verify"]["mode"] == "mc"
+    exact = report("verify", str(proc))["verify"]
+    assert exact["mode"] == "exact" and "detailed_ft" in exact and "samples" not in exact
 
 
 def test_cli_pi_file_parse_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -441,13 +442,36 @@ def test_detailed_ft_matching_agrees_with_tuple_lookup(library):
         forward = q.enumerate_trajectories(spec)
         dual = q.enumerate_trajectories(q.build_dual_process(spec))
         p_rev = {t.key(): t.probability for t in dual.trajectories}
-        worst = 0.0
-        for t in forward.trajectories:
-            p = p_rev[(t.m, t.ks[::-1], t.n)]
-            worst = max(worst, abs(math.log(t.probability / p) - t.sigma))
+        # the matched ratios gathered into one array and logged as verify_detailed_ft does
+        ratios = np.array([t.probability / p_rev[(t.m, t.ks[::-1], t.n)] for t in forward])
+        worst = float(np.max(np.abs(np.log(ratios) - [t.sigma for t in forward])))
         report = q.verify_detailed_ft(spec)
         assert report.max_residual == worst, name
         assert report.branch_count == len(forward.trajectories), name
+
+
+def smallest_reverse_branch(spec):
+    """(forward record, the probability of its reverse) where that reverse is least likely."""
+    forward = q.enumerate_trajectories(spec)
+    p_rev = {t.key(): t.probability for t in q.enumerate_trajectories(q.build_dual_process(spec))}
+    return min(((t, p_rev[(t.m, t.ks[::-1], t.n)]) for t in forward), key=lambda tp: tp[1])
+
+
+def test_detailed_ft_matching_at_the_eps_prob_edge():
+    spec = gad_process(steps=2)
+    t, p_rev = smallest_reverse_branch(spec)
+    assert p_rev < t.probability
+    # eps_prob = p~ prunes the reverse branch but keeps the forward one, which
+    # then goes unmatched; it is refused before a log is taken, since np.log
+    # of p / 0 would warn, and this suite fails on that warning
+    with pytest.raises(q.AbsoluteContinuityViolation) as got:
+        q.verify_detailed_ft(spec, q.Tolerances(eps_prob=p_rev))
+    assert got.value.trajectory == t.key() and got.value.probability == t.probability
+    tol = q.Tolerances(eps_prob=np.nextafter(p_rev, 0))
+    kept = q.enumerate_trajectories(spec, tol)
+    assert t.key() in [u.key() for u in kept]
+    report = q.verify_detailed_ft(spec, tol)
+    assert report.branch_count == len(kept) and report.max_residual <= 1e-9
 
 
 def test_detailed_ft_stationary_sigma_zero():
@@ -541,6 +565,8 @@ def test_ensemble_is_arrays():
         records = ens.trajectories
         assert len(records) == count and records[-1].key() == ens.key(count - 1)
         assert [t.sigma for t in records] == ens.sigmas().tolist()
+        assert records is ens and isinstance(ens, Sequence)
+        assert ens[:2] == (ens[0], ens[1]) and ens[1].key() == ens.key(1)
 
 
 def test_sampling_accepts_full_philox_key_range():
@@ -745,7 +771,7 @@ def forked_work_statistics(spec, ensemble, tol=q.DEFAULT_TOLERANCES):
     delta_f = f_f - f_i
     heats = -ensemble.delta_phi_sum / beta
     works = (eig_f.eigenvalues[ensemble.m] - eig_i.eigenvalues[ensemble.n]) + heats
-    exps = np.frompyfunc(math.exp, 1, 1)(-beta * (works - delta_f)).astype(float)
+    exps = np.exp(-beta * (works - delta_f))
     if ensemble.mode == "exact":
         probs = ensemble.probabilities()
         mean_exp = float(np.sum(probs * exps))
