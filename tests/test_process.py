@@ -545,6 +545,129 @@ def test_lockstep_sampler_matches_scalar_walk(library):
             assert t.sigma == sigma, name  # bit-identical, not approximate
 
 
+def _reference_draw_rows(weights, u):
+    """Per row, the first index whose cumulative weight exceeds u * total.
+
+    weights is (N, K) and u is (N,); the rule is searchsorted(side="right")
+    of u * total on each row's cumulative sum, clipped to the last index.
+    """
+    cumulative = np.cumsum(weights, axis=1)
+    hits = cumulative <= (u * cumulative[:, -1])[:, None]
+    return np.minimum(hits.sum(axis=1), weights.shape[1] - 1)
+
+
+def _reference_walk(spec, bnd, u):
+    """Reference lockstep sampler: one (N, d) row per trajectory, |z|**2 summed along d.
+
+    (n, ks, m, summed potential change) of len(u) trajectories; row i of u
+    holds trajectory i's uniforms: n, one per step, then m.
+    """
+    count = len(u)
+    basis = bnd.initial_basis / np.linalg.norm(bnd.initial_basis, axis=0)
+    n = _reference_draw_rows(np.broadcast_to(bnd.initial_probs, (count, len(basis))), u[:, 0])
+    psi = basis[:, n].T
+    rows = np.arange(count)
+    ks = np.empty((count, len(spec.steps)), dtype=np.int64)
+    dphi = np.zeros(count)
+    for r, step in enumerate(spec.steps):
+        phis = psi @ step.map.operators.swapaxes(1, 2)  # (K, count, dim) candidate branches
+        branch_p = np.sum(np.abs(phis) ** 2, axis=2).T
+        k = _reference_draw_rows(branch_p, u[:, r + 1])
+        psi = phis[k, rows] / np.sqrt(branch_p[rows, k])[:, None]
+        ks[:, r] = k
+        dphi += step.structure.delta_phi[k]
+    m = _reference_draw_rows(np.abs(psi @ bnd.final_basis.conj()) ** 2, u[:, -1])
+    return n, ks, m, dphi
+
+
+def _assert_walk_matches_reference(spec, count, seed, label):
+    bnd = compile_process(spec)
+    u = np.random.Generator(np.random.Philox(key=seed)).random((count, len(spec.steps) + 2))
+    got = qmapft.process._walk(spec, bnd, u)
+    for field, a, b in zip(("n", "ks", "m", "dphi"), got, _reference_walk(spec, bnd, u)):
+        assert a.dtype == b.dtype and np.array_equal(a, b), (label, field)
+
+
+def test_walk_matches_reference_on_the_library(library):
+    for name, spec in library.items():
+        for label, s in ((name, spec), (name + " dual", q.build_dual_process(spec))):
+            _assert_walk_matches_reference(s, 20_000, 41, label)
+
+
+def _dense_complex_maps(d, k, r, seed):
+    """R mixtures of K Haar unitaries from a dense complex initial state, as prefixes.
+
+    Returns R + 1 processes: the first r steps for r = 0 .. R.  The steps get
+    random potential changes, so that the summed changes are checked too.
+    """
+    rng = np.random.default_rng([d, k, r, seed])
+    steps = []
+    for _ in range(r):
+        weights = np.sqrt(rng.dirichlet(np.ones(k)))[:, None, None]
+        unitaries = [_haar_unitary(rng, d) for _ in range(k)]
+        step = q.make_step(q.kraus_map(weights * np.array(unitaries)), unital=True)
+        structure = dataclasses.replace(step.structure, delta_phi=rng.standard_normal(k))
+        steps.append(q.ProcessStep(map=step.map, structure=structure))
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = g @ adjoint(g)
+    rho /= np.trace(rho).real
+    return [q.process_spec(steps[:i], initial_state=rho) for i in range(r + 1)]
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_walk_matches_reference_on_dense_complex_maps(d):
+    for k in range(1, 2 * d):
+        for r, spec in enumerate(_dense_complex_maps(d, k, 4, 0)):
+            _assert_walk_matches_reference(spec, 2000, 100 * k + r, (d, k, r))
+
+
+def test_walk_matches_reference_on_ladder_chains():
+    for d in range(8, 17):
+        _assert_walk_matches_reference(_ladder_chain(d, 3, 1), 2000, d, d)
+
+
+def _searchsorted_draw(weights, u):
+    """min(searchsorted(cumsum(w), u * total, side="right"), K - 1) of each column."""
+    drawn = []
+    for w, x in zip(weights.T, u):
+        cumulative = np.cumsum(w)
+        drawn.append(min(np.searchsorted(cumulative, x * cumulative[-1], side="right"), len(w) - 1))
+    return np.array(drawn)
+
+
+DRAW_EDGES = (0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_draw_rows_is_the_clipped_searchsorted_rule(k):
+    # dyadic weights make ties and running sums that u * total hits exactly
+    rng = np.random.default_rng(k)
+    count = 400
+    tables = (
+        rng.choice([0.0, 0.25, 0.5, 1.0], size=(k, count)),
+        np.where(rng.random((k, count)) < 0.3, 0.0, rng.random((k, count))),
+    )
+    for weights in tables:
+        for u in [np.full(count, x) for x in DRAW_EDGES] + [rng.random(count)]:
+            drawn = qmapft.process._draw_rows(weights, u)
+            assert drawn.dtype == np.int64
+            assert np.array_equal(drawn, _searchsorted_draw(weights, u)), u[0]
+            positive = weights.sum(axis=0) > 0
+            assert np.all(weights[drawn, np.arange(count)][positive] > 0)
+
+
+def test_draw_rows_skips_zero_weight_branches_at_both_ends():
+    rng = np.random.default_rng(5)
+    weights = rng.random((4, 300))
+    first_zero, last_zero = weights.copy(), weights.copy()
+    first_zero[0] = 0.0
+    last_zero[-1] = 0.0
+    at_zero = qmapft.process._draw_rows(first_zero, np.zeros(300))
+    assert np.all(at_zero == 1)
+    at_top = qmapft.process._draw_rows(last_zero, np.full(300, np.nextafter(1.0, 0.0)))
+    assert np.all(at_top == 2)
+
+
 def test_sampling_blocks_do_not_change_results(monkeypatch):
     spec = gad_process()
     whole = q.sample_trajectories(spec, 1000, seed=9)
@@ -576,6 +699,27 @@ def test_sampling_accepts_full_philox_key_range():
     for seed in (-1, 2**128):
         with pytest.raises(ValueError):
             q.sample_trajectories(spec, 20, seed=seed)
+
+
+@pytest.mark.parametrize("count", [0, -3, 2.5, True, 1e13, "20"])
+def test_sample_count_must_be_a_positive_integer(count):
+    with pytest.raises(ValueError, match=f"^sample_count must be a positive integer, got {count!r}$"):
+        q.sample_trajectories(gad_process(), count, seed=0)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1, 2**128, "3"])
+def test_seed_must_be_an_integer_philox_key(seed):
+    with pytest.raises(ValueError, match=rf"^seed must be an integer in \[0, 2\*\*128\), got {seed!r}$"):
+        q.sample_trajectories(gad_process(), 20, seed=seed)
+
+
+def test_sampling_accepts_numpy_integers():
+    spec = gad_process()
+    want = q.sample_trajectories(spec, 20, seed=4)
+    got = q.sample_trajectories(spec, np.int64(20), seed=np.uint64(4))
+    assert type(got.seed) is int and got.seed == 4
+    for field in ("n", "ks", "m", "probability", "delta_phi_sum"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 def test_sample_count_above_the_cap_is_rejected_before_allocating():
