@@ -29,6 +29,7 @@ from .maps import choose_invariant_state, require_trace_preserving, validate_cpt
 from .potential import build_dual, build_potential_structure, check_ladder_commutators
 from .process import (
     RNG_SCHEME,
+    SEED_LIMIT,
     enumerate_trajectories,
     sample_trajectories,
     verify_detailed_ft,
@@ -51,8 +52,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_NEEDS_INPUT = 3
 EXIT_RESOURCE_CAP = 4
-
-SEED_LIMIT = 2**128  # seeds are Philox keys, 128-bit unsigned integers
 
 
 def _emit(report: dict, out_path) -> None:

@@ -18,15 +18,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import MixedPotentialOperator, SingularStateError
-from .linalg import (
-    HermitianEigenDecomposition,
-    adjoint,
-    as_complex_matrix,
-    check_unitary,
-    frob,
-    frobs,
-    hermitian_eig,
-)
+from .linalg import (HermitianEigenDecomposition, adjoint, as_complex_matrix, check_unitary,
+                     frob, frobs, hermitian_eig)
 from .maps import KrausMap, apply_map, check_invariant_state, kraus_map, validate_cptp
 
 
@@ -86,23 +79,42 @@ class PotentialStructure:
     classes: tuple                  # class index per eigenindex
     class_potentials: np.ndarray    # representative potential per class
     delta_phi: np.ndarray           # potential change per Kraus operator
+    gaps: np.ndarray                # distinct potential changes, ascending
+    gap_index: np.ndarray           # index into gaps per Kraus operator
 
 
-def _group_classes(potentials: np.ndarray, eps_group: float):
-    """Group eigenindices whose potentials agree within eps_group."""
-    order = np.argsort(potentials)
-    classes = [0] * len(potentials)
-    reps: list[list[float]] = []
-    for idx in order:
-        phi = potentials[idx]
-        if reps and abs(phi - reps[-1][0]) <= eps_group:
-            reps[-1].append(phi)
-            classes[idx] = len(reps) - 1
-        else:
-            reps.append([phi])
-            classes[idx] = len(reps) - 1
-    class_pot = np.array([np.mean(r) for r in reps])
-    return tuple(classes), class_pot
+def _distinct(values) -> list:
+    """The distinct values, rounded to 12 digits, in ascending order."""
+    return sorted(set(round(v, 12) for v in values.tolist()))
+
+
+def _segment_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """np.mean of each consecutive run of values with these lengths, bit for bit; 0 if empty.
+
+    np.mean adds a run to a zero, np.add.reduceat to the run's first value: so
+    each run gets a zero in front of it.
+    """
+    heads = (counts + 1).cumsum() - counts - 1
+    zero = np.zeros(len(values) + len(counts), dtype=bool)
+    zero[heads] = True
+    padded = np.zeros(len(zero))
+    padded[~zero] = values
+    return np.add.reduceat(padded, heads) / np.maximum(counts, 1)
+
+
+def _group(values: np.ndarray, eps_group: float) -> tuple:
+    """(group index per value, group means): in ascending order, a value joins the last
+    group while it is within eps_group of that group's first value."""
+    order = values.argsort()
+    ascending = values[order]
+    labels, group = [], -1
+    for v in ascending.tolist():
+        if group < 0 or abs(v - first) > eps_group:
+            group, first = group + 1, v
+        labels.append(group)
+    index = np.empty_like(order)
+    index[order] = labels
+    return index, _segment_means(ascending, np.bincount(labels))
 
 
 def build_potential_structure(
@@ -112,33 +124,27 @@ def build_potential_structure(
 
     Raises MixedPotentialOperator if some operator connects eigenstate pairs
     with two distinct potential gaps, and SingularStateError if pi is not
-    strictly positive or not a fixed point.
+    strictly positive or not a fixed point.  A zero operator has no jumps and
+    changes the potential by 0.
     """
     pi = as_complex_matrix(pi)
     eig = check_invariant_state(kmap, pi, tol)
     potentials = -np.log(eig.eigenvalues)
-    classes, class_pot = _group_classes(potentials, tol.eps_group)
+    classes, class_pot = _group(potentials, tol.eps_group)
     connects = connections(kmap.operators, eig.eigenvectors, tol.eps_zero)
-    pot = class_pot[list(classes)]
+    pot = class_pot[classes]
     gap_table = pot[:, None] - pot[None, :]  # gap of each pair (j, i)
-    delta_phi = np.zeros(len(kmap))
-    for k in range(len(kmap)):
-        gaps = gap_table[connects[k]]  # row-major: pairs in (j, i) order
-        if not gaps.size:
-            continue  # zero operator: no jumps, no potential change
-        if gaps.max() - gaps.min() > tol.eps_group:
-            distinct = sorted(set(round(g, 12) for g in gaps.tolist()))
-            raise MixedPotentialOperator(k, distinct)
-        delta_phi[k] = float(np.mean(gaps))
-
+    high = np.where(connects, gap_table, -np.inf)
+    spread = high.max(axis=(1, 2)) - np.where(connects, gap_table, np.inf).min(axis=(1, 2))
+    if (spread > tol.eps_group).any():
+        k = int((spread > tol.eps_group).argmax())  # the first mixed operator
+        raise MixedPotentialOperator(k, _distinct(high[k][connects[k]]))
+    # row-major: operator by operator, each one's pairs in (j, i) order
+    delta_phi = _segment_means(high[connects], connects.sum(axis=(1, 2)))
+    gap_index, gaps = _group(delta_phi, tol.eps_group)
     return PotentialStructure(
-        pi=pi,
-        eigen=eig,
-        potentials=potentials,
-        classes=classes,
-        class_potentials=class_pot,
-        delta_phi=delta_phi,
-    )
+        pi=pi, eigen=eig, potentials=potentials, classes=tuple(classes.tolist()),
+        class_potentials=class_pot, delta_phi=delta_phi, gaps=gaps, gap_index=gap_index)
 
 
 @dataclass(frozen=True)
@@ -151,9 +157,7 @@ class DualMap:
 
 
 def build_dual(
-    kmap: KrausMap,
-    pi: np.ndarray,
-    symmetry: SymmetryOp | None = None,
+    kmap: KrausMap, pi: np.ndarray, symmetry: SymmetryOp | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> DualMap:
     """Dual map with operators A pi^(1/2) M_k† pi^(-1/2) A†."""
@@ -193,19 +197,14 @@ class BalanceReport:
 
 
 def check_detailed_balance(
-    kmap: KrausMap,
-    dual: DualMap,
-    structure: PotentialStructure,
+    kmap: KrausMap, dual: DualMap, structure: PotentialStructure
 ) -> BalanceReport:
     """Check M~_k = e^{dPhi_k / 2} A M_k† A† for every operator."""
     ops = kmap.operators
     scale = np.exp(structure.delta_phi / 2)[:, None, None]
     res = frobs(dual.map.operators - scale * dual.symmetry.on_matrix(adjoint(ops)))
     return BalanceReport(
-        residuals=res,
-        relative_residuals=res / _norms(ops),
-        tolerance=LADDER_CHECK_TOL,
-    )
+        residuals=res, relative_residuals=res / _norms(ops), tolerance=LADDER_CHECK_TOL)
 
 
 @dataclass(frozen=True)
@@ -218,10 +217,8 @@ class CommutatorReport:
 
     @property
     def passed(self) -> bool:
-        return bool(
-            np.all(self.ladder_residuals <= self.tolerance)
-            and np.all(self.weight_residuals <= self.tolerance)
-        )
+        return bool(np.all(self.ladder_residuals <= self.tolerance)
+                    and np.all(self.weight_residuals <= self.tolerance))
 
 
 def check_ladder_commutators(kmap: KrausMap, structure: PotentialStructure) -> CommutatorReport:
@@ -296,7 +293,7 @@ def check_bohr_ladder(
     eig = hermitian_eig(h, tol)
     freqs = eig.eigenvalues[None, :] - eig.eigenvalues[:, None]  # E_i - E_j at (j, i)
     nonzero = connections(ls, eig.eigenvectors, tol.eps_zero)[0]
-    distinct = sorted(set(round(w, 12) for w in freqs[nonzero].tolist()))
+    distinct = _distinct(freqs[nonzero])
     omega = distinct[0] if len(distinct) == 1 else None
     residual = float("inf") if omega is None else float(commutator_residuals(ls, h, [omega])[0])
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,6 +49,7 @@ DEFAULT_BRANCH_CAP = 10_000_000
 
 # How sample_trajectories draws its uniforms; recorded in Monte Carlo reports.
 RNG_SCHEME = "philox-rows"
+SEED_LIMIT = 2**128  # seeds are Philox keys, 128-bit unsigned integers
 
 # Rows sample_trajectories walks at once.  100k samples of a 3-step GAD
 # chain, median of 21 (one thread of a shared 2-vCPU host): blocks of 2048
@@ -273,13 +274,18 @@ def _boundary_table(bnd: BoundaryData, tol: Tolerances) -> np.ndarray:
     return log_i[:, None] - log_f[None, :]
 
 
+def _squared_norms(z: np.ndarray) -> np.ndarray:
+    """re^2 + im^2 of z, summed over its first axis."""
+    squares = np.square(z.real)
+    squares += np.square(z.imag)
+    # added first to last, as np.sum adds fewer than 8 numbers: a reduction
+    # along an axis this short is slow
+    return sum(squares[1:], squares[0])
+
+
 def _live(phi: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Rows of phi whose squared norm is above the pruning floor."""
-    squares = phi.real**2
-    squares += phi.imag**2
-    # the columns added left to right, as np.sum adds fewer than 8 numbers;
-    # its reduction per row is slow on rows this short
-    return np.flatnonzero(sum(squares.T[1:], squares[:, 0]) > tol.eps_prob)
+    return np.flatnonzero(_squared_norms(phi.T) > tol.eps_prob)
 
 
 def enumerate_trajectories(
@@ -372,14 +378,6 @@ def _path_probability(spec: ProcessSpec, bnd: BoundaryData, n: int, ks, m: int) 
     return float(bnd.initial_probs[n] * abs(np.vdot(bnd.final_basis[:, m], phi)) ** 2)
 
 
-def _squared_norms(z: np.ndarray) -> np.ndarray:
-    """re^2 + im^2 of a (K, d, N) array, summed over its d rows: a (K, N) table."""
-    squares = np.square(z.real)
-    squares += np.square(z.imag)
-    # the rows added top to bottom: a reduction along an axis this short is slow
-    return sum(squares.swapaxes(0, 1)[1:], squares[:, 0])
-
-
 def _walk(spec: ProcessSpec, bnd: BoundaryData, u: np.ndarray) -> tuple:
     """(n, ks, m, summed potential change) of len(u) trajectories walked in lockstep.
 
@@ -402,14 +400,14 @@ def _walk(spec: ProcessSpec, bnd: BoundaryData, u: np.ndarray) -> tuple:
     for r, step in enumerate(spec.steps):
         ops = step.map.operators
         phis = ops.reshape(-1, dim) @ psi
-        branch_p = _squared_norms(phis.reshape(len(ops), dim, count))
+        branch_p = _squared_norms(phis.reshape(len(ops), dim, count).swapaxes(0, 1))
         k = _draw_rows(branch_p, u[:, r + 1])
         psi = phis.reshape(-1).take(k * (dim * count) + cols + rows)
         psi *= 1.0 / np.sqrt(branch_p.reshape(-1).take(k * count + cols))
         ks[r] = k
         dphi += step.structure.delta_phi[k]
     amps = adjoint(bnd.final_basis) @ psi
-    m = _draw_rows(_squared_norms(amps[:, None]), u[:, -1])
+    m = _draw_rows(_squared_norms(amps[None]), u[:, -1])
     return n, ks.T, m, dphi
 
 
@@ -437,7 +435,7 @@ def sample_trajectories(
     """
     if not (_is_integer(sample_count) and sample_count > 0):
         raise ValueError(f"sample_count must be a positive integer, got {sample_count!r}")
-    if not (_is_integer(seed) and 0 <= seed < 2**128):
+    if not (_is_integer(seed) and 0 <= seed < SEED_LIMIT):
         raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     sample_count, seed = int(sample_count), int(seed)
     if sample_count > DEFAULT_BRANCH_CAP:
@@ -528,8 +526,12 @@ def verify_detailed_ft(
     """Check ln(p(gamma) / p~(reversed gamma)) = Sigma(gamma) branch by branch."""
     forward = enumerate_trajectories(spec, tol)
     dual_spec = build_dual_process(spec, tol)
-    dual = enumerate_trajectories(dual_spec, tol)
-    dim = dual_spec.explicit_boundary.initial_basis.shape[0]
+    bnd = dual_spec.explicit_boundary
+    # the matching reads the dual's probabilities and outcome codes, not its own
+    # boundary term, which is NaN where a forward initial population is 0
+    ones = replace(bnd, final_probs=np.ones_like(bnd.final_probs))
+    dual = enumerate_trajectories(replace(dual_spec, explicit_boundary=ones), tol)
+    dim = bnd.initial_basis.shape[0]
     radices = [dim] + [len(s.map) for s in dual_spec.steps] + [dim]
     # enumerated rows are in lexicographic order, so their codes ascend; a
     # sentinel above every code, with probability 0, catches unmatched branches

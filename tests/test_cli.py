@@ -751,6 +751,26 @@ def test_cli_equilibrium_at_large_beta_names_the_unmatched_trajectory(
     assert lines[0].endswith("but its reverse is absent from the dual process")
 
 
+THERMAL_LINDBLAD_STEP = dict(LINDBLAD_STEP, lindblads=[
+    matrix_to_json(np.array([[0, 1], [0, 0]])), matrix_to_json(np.array([[0, 0], [0.5, 0]]))])
+
+
+@pytest.mark.parametrize("step", [{"model": "thermal_qubit", "beta_omega": LN2, "gamma": 0.5},
+                                  THERMAL_LINDBLAD_STEP], ids=["thermal_qubit", "lindblad_step"])
+def test_cli_rank_deficient_initial_state_verifies(tmp_path, capsys, step):
+    # the forward process never starts from the empty level; the dual ends there
+    # with mass of its own, which verify once refused as an absent reverse
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, steps=[step] * 2, initial_state=matrix_to_json(np.diag([1.0, 0.0])))
+    assert main(["verify", str(proc)]) == 0
+    report = json.loads(capsys.readouterr().out)["verify"]
+    assert report["detailed_ft"]["passed"] is True
+    assert report["detailed_ft"]["max_residual"] <= 1e-12
+    # that dual mass is missing from <e^{-Sigma}>, so the Monte Carlo z-test fails
+    assert report["integral_ft"]["mean_exp_neg_sigma"] < 0.99
+    assert main(["verify", str(proc), "--mode", "mc", "--samples", "20000", "--seed", "3"]) == 1
+
+
 @pytest.mark.parametrize("mode", ["exact", "mc"])
 @pytest.mark.parametrize("beta_omega", [800, -800])
 def test_cli_thermal_qubit_at_extreme_beta_omega_has_a_singular_pi(tmp_path, capsys, beta_omega,

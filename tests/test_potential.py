@@ -2,12 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qmapft as q
 from qmapft.linalg import frob, hermitian_eig
-from qmapft.potential import DualMap, _group_classes
+from qmapft.potential import DualMap, _group, _segment_means
 from test_ladder_properties import haar_unitary, ladder_maps
 
 LN2 = np.log(2.0)
@@ -250,11 +250,26 @@ def test_unitary_symmetry_dual():
     assert q.check_detailed_balance(kmap, dual, structure).passed
 
 
+def _group_classes(potentials, eps_group):
+    """Reference: group eigenindices whose potentials agree within eps_group, one by one."""
+    order = np.argsort(potentials)
+    classes = [0] * len(potentials)
+    reps = []
+    for idx in order:
+        phi = potentials[idx]
+        if reps and abs(phi - reps[-1][0]) <= eps_group:
+            reps[-1].append(phi)
+        else:
+            reps.append([phi])
+        classes[idx] = len(reps) - 1
+    return tuple(classes), np.array([np.mean(r) for r in reps])
+
+
 def scalar_classification(kmap, pi, tol=q.DEFAULT_TOLERANCES):
     """Reference: the entry-by-entry loop that build_potential_structure's arrays replaced.
 
-    Returns (delta_phi, None), or (None, (operator index, gap list)) where it
-    would raise MixedPotentialOperator.
+    Returns ((classes, class_potentials, delta_phi), None), or (None, (operator
+    index, gap list)) where it would raise MixedPotentialOperator.
     """
     eig = hermitian_eig(pi, tol)
     classes, class_pot = _group_classes(-np.log(eig.eigenvalues), tol.eps_group)
@@ -273,7 +288,7 @@ def scalar_classification(kmap, pi, tol=q.DEFAULT_TOLERANCES):
         if max(gaps) - min(gaps) > tol.eps_group:
             return None, (k, sorted(set(round(g, 12) for g in gaps)))
         delta_phi[k] = float(np.mean(gaps))
-    return delta_phi, None
+    return (classes, class_pot, delta_phi), None
 
 
 def assert_classification_matches_scalar_loop(kmap, pi):
@@ -284,8 +299,60 @@ def assert_classification_matches_scalar_loop(kmap, pi):
         assert mixed == (exc.operator_index, exc.gaps)
         return False
     assert mixed is None
-    assert structure.delta_phi.tobytes() == expected.tobytes()
+    classes, class_pot, delta_phi = expected
+    assert structure.classes == classes
+    assert all(type(c) is int for c in structure.classes)  # reports write them as ints
+    assert structure.class_potentials.tobytes() == class_pot.tobytes()
+    assert structure.delta_phi.tobytes() == delta_phi.tobytes()
+    assert_gap_index(structure)
     return True
+
+
+def test_classification_matches_scalar_loop_on_library_maps(library):
+    for spec in library.values():
+        for step in spec.steps:
+            assert assert_classification_matches_scalar_loop(step.map, step.structure.pi)
+
+
+def test_segment_means_equal_np_mean_bit_for_bit():
+    # runs below and above np.mean's 8-value pairwise block, and empty runs
+    rng = np.random.default_rng(5)
+    counts = np.array([0, 1, 2, 3, 7, 8, 9, 16, 0, 33, 256])
+    values = rng.standard_normal(counts.sum()) * 10.0 ** rng.integers(-3, 3, counts.sum())
+    starts = np.cumsum(counts) - counts
+    want = [np.mean(values[a:a + c]) if c else 0.0 for a, c in zip(starts, counts)]
+    assert _segment_means(values, counts).tobytes() == np.array(want).tobytes()
+
+
+@given(st.lists(st.floats(-3, 3), min_size=1, max_size=40), st.sampled_from([0.0, 1e-9, 0.1]))
+def test_group_matches_the_one_by_one_reference(values, eps_group):
+    index, means = _group(np.array(values), eps_group)
+    classes, class_pot = _group_classes(np.array(values), eps_group)
+    assert tuple(index.tolist()) == classes
+    assert means.tobytes() == class_pot.tobytes()
+
+
+def assert_gap_index(structure, eps_group=q.DEFAULT_TOLERANCES.eps_group):
+    """gaps ascend by more than eps_group, and each operator's gap is its own within eps_group."""
+    gaps, index = structure.gaps, structure.gap_index
+    assert index.dtype == np.int64 and index.shape == structure.delta_phi.shape
+    assert np.all(np.diff(gaps) > eps_group)
+    assert np.all(np.abs(structure.delta_phi - gaps[index]) <= eps_group)
+    assert sorted(set(index.tolist())) == list(range(len(gaps)))
+
+
+@given(ladder_maps((2, 16)))
+@settings(max_examples=15, deadline=None)
+def test_gap_index_groups_operators_by_the_generators_potential_change(example):
+    exact = example.delta_phi
+    apart = np.abs(exact[:, None] - exact[None, :])
+    # a near-degenerate generator, with two changes between 1e-12 and 1e-6
+    # apart, has no unambiguous grouping
+    assume(not np.any((apart > 1e-12) & (apart < 1e-6)))
+    structure = q.build_potential_structure(example.kmap, example.pi)
+    assert_gap_index(structure)
+    index = structure.gap_index
+    assert np.array_equal(index[:, None] == index[None, :], apart <= 1e-12)
 
 
 @given(st.data())

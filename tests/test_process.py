@@ -474,6 +474,27 @@ def test_detailed_ft_matching_at_the_eps_prob_edge():
     assert report.branch_count == len(kept) and report.max_residual <= 1e-9
 
 
+def test_rank_deficient_initial_state_verifies_the_detailed_ft():
+    # p_i(n) = 0 on one level: the dual process ends there with mass of its own,
+    # whose boundary term is NaN; the matching reads only the dual's probabilities
+    spec = gad_process(rho=np.diag([1.0, 0.0]).astype(complex), steps=2)
+    forward = q.enumerate_trajectories(spec)
+    report = q.verify_detailed_ft(spec)
+    assert report.passed and report.branch_count == len(forward)
+    assert report.max_residual <= 1e-12
+    # <e^{-Sigma}> falls short of 1 by the dual mass on the zero-population level
+    dual = q.build_dual_process(spec)
+    bnd = dual.explicit_boundary
+    rho = (bnd.initial_basis * bnd.initial_probs) @ adjoint(bnd.initial_basis)
+    for step in dual.steps:
+        rho = q.apply_map(step.map, rho)
+    empty = bnd.final_basis[:, bnd.final_probs <= q.DEFAULT_TOLERANCES.eps_prob]
+    assert empty.shape[1] == 1
+    lost = float(np.trace(adjoint(empty) @ rho @ empty).real)
+    assert lost > 0.1
+    assert q.verify_integral_ft(forward).mean_exp_neg_sigma == pytest.approx(1 - lost, abs=1e-12)
+
+
 def test_detailed_ft_stationary_sigma_zero():
     step = q.make_step(q.thermal_qubit_map(LN2, 0.5))
     spec = q.process_spec([step, step], initial_state=step.structure.pi)
