@@ -164,19 +164,16 @@ def compile_process(
     if spec.boundary_mode == ENTROPIC:
         eig_i = hermitian_eig(spec.initial_state, tol)
         eig_f = hermitian_eig(_evolve(spec.steps, spec.initial_state), tol)
-        return BoundaryData(
-            initial_basis=eig_i.eigenvectors,
-            initial_probs=np.clip(eig_i.eigenvalues.real, 0.0, None),
-            final_basis=eig_f.eigenvectors,
-            final_probs=np.clip(eig_f.eigenvalues.real, 0.0, None),
-        )
-    # equilibrium boundaries: Gibbs populations of H_i and H_f at one beta
-    eig_i, eig_f = hermitian_eig(spec.h_initial, tol), hermitian_eig(spec.h_final, tol)
+        p_i, p_f = (np.clip(e.eigenvalues.real, 0.0, None) for e in (eig_i, eig_f))
+    else:
+        # equilibrium boundaries: Gibbs populations of H_i and H_f at one beta
+        eig_i, eig_f = hermitian_eig(spec.h_initial, tol), hermitian_eig(spec.h_final, tol)
+        p_i, p_f = (gibbs_populations(e.eigenvalues, spec.beta)[0] for e in (eig_i, eig_f))
     return BoundaryData(
         initial_basis=eig_i.eigenvectors,
-        initial_probs=gibbs_populations(eig_i.eigenvalues, spec.beta)[0],
+        initial_probs=p_i,
         final_basis=eig_f.eigenvectors,
-        final_probs=gibbs_populations(eig_f.eigenvalues, spec.beta)[0],
+        final_probs=p_f,
     )
 
 
@@ -211,19 +208,21 @@ class TrajectoryEnsemble(Sequence):
 
     Row i is the outcome record (n[i], ks[i], m[i]) with its weight in the
     distribution (its probability, or 1/N for one of N samples), boundary term
-    and summed potential change.  Exact rows are enumerated breadth first and
-    come in lexicographic (n, k_1 .. k_R, m) order.  ens[i] builds row i's
-    Trajectory record when it is read; a slice gives a tuple of them.
+    and summed potential change.  Exact rows come in lexicographic
+    (n, k_1 .. k_R, m) order and store the enumerator's prefix codes, from
+    which ks is decoded when read.  ens[i] builds row i's Trajectory record
+    when it is read; a slice gives a tuple of them.
     """
 
     n: np.ndarray                # (N,) initial outcomes
-    ks: np.ndarray               # (N, R) Kraus labels, one column per step
+    labels: np.ndarray           # exact: (N,) codes of (n, k_1 .. k_R); sampled: (N, R) draws
     m: np.ndarray                # (N,) final outcomes
     probability: np.ndarray      # (N,)
     sigma_boundary: np.ndarray   # (N,)
     delta_phi_sum: np.ndarray    # (N,)
     mode: str                    # "exact" or "mc"
     seed: int | None = None
+    radices: tuple = ()          # exact: K_1 .. K_R, the digits of a code below n
 
     def __len__(self) -> int:
         return len(self.n)
@@ -231,19 +230,31 @@ class TrajectoryEnsemble(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(*i.indices(len(self))))
-        n, ks, m = self.key(i)
         return Trajectory(
-            n=n,
-            ks=ks,
-            m=m,
+            *self.key(i),
             probability=float(self.probability[i]),
             sigma_boundary=float(self.sigma_boundary[i]),
             delta_phi_sum=float(self.delta_phi_sum[i]),
         )
 
+    @property
+    def ks(self) -> np.ndarray:
+        """(N, R) Kraus labels, one column per step; exact codes are decoded on every read."""
+        return self._decode(self.labels)
+
     def key(self, i: int) -> tuple:
         """Outcome record (n, ks, m) of row i."""
-        return (int(self.n[i]), tuple(self.ks[i].tolist()), int(self.m[i]))
+        return (int(self.n[i]), tuple(self._decode(self.labels[i]).tolist()), int(self.m[i]))
+
+    def _decode(self, labels) -> np.ndarray:
+        if self.mode != "exact":
+            return labels
+        digits = np.empty((len(self.radices),) + np.shape(labels), dtype=np.int64)
+        for r in reversed(range(len(self.radices))):
+            # a floor division and a product: np.divmod and % divide by a scalar far slower
+            quotient = labels // self.radices[r]
+            digits[r], labels = labels - quotient * self.radices[r], quotient
+        return digits.T
 
     def sigmas(self) -> np.ndarray:
         return self.sigma_boundary - self.delta_phi_sum
@@ -298,15 +309,15 @@ def enumerate_trajectories(
     pruned and every operator is applied to every row at once, children in
     (row, k) order.  Rows of the result are therefore in lexicographic
     (n, k_1 .. k_R, m) order.  Each row carries its outcome prefix
-    (n, k_1 .. k_r) as one mixed-radix integer, read back into n and ks
-    once, after the last pruning.
+    (n, k_1 .. k_r) as one mixed-radix integer, k_r least significant; the
+    ensemble keeps it, and n is read off it once, after the last pruning.
     """
     bnd = compile_process(spec, tol)
     dim = bnd.initial_basis.shape[0]
-    strings = math.prod(len(step.map) for step in spec.steps)
+    radices = tuple(len(step.map) for step in spec.steps)
+    strings = math.prod(radices)
     if dim * dim * strings > DEFAULT_BRANCH_CAP:
         raise EnumerationTooLarge(dim * dim * strings, DEFAULT_BRANCH_CAP)
-
     code = np.flatnonzero(bnd.initial_probs > tol.eps_prob)
     phi = bnd.initial_basis.T[code]
     dphi = np.zeros(len(code))
@@ -321,33 +332,27 @@ def enumerate_trajectories(
         dphi = (dphi[live, None] + step.structure.delta_phi).ravel()
     live = _live(phi, tol)
     amps = (adjoint(bnd.final_basis)[None] @ phi[live, :, None])[:, :, 0]
+    n = code[live] // strings
     # hypot and float_power round as the scalar abs(z) ** 2 does; np.abs and ** 2 do not
-    p_n = bnd.initial_probs[code[live] // strings, None]
-    probs = np.float_power(np.hypot(amps.real, amps.imag), 2.0) * p_n
+    probs = np.float_power(np.hypot(amps.real, amps.imag), 2.0) * bnd.initial_probs[n, None]
     row, m = np.nonzero(probs > tol.eps_prob)
     if not len(row):
         raise ZeroProbabilityBranch(f"every branch has probability <= eps_prob = {tol.eps_prob}")
-    code, dphi = code[live[row]], dphi[live[row]]
-    ks = np.empty((len(spec.steps), len(code)), dtype=np.int64)
-    for r in reversed(range(len(spec.steps))):
-        radix = len(spec.steps[r].map)
-        # a floor division and a product: np.divmod and % divide by a scalar far slower
-        quotient = code // radix
-        ks[r], code = code - quotient * radix, quotient
+    n = n[row]
     ensemble = TrajectoryEnsemble(
-        n=code,
-        ks=ks.T,
+        n=n,
+        labels=code[live[row]],
         m=m,
         probability=probs[row, m],
-        sigma_boundary=_boundary_table(bnd, tol)[code, m],
-        delta_phi_sum=dphi,
+        sigma_boundary=_boundary_table(bnd, tol)[n, m],
+        delta_phi_sum=dphi[live[row]],
         mode="exact",
+        radices=radices,
     )
     bad = np.flatnonzero(np.isnan(ensemble.sigma_boundary))
     if bad.size:
         # forward mass lands on an outcome the dual process cannot start from
-        i = bad[0]
-        raise AbsoluteContinuityViolation(ensemble.key(i), float(ensemble.probability[i]))
+        raise AbsoluteContinuityViolation(ensemble.key(bad[0]), float(ensemble.probability[bad[0]]))
     return ensemble
 
 
@@ -456,7 +461,7 @@ def sample_trajectories(
 
     ensemble = TrajectoryEnsemble(
         n=n,
-        ks=ks,
+        labels=ks,
         m=m,
         probability=np.full(sample_count, 1.0 / sample_count),
         sigma_boundary=_boundary_table(bnd, tol)[n, m],
@@ -498,15 +503,6 @@ def build_dual_process(
     return ProcessSpec(steps=tuple(dual_steps), symmetry=sym, explicit_boundary=boundary)
 
 
-def _encode(n: np.ndarray, ks: np.ndarray, m: np.ndarray, radices: list) -> np.ndarray:
-    """Outcome strings (n, k_1 .. k_R, m) as mixed-radix integers, n most significant."""
-    if math.prod(radices) >= 2**63:
-        raise EnumerationTooLarge(math.prod(radices), 2**63 - 1)
-    places = [math.prod(radices[i + 1:]) for i in range(len(radices))]
-    # an integer matmul is exact: every partial sum is below the largest code
-    return n * places[0] + ks @ np.array(places[1:-1], dtype=np.int64) + m
-
-
 @dataclass(frozen=True)
 class DetailedFTReport:
     """Branchwise comparison ln(p/p~) vs Sigma over the enumerated ensembles."""
@@ -532,12 +528,16 @@ def verify_detailed_ft(
     ones = replace(bnd, final_probs=np.ones_like(bnd.final_probs))
     dual = enumerate_trajectories(replace(dual_spec, explicit_boundary=ones), tol)
     dim = bnd.initial_basis.shape[0]
-    radices = [dim] + [len(s.map) for s in dual_spec.steps] + [dim]
-    # enumerated rows are in lexicographic order, so their codes ascend; a
-    # sentinel above every code, with probability 0, catches unmatched branches
-    codes = np.append(_encode(dual.n, dual.ks, dual.m, radices), np.iinfo(np.int64).max)
+    # codes (n, k_1 .. k_R, m), below 2**63 as d^2 * prod K_r <= DEFAULT_BRANCH_CAP; the
+    # dual's ascend as its rows are lexicographic, and a sentinel (p = 0) catches the unmatched
+    codes = np.append(dual.labels * dim + dual.m, np.iinfo(np.int64).max)
     probs = np.append(dual.probability, 0.0)
-    wanted = _encode(forward.m, forward.ks[:, ::-1], forward.n, radices)
+    # each forward branch's reverse (m, k_R .. k_1, n), its digits moved one by one
+    code, wanted = forward.labels, forward.m
+    for radix in reversed(forward.radices):
+        quotient = code // radix
+        wanted, code = wanted * radix + (code - quotient * radix), quotient
+    wanted = wanted * dim + forward.n
     # searched in ascending order, each search starts where the last one ended
     order = np.argsort(wanted)
     pos = np.empty_like(order)

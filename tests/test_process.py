@@ -436,9 +436,21 @@ def test_detailed_ft_gad():
     assert report.max_residual <= 1e-12
 
 
+def _radix_edge_specs():
+    """An R = 0 qutrit process, and a unitary step (K = 1, digits of radix 1) between two GADs."""
+    gad = q.make_step(q.thermal_qubit_map(LN2, 0.5))
+    hadamard = q.make_step(q.unitary_map(np.array([[1, 1], [1, -1]]) / math.sqrt(2)), unital=True)
+    return {
+        "r0": q.process_spec([], initial_state=np.diag([0.5, 0.3, 0.2]).astype(complex)),
+        "unitary_k1": q.process_spec(
+            [gad, hadamard, gad], initial_state=np.diag([0.9, 0.1]).astype(complex)
+        ),
+    }
+
+
 def test_detailed_ft_matching_agrees_with_tuple_lookup(library):
     # reference: each reversed branch looked up by its (n, ks, m) tuple
-    for name, spec in library.items():
+    for name, spec in {**library, **_radix_edge_specs()}.items():
         forward = q.enumerate_trajectories(spec)
         dual = q.enumerate_trajectories(q.build_dual_process(spec))
         p_rev = {t.key(): t.probability for t in dual.trajectories}
@@ -711,6 +723,50 @@ def test_ensemble_is_arrays():
         assert [t.sigma for t in records] == ens.sigmas().tolist()
         assert records is ens and isinstance(ens, Sequence)
         assert ens[:2] == (ens[0], ens[1]) and ens[1].key() == ens.key(1)
+        # every way of reading a row gives the record of that row of ks
+        columns = (ens.n.tolist(), ens.ks.tolist(), ens.m.tolist())
+        rows = [(n, tuple(ks), m) for n, ks, m in zip(*columns)]
+        assert [ens.key(i) for i in range(count)] == rows, ens.mode
+        assert [ens[i].key() for i in range(count)] == rows, ens.mode
+        assert [ens[np.int64(i)].key() for i in range(count)] == rows, ens.mode
+        assert [t.key() for t in list(ens)] == rows and ens[-1].key() == rows[-1], ens.mode
+        for i in (count, -count - 1, np.int64(count)):
+            with pytest.raises(IndexError):
+                ens[i]
+            with pytest.raises(IndexError):
+                ens.key(i)
+    # exact labels are decoded on each read: (N, R) int64 at R = 0 and with a K = 1 step
+    for name, spec in _radix_edge_specs().items():
+        ens = q.enumerate_trajectories(spec)
+        ks = ens.ks
+        assert ks.dtype == np.int64 and ks.shape == (len(ens), len(spec.steps)), name
+        if ks.size:
+            assert np.all(ks[:, 1] == 0), name  # the unitary step's only label
+            ks[:] = 7
+        assert not np.any(ens.ks == 7), name
+        assert ens.ks.tolist() == [list(ens.key(i)[1]) for i in range(len(ens))], name
+
+
+def _assert_codes_ascend(ens, spec, label):
+    """(n, k_1 .. k_R, m) read as mixed-radix integers from the rows' labels strictly ascend."""
+    dim = compile_process(spec).initial_basis.shape[0]
+    codes = ens.n.copy()
+    for radix, column in zip([len(step.map) for step in spec.steps], ens.ks.T):
+        assert np.all((0 <= column) & (column < radix)), label
+        codes = codes * radix + column
+    codes = codes * dim + ens.m
+    assert np.all(np.diff(codes) > 0), label
+    # the codes the matching reads are these, prefixes (n, k_1 .. k_R) as stored
+    assert np.array_equal(ens.labels * dim + ens.m, codes), label
+
+
+def test_exact_outcome_codes_strictly_ascend(library):
+    # the detailed-FT matching searches the dual's codes as a sorted array
+    ladders = {f"ladder_d{d}": _ladder_chain(d, 3, 0) for d in (8, 12, 14, 16)}
+    dense = {f"dense_d{d}": _dense_complex_chain(d, 3, 0) for d in range(2, 8)}
+    for name, spec in {**library, **ladders, **dense, **_radix_edge_specs()}.items():
+        for label, s in ((name, spec), (name + " dual", q.build_dual_process(spec))):
+            _assert_codes_ascend(q.enumerate_trajectories(s), s, label)
 
 
 def test_sampling_accepts_full_philox_key_range():
