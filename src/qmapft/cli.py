@@ -25,7 +25,7 @@ from .errors import (
     QmapError,
     SampleCountTooLarge,
 )
-from .maps import choose_invariant_state, require_trace_preserving, validate_cptp
+from .maps import require_trace_preserving, validate_cptp
 from .potential import build_dual, build_potential_structure, check_ladder_commutators
 from .process import (
     RNG_SCHEME,
@@ -62,17 +62,21 @@ def _emit(report: dict, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_pi(kmap, args, tol):
-    pi = load_matrix_file(args.pi) if args.pi else None
-    try:
-        return choose_invariant_state(kmap, pi, args.unital, tol)
-    except NonUniqueInvariantState as exc:
-        print(
-            f"error: {exc}; pass --pi FILE (or --unital for the maximally "
-            f"mixed state)",
-            file=sys.stderr,
-        )
-        raise SystemExit(EXIT_NEEDS_INPUT) from exc
+def _given_pi(kmap, args):
+    """The --pi file's state, 1/N with --unital, else None: the invariant state is computed
+    and checked once, by the call that classifies or dualizes the map."""
+    if args.pi:
+        return load_matrix_file(args.pi)
+    return np.eye(kmap.dim) / kmap.dim if args.unital else None
+
+
+def _needs_pi(exc: NonUniqueInvariantState) -> SystemExit:
+    print(
+        f"error: {exc}; pass --pi FILE (or --unital for the maximally "
+        f"mixed state)",
+        file=sys.stderr,
+    )
+    return SystemExit(EXIT_NEEDS_INPUT)
 
 
 def cmd_validate(args, tol: Tolerances) -> int:
@@ -85,15 +89,16 @@ def cmd_validate(args, tol: Tolerances) -> int:
 def cmd_classify(args, tol: Tolerances) -> int:
     kmap = load_map_file(args.map_file)
     require_trace_preserving(kmap, tol)
-    pi = _resolve_pi(kmap, args, tol)
     try:
-        structure = build_potential_structure(kmap, pi, tol)
+        structure = build_potential_structure(kmap, _given_pi(kmap, args), tol)
+    except NonUniqueInvariantState as exc:
+        raise _needs_pi(exc) from exc
     except MixedPotentialOperator as exc:
         print(f"classification failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     comm = check_ladder_commutators(kmap, structure)
     body = {
-        "pi": matrix_pairs(pi),
+        "pi": matrix_pairs(structure.pi),
         # pi is written above, as a complex matrix; its eigendecomposition is left out
         "structure": {name: getattr(structure, name) for name in
                       ("potentials", "classes", "class_potentials", "delta_phi")},
@@ -107,8 +112,10 @@ def cmd_classify(args, tol: Tolerances) -> int:
 def cmd_dual(args, tol: Tolerances) -> int:
     kmap = load_map_file(args.map_file)
     require_trace_preserving(kmap, tol)
-    pi = _resolve_pi(kmap, args, tol)
-    dual = build_dual(kmap, pi, tol=tol)
+    try:
+        dual = build_dual(kmap, _given_pi(kmap, args), tol=tol)
+    except NonUniqueInvariantState as exc:
+        raise _needs_pi(exc) from exc
     body = {
         "map": map_pairs(dual.map),
         "pi_dual": matrix_pairs(dual.pi_dual),

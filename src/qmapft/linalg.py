@@ -83,6 +83,13 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return frob(a - adjoint(a)) / na
 
 
+def hermiticity_defects(stack: np.ndarray) -> np.ndarray:
+    """hermiticity_defect of each matrix of a (R, d, d) stack, bit for bit."""
+    norms = frobs(np.concatenate((stack, stack - adjoint(stack))))
+    r = len(stack)
+    return np.divide(norms[r:], norms[:r], out=np.zeros(r), where=norms[:r] != 0.0)
+
+
 @dataclass(frozen=True)
 class HermitianEigenDecomposition:
     """Ascending eigenvalues and a unitary matrix of eigenvector columns."""
@@ -94,10 +101,12 @@ class HermitianEigenDecomposition:
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive.
 
-    Makes the eigenbasis deterministic up to degeneracies, which LAPACK
-    already resolves deterministically for fixed input bits.
+    vectors is a matrix or a stack of them.  Makes the eigenbasis
+    deterministic up to degeneracies, which LAPACK already resolves
+    deterministically for fixed input bits.
     """
-    pivot = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    rows = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
+    pivot = np.take_along_axis(vectors, rows, axis=-2)
     size = np.hypot(pivot.real, pivot.imag)  # what abs() of each pivot gives
     return vectors * np.divide(size, pivot, out=np.ones_like(pivot), where=size > 0)
 
@@ -105,21 +114,28 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 def hermitian_eig(
     a: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> HermitianEigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a (R, d, d) stack.
 
     The input is symmetrized as (A + A†)/2 before decomposition; inputs
-    that are non-Hermitian beyond eps_herm are rejected.
+    that are non-Hermitian beyond eps_herm are rejected, a stack's first
+    such matrix by its index.  A stack's eigenvalues are (R, d) and its
+    eigenvectors (R, d, d), each matrix's bit for bit as decomposed alone.
     """
-    a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"matrix is not square: {a.shape}")
-    if hermiticity_defect(a) > tol.eps_herm:
+    if np.ndim(a) == 3:
+        a = as_complex_stack(a)
+        defects = hermiticity_defects(a)
+    else:
+        a = as_complex_matrix(a)
+        if a.shape[0] != a.shape[1]:
+            raise DimensionMismatchError(f"matrix is not square: {a.shape}")
+        defects = [hermiticity_defect(a)]
+    bad = np.flatnonzero(np.greater(defects, tol.eps_herm))
+    if bad.size:
         raise NonHermitianError(
-            f"Hermiticity defect {hermiticity_defect(a):.3e} exceeds "
-            f"eps_herm={tol.eps_herm}"
+            f"Hermiticity defect {defects[bad[0]]:.3e} exceeds eps_herm={tol.eps_herm}",
+            index=int(bad[0]),
         )
-    sym = (a + adjoint(a)) / 2
-    vals, vecs = np.linalg.eigh(sym)
+    vals, vecs = np.linalg.eigh((a + adjoint(a)) / 2)
     return HermitianEigenDecomposition(vals, _fix_phases(vecs))
 
 

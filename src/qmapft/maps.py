@@ -12,6 +12,12 @@ Gorini and Verri, CMP 57, 97 (1977)) only couples coherences of one Bohr
 frequency; a thermal ladder in its energy basis with one jump pair per pair of
 levels couples each coherence |i><j| only to itself: at d = 16 that is one
 16 x 16 population block and 240 1 x 1 blocks instead of one 256 x 256 eig.
+
+The maps of a process are checked together as one KrausStack, their operators
+concatenated into one (sum K_r, d, d) array: one trace-preservation test, one
+fixed-point residual and one eigendecomposition of the states serve every map,
+and below BLOCK_SPLIT_MIN_DIM one eig of the (R, d^2, d^2) superoperators.  Each
+result is bit for bit the one map's own; invariant_state is the one-map case.
 """
 
 from __future__ import annotations
@@ -23,13 +29,14 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     DimensionMismatchError,
+    FirstFailure,
     NonHermitianError,
     NonUniqueInvariantState,
     NotTracePreservingError,
     SingularStateError,
 )
 from .linalg import (HermitianEigenDecomposition, adjoint, as_complex_matrix, as_complex_stack,
-                     frob, hermitian_eig, hermiticity_defect)
+                     frob, frobs, hermitian_eig, hermiticity_defect)
 
 
 @dataclass(frozen=True)
@@ -66,10 +73,69 @@ def kraus_map(operators, labels=None) -> KrausMap:
     return KrausMap(operators=ops, labels=labels)
 
 
+@dataclass(frozen=True)
+class KrausStack:
+    """The Kraus operators of R maps of one dimension, concatenated into one (sum K_r, d, d) array.
+
+    Map r owns rows bounds[r] to bounds[r + 1] and owner[i] is the map of row i, so
+    per-operator work on every map of a process is one array operation.
+    """
+
+    operators: np.ndarray
+    bounds: np.ndarray      # (R + 1,) row offsets
+    owner: np.ndarray       # (sum K_r,) map index of each row
+    uniform: int            # the K_r of every map when they are all equal, else 0
+
+    @property
+    def dim(self) -> int:
+        return self.operators.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def head(self, count: int) -> KrausStack:
+        """The stack of the first count maps."""
+        end = self.bounds[count]
+        return KrausStack(self.operators[:end], self.bounds[:count + 1], self.owner[:end],
+                          self.uniform)
+
+    def at_rows(self, per_map: np.ndarray) -> np.ndarray:
+        """Each map's entry of a per-map (R, ...) array at each of its rows: per_map[owner],
+        or per_map itself, which broadcasts against the rows, when there is one map."""
+        return per_map if len(self) == 1 else per_map[self.owner]
+
+    def sums(self, rows: np.ndarray) -> np.ndarray:
+        """Per map, the sum of its rows of a per-operator array, bit for bit as .sum(axis=0) of them.
+
+        With one K for every map this is one reduction over a (R, K, ...) view,
+        which rounds as the per-map sums do (the terms are added in row order).
+        """
+        if k := self.uniform:
+            return rows.reshape(len(self), k, *rows.shape[1:]).sum(axis=1)
+        return np.stack([rows[a:b].sum(axis=0) for a, b in zip(self.bounds[:-1], self.bounds[1:])])
+
+
+def stack_maps(kmaps) -> KrausStack:
+    """The KrausStack of a nonempty sequence of maps, which must share one dimension."""
+    dims = {kmap.dim for kmap in kmaps}
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"inconsistent dimensions in process: {dims}")
+    counts = [len(kmap) for kmap in kmaps]
+    ops = kmaps[0].operators if len(kmaps) == 1 else np.concatenate([m.operators for m in kmaps])
+    uniform = counts[0] if len(set(counts)) == 1 else 0
+    return KrausStack(ops, np.cumsum([0] + counts), np.repeat(np.arange(len(kmaps)), counts),
+                      uniform)
+
+
+def tp_defects(stack: KrausStack) -> np.ndarray:
+    """Frobenius norm of sum_k M_k† M_k - 1 of each map of a stack."""
+    ops = stack.operators
+    return frobs(stack.sums(adjoint(ops) @ ops) - np.eye(stack.dim))
+
+
 def tp_defect(kmap: KrausMap) -> float:
-    """Frobenius norm of sum_k M_k† M_k - 1."""
-    ops = kmap.operators
-    return frob((adjoint(ops) @ ops).sum(axis=0) - np.eye(kmap.dim))
+    """Frobenius norm of sum_k M_k† M_k - 1: the one-map case of tp_defects."""
+    return float(tp_defects(stack_maps([kmap]))[0])
 
 
 @dataclass(frozen=True)
@@ -98,10 +164,14 @@ def require_trace_preserving(kmap: KrausMap, tol: Tolerances = DEFAULT_TOLERANCE
     """Raise NotTracePreservingError unless validate_cptp passes."""
     report = validate_cptp(kmap, tol)
     if not report.passed:
-        raise NotTracePreservingError(
-            f"map is not trace preserving: ||sum_k M_k† M_k - 1||_F = "
-            f"{report.tp_deviation:.3e} exceeds eps_tp={tol.eps_tp}"
-        )
+        raise not_trace_preserving(report.tp_deviation, tol)
+
+
+def not_trace_preserving(deviation: float, tol: Tolerances) -> NotTracePreservingError:
+    return NotTracePreservingError(
+        f"map is not trace preserving: ||sum_k M_k† M_k - 1||_F = "
+        f"{deviation:.3e} exceeds eps_tp={tol.eps_tp}"
+    )
 
 
 def validate_density(rho: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -132,6 +202,13 @@ def apply_map(kmap: KrausMap, rho: np.ndarray) -> np.ndarray:
     return (ops @ rho @ adjoint(ops)).sum(axis=0)
 
 
+def fixed_point_residuals(stack: KrausStack, states: np.ndarray) -> np.ndarray:
+    """||E_r(states[r]) - states[r]||_F for each map E_r of a stack: apply_map's products
+    and sums over the stacked operators, bit for bit."""
+    ops = stack.operators
+    return frobs(stack.sums(ops @ stack.at_rows(states) @ adjoint(ops)) - states)
+
+
 def superoperator_view(kmap: KrausMap) -> np.ndarray:
     """The superoperator as a (dim, dim, dim, dim) array S[a, b, c, d], a view of the Choi matrix.
 
@@ -152,6 +229,22 @@ def build_superoperator(kmap: KrausMap) -> np.ndarray:
     """
     d = kmap.dim
     return superoperator_view(kmap).reshape(d * d, d * d)
+
+
+def superoperators(stack: KrausStack) -> np.ndarray:
+    """build_superoperator of each map of a stack, as one (R, d^2, d^2) array, bit for bit.
+
+    One gemm per map, as in superoperator_view; with one K for every map they are one
+    stacked matmul.
+    """
+    r, d = len(stack), stack.dim
+    f = stack.operators.reshape(-1, d * d)
+    if k := stack.uniform:
+        f = f.reshape(r, k, d * d)
+        choi = f.swapaxes(1, 2) @ f.conj()
+    else:
+        choi = np.stack([g.T @ g.conj() for g in np.split(f, stack.bounds[1:-1])])
+    return choi.reshape(r, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(r, d * d, d * d)
 
 
 # Half-width of the eigenvalue-1 window, with slack for roundoff in the spectrum.
@@ -189,15 +282,9 @@ def superoperator_blocks(s: np.ndarray) -> np.ndarray:
         labels = hooked
 
 
-def _dense_fixed_vector(s: np.ndarray) -> tuple:
-    """Eigenvalues of S in the window around 1, and the eigenvector when there is one."""
-    vals, vecs = np.linalg.eig(s)
-    fixed = np.where(np.abs(vals - 1.0) <= FIXED_WINDOW)[0]
-    return len(fixed), vecs[:, fixed[0]] if len(fixed) == 1 else None
-
-
 def _block_fixed_vector(s: np.ndarray) -> tuple:
-    """_dense_fixed_vector from one eig per diagonal block of S (superoperator_view).
+    """(eigenvalues of S in the window around 1, the eigenvector when there is one), from
+    one eig per diagonal block of S (superoperator_view).
 
     S is never copied into matrix order; each block is gathered from the view.
     The 1 x 1 blocks are their own eigenvalues and take one vectorized test; the
@@ -224,6 +311,122 @@ def _block_fixed_vector(s: np.ndarray) -> tuple:
     return count, vector if count == 1 else None
 
 
+def _not_unique(kmap: KrausMap, count: int, tol: Tolerances) -> NonUniqueInvariantState:
+    """The error of a degenerate fixed subspace, offering 1/N when it is itself fixed."""
+    maxmix = np.eye(kmap.dim) / kmap.dim
+    fixed = frob(apply_map(kmap, maxmix) - maxmix) <= tol.eps_fix
+    return NonUniqueInvariantState(count, candidate=maxmix if fixed else None)
+
+
+def fixed_states(kmaps, steps, first: FirstFailure, tol: Tolerances) -> np.ndarray:
+    """The trace-one Hermitian part of each map's eigenvalue-1 vector of S, not yet checked.
+
+    kmaps are the maps of the ascending step numbers `steps` of a pass, of one
+    dimension d.  Below BLOCK_SPLIT_MIN_DIM one eig of the stacked superoperators
+    serves every map; from it up each map takes one eig per diagonal block of S
+    (see the module docstring), in order, until one fails.  No fixed vector, a
+    degenerate fixed subspace or a traceless fixed vector goes to first; the
+    result has a state for each of the maps before the first failing step.
+    """
+    d = kmaps[0].dim
+    if d < BLOCK_SPLIT_MIN_DIM:
+        vals, vecs = np.linalg.eig(superoperators(stack_maps(kmaps)))
+        fixed = np.abs(vals - 1.0) <= FIXED_WINDOW
+        counts = fixed.sum(axis=1)
+        vectors = vecs[np.arange(len(kmaps)), :, fixed.argmax(axis=1)]
+    else:
+        counts, vectors = [], []
+        for kmap in kmaps:
+            count, vector = _block_fixed_vector(superoperator_view(kmap))
+            counts.append(count)
+            vectors.append(vector if count == 1 else np.zeros(d * d, dtype=complex))
+            if count != 1:
+                break
+        counts, vectors = np.array(counts), np.array(vectors)
+    first.check(counts != 1, lambda i: _not_unique(kmaps[i], counts[i], tol) if counts[i] else
+                SingularStateError("the map has no fixed point within tolerance"), steps)
+    x = vectors.reshape(-1, d, d)
+    pi = (x + adjoint(x)) / 2
+    tr = np.trace(pi, axis1=1, axis2=2).real
+    # eig makes a vector's largest entry real; for a trace-preserving map with a positive
+    # pi that is a diagonal entry, so the fixed vector is a real multiple of pi
+    first.check(np.abs(tr) < 1e-14, lambda i: SingularStateError(
+        f"the map's only fixed vector has zero trace ({tr[i]:.3e}, below 1e-14), "
+        f"so it is no multiple of a density matrix"), steps)
+    keep = np.asarray(steps[:len(tr)]) < first.count
+    return pi[keep] / tr[keep, None, None]
+
+
+def check_invariant_states(
+    stack: KrausStack, states: np.ndarray, first: FirstFailure, tol: Tolerances
+) -> HermitianEigenDecomposition:
+    """The eigendecomposition of each state, once it is checked to be a strictly positive
+    fixed point of its map of the stack; failures go to first.
+
+    One fixed-point residual ||E(pi) - pi||_F per map, above eps_fix a
+    SingularStateError; then positive_decomposition of the states that pass.
+    The decomposition covers at least the steps before the first failure.
+    """
+    n = first.count
+    residual = fixed_point_residuals(stack.head(n), states[:n])
+    first.check(residual > tol.eps_fix, lambda r: SingularStateError(
+        f"state is not a fixed point of the map: residual {residual[r]:.3e} "
+        f"exceeds eps_fix={tol.eps_fix}"))
+    return positive_decomposition(states, first, tol)
+
+
+def positive_decomposition(
+    states: np.ndarray, first: FirstFailure, tol: Tolerances
+) -> HermitianEigenDecomposition:
+    """hermitian_eig of the states of steps [0, first.count), each checked to be strictly
+    positive; failures go to first."""
+    try:
+        eig = hermitian_eig(states[:first.count], tol)
+    except NonHermitianError as exc:
+        first.fail(exc.index, exc)
+        eig = hermitian_eig(states[:first.count], tol)
+    low = eig.eigenvalues.min(axis=1)
+    first.check(low <= tol.eps_pos, lambda r: SingularStateError(
+        f"invariant state has eigenvalue {low[r]:.3e}, not above "
+        f"eps_pos={tol.eps_pos}; a strictly positive invariant state is required"))
+    return eig
+
+
+def _given_state(pi, dim: int) -> np.ndarray:
+    pi = as_complex_matrix(pi)
+    if pi.shape != (dim, dim):
+        raise DimensionMismatchError(
+            f"state shape {pi.shape} does not match map dimension {dim}"
+        )
+    return pi
+
+
+def choose_invariant_states(kmaps, pis, unital, first: FirstFailure,
+                            tol: Tolerances) -> np.ndarray:
+    """The state of each map as one (n, d, d) stack, not yet checked, n <= first.count.
+
+    pis[r] if given, which must be a finite d x d matrix; else 1/N if unital[r]
+    (the canonical choice when the fixed point is degenerate); else the unique
+    invariant state, those of all such maps from one fixed_states call.
+    Failures go to first.
+    """
+    d = kmaps[0].dim
+    steps = [r for r in range(first.count) if pis[r] is None and not unital[r]]
+    found = dict(zip(steps, fixed_states([kmaps[r] for r in steps], steps, first, tol)
+                     if steps else ()))
+    states = []
+    for r in range(first.count):
+        if pis[r] is None:
+            states.append(np.eye(d) / d if unital[r] else found[r])
+            continue
+        try:
+            states.append(_given_state(pis[r], d))
+        except (DimensionMismatchError, ValueError, TypeError) as exc:
+            first.fail(r, exc)
+            break
+    return np.stack(states, dtype=np.complex128)
+
+
 def invariant_state(
     kmap: KrausMap, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> np.ndarray:
@@ -234,65 +437,10 @@ def invariant_state(
     S (see the module docstring), with the fixed dimension counted over all
     blocks.  A degenerate subspace raises NonUniqueInvariantState (with 1/N
     offered as candidate when it is itself fixed), a singular or traceless fixed
-    point raises SingularStateError.
+    point raises SingularStateError.  The one-map case of fixed_states and
+    check_invariant_states.
     """
-    if kmap.dim < BLOCK_SPLIT_MIN_DIM:
-        count, vector = _dense_fixed_vector(build_superoperator(kmap))
-    else:
-        count, vector = _block_fixed_vector(superoperator_view(kmap))
-    if count == 0:
-        raise SingularStateError("the map has no fixed point within tolerance")
-    if count > 1:
-        maxmix = np.eye(kmap.dim) / kmap.dim
-        candidate = None
-        if frob(apply_map(kmap, maxmix) - maxmix) <= tol.eps_fix:
-            candidate = maxmix
-        raise NonUniqueInvariantState(count, candidate=candidate)
-    x = vector.reshape(kmap.dim, kmap.dim)
-    pi = (x + adjoint(x)) / 2
-    tr = np.trace(pi).real
-    if abs(tr) < 1e-14:
-        # eig makes a vector's largest entry real; for a trace-preserving map with a positive
-        # pi that is a diagonal entry, so the fixed vector is a real multiple of pi
-        raise SingularStateError(
-            f"the map's only fixed vector has zero trace ({tr:.3e}, below 1e-14), "
-            f"so it is no multiple of a density matrix"
-        )
-    pi = pi / tr
-    check_invariant_state(kmap, pi, tol)
-    return pi
-
-
-def check_invariant_state(
-    kmap: KrausMap, pi: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
-) -> HermitianEigenDecomposition:
-    """Eigendecomposition of pi, once pi is checked to be a strictly positive fixed point.
-
-    Raises SingularStateError when the residual ||E(pi) - pi||_F exceeds
-    eps_fix or the smallest eigenvalue of pi is not above eps_pos.
-    """
-    residual = frob(apply_map(kmap, pi) - pi)
-    if residual > tol.eps_fix:
-        raise SingularStateError(
-            f"state is not a fixed point of the map: residual {residual:.3e} "
-            f"exceeds eps_fix={tol.eps_fix}"
-        )
-    eig = hermitian_eig(pi, tol)
-    if np.min(eig.eigenvalues) <= tol.eps_pos:
-        raise SingularStateError(
-            f"invariant state has eigenvalue {np.min(eig.eigenvalues):.3e}, not above "
-            f"eps_pos={tol.eps_pos}; a strictly positive invariant state is required"
-        )
-    return eig
-
-
-def choose_invariant_state(
-    kmap: KrausMap, pi=None, unital: bool = False, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
-    """pi if given, else 1/N if unital (the canonical choice when the fixed point is
-    degenerate), else the unique invariant state."""
-    if pi is not None:
-        return pi
-    if unital:
-        return np.eye(kmap.dim) / kmap.dim
-    return invariant_state(kmap, tol)
+    first = FirstFailure(1)
+    pi = fixed_states([kmap], [0], first, tol)
+    check_invariant_states(stack_maps([kmap]), pi, first, tol)
+    return pi[0]

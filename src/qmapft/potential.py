@@ -12,15 +12,17 @@ dPhi = -beta omega (check_bohr_ladder).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import MixedPotentialOperator, SingularStateError
+from .errors import FirstFailure, MixedPotentialOperator, SingularStateError
 from .linalg import (HermitianEigenDecomposition, adjoint, as_complex_matrix, check_unitary,
-                     frob, frobs, hermitian_eig)
-from .maps import KrausMap, apply_map, check_invariant_state, kraus_map, validate_cptp
+                     frobs, hermitian_eig)
+from .maps import (KrausMap, KrausStack, check_invariant_states, choose_invariant_states,
+                   fixed_point_residuals, not_trace_preserving, positive_decomposition,
+                   stack_maps, tp_defects)
 
 
 # Tolerance of the ladder reports: Bohr ladder, ladder commutators, detailed balance.
@@ -102,49 +104,102 @@ def _segment_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(padded, heads) / np.maximum(counts, 1)
 
 
-def _group(values: np.ndarray, eps_group: float) -> tuple:
-    """(group index per value, group means): in ascending order, a value joins the last
-    group while it is within eps_group of that group's first value."""
-    order = values.argsort()
+def _group(values: np.ndarray, owner: np.ndarray, eps_group: float) -> tuple:
+    """Group the values of each segment (the values of one owner; owner ascends).
+
+    In ascending order, a value joins its segment's last group while it is
+    within eps_group of that group's first value.  Returns (group index per
+    value, counted from its segment's first group; the means of all groups,
+    segment by segment; (S + 1,) offsets of each segment's groups in them).
+    """
+    order = np.lexsort((values, owner))  # owner[order] is owner
     ascending = values[order]
-    labels, group = [], -1
-    for v in ascending.tolist():
-        if group < 0 or abs(v - first) > eps_group:
+    labels, bases, group, segment = [], [], -1, -1
+    for v, o in zip(ascending.tolist(), owner.tolist()):
+        if o != segment or abs(v - first) > eps_group:
             group, first = group + 1, v
+            if o != segment:
+                segment = o
+                bases.append(group)
         labels.append(group)
+    bases.append(group + 1)
+    bases = np.array(bases)
     index = np.empty_like(order)
-    index[order] = labels
-    return index, _segment_means(ascending, np.bincount(labels))
+    index[order] = np.array(labels) - bases[owner]
+    return index, _segment_means(ascending, np.bincount(labels)), bases
+
+
+def _classify(stack: KrausStack, states: np.ndarray, eig: HermitianEigenDecomposition,
+              first: FirstFailure, tol: Tolerances) -> list:
+    """The PotentialStructure of every map of a stack against its checked state, as one pass.
+
+    The potentials, their classes and every operator's connections and gaps are
+    computed over all maps at once; the first map with a mixed operator goes to
+    first, and the pass ends with the first failing map's error, if any.
+    """
+    n, d = first.count, stack.dim
+    stack = stack.head(n)
+    ops, owner = stack.operators, stack.owner
+    vals, vecs = eig.eigenvalues[:n], eig.eigenvectors[:n]
+    potentials = -np.log(vals)
+    classes, class_pot, class_bases = _group(
+        potentials.ravel(), np.repeat(np.arange(n), d), tol.eps_group)
+    pot = class_pot[classes.reshape(n, d) + class_bases[:n, None]]
+    connects = connections(ops, stack.at_rows(vecs), tol.eps_zero)
+    gap_table = stack.at_rows(pot[:, :, None] - pot[:, None, :])  # gap of each pair (j, i)
+    high = np.where(connects, gap_table, -np.inf)
+    spread = high.max(axis=(1, 2)) - np.where(connects, gap_table, np.inf).min(axis=(1, 2))
+    first.check(spread > tol.eps_group, lambda k: MixedPotentialOperator(
+        int(k - stack.bounds[owner[k]]), _distinct(high[k][connects[k]])), owner)
+    first.raise_first()
+    # row-major: operator by operator, each one's pairs in (j, i) order
+    delta_phi = _segment_means(high[connects], connects.sum(axis=(1, 2)))
+    gap_index, gaps, gap_bases = _group(delta_phi, owner, tol.eps_group)
+    structures = []
+    for r, (a, b) in enumerate(zip(stack.bounds[:-1], stack.bounds[1:])):
+        structures.append(PotentialStructure(
+            pi=states[r], eigen=HermitianEigenDecomposition(vals[r], vecs[r]),
+            potentials=potentials[r], classes=tuple(classes[r * d:(r + 1) * d].tolist()),
+            class_potentials=class_pot[class_bases[r]:class_bases[r + 1]],
+            delta_phi=delta_phi[a:b], gaps=gaps[gap_bases[r]:gap_bases[r + 1]],
+            gap_index=gap_index[a:b]))
+    return structures
+
+
+def classify_maps(kmaps, pis, unital, tol: Tolerances = DEFAULT_TOLERANCES,
+                  check_tp: bool = False) -> list:
+    """build_potential_structure of every map against the state choose_invariant_states picks.
+
+    One pass over the maps stacked as one KrausStack: with check_tp, one
+    trace-preservation test; the given, unital and computed states; one
+    fixed-point residual and one hermitian_eig of all states; then the
+    classification.  Each check runs once per (map, state), and the error
+    raised is the first failing map's, as classifying the maps one by one
+    in order would raise it.
+    """
+    if not len(kmaps):
+        return []
+    stack, first = stack_maps(kmaps), FirstFailure(len(kmaps))
+    if check_tp:
+        deviation = tp_defects(stack)
+        first.check(deviation > tol.eps_tp, lambda r: not_trace_preserving(deviation[r], tol))
+    states = choose_invariant_states(kmaps, pis, unital, first, tol)
+    eig = check_invariant_states(stack, states, first, tol)
+    return _classify(stack, states, eig, first, tol)
 
 
 def build_potential_structure(
-    kmap: KrausMap, pi: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES
+    kmap: KrausMap, pi: np.ndarray | None, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> PotentialStructure:
     """Classify the Kraus operators of a map as potential ladder operators.
 
-    Raises MixedPotentialOperator if some operator connects eigenstate pairs
-    with two distinct potential gaps, and SingularStateError if pi is not
+    pi None classifies against the map's unique invariant state.  Raises
+    MixedPotentialOperator if some operator connects eigenstate pairs with
+    two distinct potential gaps, and SingularStateError if pi is not
     strictly positive or not a fixed point.  A zero operator has no jumps and
-    changes the potential by 0.
+    changes the potential by 0.  The one-map case of classify_maps.
     """
-    pi = as_complex_matrix(pi)
-    eig = check_invariant_state(kmap, pi, tol)
-    potentials = -np.log(eig.eigenvalues)
-    classes, class_pot = _group(potentials, tol.eps_group)
-    connects = connections(kmap.operators, eig.eigenvectors, tol.eps_zero)
-    pot = class_pot[classes]
-    gap_table = pot[:, None] - pot[None, :]  # gap of each pair (j, i)
-    high = np.where(connects, gap_table, -np.inf)
-    spread = high.max(axis=(1, 2)) - np.where(connects, gap_table, np.inf).min(axis=(1, 2))
-    if (spread > tol.eps_group).any():
-        k = int((spread > tol.eps_group).argmax())  # the first mixed operator
-        raise MixedPotentialOperator(k, _distinct(high[k][connects[k]]))
-    # row-major: operator by operator, each one's pairs in (j, i) order
-    delta_phi = _segment_means(high[connects], connects.sum(axis=(1, 2)))
-    gap_index, gaps = _group(delta_phi, tol.eps_group)
-    return PotentialStructure(
-        pi=pi, eigen=eig, potentials=potentials, classes=tuple(classes.tolist()),
-        class_potentials=class_pot, delta_phi=delta_phi, gaps=gaps, gap_index=gap_index)
+    return classify_maps([kmap], [pi], [False], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -156,31 +211,69 @@ class DualMap:
     symmetry: SymmetryOp
 
 
-def build_dual(
-    kmap: KrausMap, pi: np.ndarray, symmetry: SymmetryOp | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> DualMap:
-    """Dual map with operators A pi^(1/2) M_k† pi^(-1/2) A†."""
-    if symmetry is None:
-        symmetry = theta(kmap.dim)
-    pi = as_complex_matrix(pi)
-    eig = check_invariant_state(kmap, pi, tol)
-    v, w = eig.eigenvectors, eig.eigenvalues
+def _dual_stack(stack: KrausStack, eig: HermitianEigenDecomposition, states: np.ndarray,
+                symmetry: SymmetryOp, first: FirstFailure, tol: Tolerances) -> tuple:
+    """(dual operators as a stack of the same bounds, transformed states) of every map of a stack.
+
+    The operators A pi^(1/2) M_k† pi^(-1/2) A† come from each state's decomposition,
+    and the dual states are A pi A†.  Each dual map is checked to be trace
+    preserving and to fix its state, failures to first.
+    """
+    v, w = eig.eigenvectors, eig.eigenvalues[:, None, :]
     # the expressions of matrix_power_of_positive, from the one decomposition
     sq = (v * w**0.5) @ adjoint(v)
     sqinv = (v * w**-0.5) @ adjoint(v)
-    duals = symmetry.on_matrix(sq @ adjoint(kmap.operators) @ sqinv)
-    dual = kraus_map(duals, labels=tuple(f"{s}~" for s in kmap.labels))
-    pi_dual = symmetry.on_matrix(pi)
+    ops = symmetry.on_matrix(stack.at_rows(sq) @ adjoint(stack.operators) @ stack.at_rows(sqinv))
+    ops.setflags(write=False)
+    duals = replace(stack, operators=ops)
+    pi_duals = symmetry.on_matrix(states)
+    deviation = tp_defects(duals)
+    first.check(deviation > tol.eps_tp, lambda r: SingularStateError(
+        f"dual map is not trace preserving (deviation {deviation[r]:.3e})"))
+    residual = fixed_point_residuals(duals.head(first.count), pi_duals[:first.count])
+    first.check(residual > tol.eps_fix,
+                lambda r: SingularStateError("dual map does not fix the transformed state"))
+    return duals, pi_duals
 
-    report = validate_cptp(dual, tol)
-    if not report.passed:
-        raise SingularStateError(
-            f"dual map is not trace preserving (deviation {report.tp_deviation:.3e})"
-        )
-    if frob(apply_map(dual, pi_dual) - pi_dual) > tol.eps_fix:
-        raise SingularStateError("dual map does not fix the transformed state")
-    return DualMap(map=dual, pi_dual=pi_dual, symmetry=symmetry)
+
+def _dual_maps(duals: KrausStack, kmaps) -> list:
+    ops, bounds = duals.operators, duals.bounds
+    return [KrausMap(operators=ops[a:b], labels=tuple(f"{s}~" for s in kmap.labels))
+            for kmap, a, b in zip(kmaps, bounds[:-1], bounds[1:])]
+
+
+def build_dual(
+    kmap: KrausMap, pi: np.ndarray | None, symmetry: SymmetryOp | None = None,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> DualMap:
+    """Dual map with operators A pi^(1/2) M_k† pi^(-1/2) A†, pi None being the map's unique
+    invariant state: the one-map case of classify_duals without the dual's classification."""
+    if symmetry is None:
+        symmetry = theta(kmap.dim)
+    stack, first = stack_maps([kmap]), FirstFailure(1)
+    states = choose_invariant_states([kmap], [pi], [False], first, tol)
+    eig = check_invariant_states(stack, states, first, tol)
+    duals, pi_duals = _dual_stack(stack, eig, states, symmetry, first, tol)
+    return DualMap(map=_dual_maps(duals, [kmap])[0], pi_dual=pi_duals[0], symmetry=symmetry)
+
+
+def classify_duals(kmaps, eig: HermitianEigenDecomposition, states: np.ndarray,
+                   symmetry: SymmetryOp, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
+    """(dual maps, their PotentialStructures) of maps already classified against states.
+
+    build_dual and build_potential_structure of each dual map against its
+    transformed state, in one pass: the maps' state decompositions (eig, a
+    stack) give every dual operator, and each dual map's trace preservation,
+    fixed point, state decomposition and classification is checked once.  The
+    error raised is the first failing map's.
+    """
+    if not len(kmaps):
+        return [], []
+    stack, first = stack_maps(kmaps), FirstFailure(len(kmaps))
+    duals, pi_duals = _dual_stack(stack, eig, states, symmetry, first, tol)
+    dual_eig = positive_decomposition(pi_duals, first, tol)
+    structures = _classify(duals, pi_duals, dual_eig, first, tol)
+    return _dual_maps(duals, kmaps), structures
 
 
 @dataclass(frozen=True)

@@ -31,15 +31,10 @@ from .errors import (
     SampleCountTooLarge,
     ZeroProbabilityBranch,
 )
-from .linalg import adjoint, as_complex_matrix, hermitian_eig, von_neumann_entropy
-from .maps import KrausMap, apply_map, choose_invariant_state, validate_density
-from .potential import (
-    PotentialStructure,
-    SymmetryOp,
-    build_dual,
-    build_potential_structure,
-    theta,
-)
+from .linalg import (HermitianEigenDecomposition, adjoint, as_complex_matrix, hermitian_eig,
+                     von_neumann_entropy)
+from .maps import KrausMap, apply_map, validate_density
+from .potential import PotentialStructure, SymmetryOp, classify_duals, classify_maps, theta
 from .models import gibbs_populations
 
 ENTROPIC = "entropic"
@@ -102,9 +97,20 @@ def make_step(
     unital: bool = False,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ProcessStep:
-    """Classify a map against the state choose_invariant_state picks."""
-    pi = choose_invariant_state(kmap, pi, unital, tol)
-    return ProcessStep(map=kmap, structure=build_potential_structure(kmap, pi, tol))
+    """Classify a map against the state choose_invariant_states picks: one step of make_steps."""
+    return make_steps([kmap], [pi], [unital], tol)[0]
+
+
+def make_steps(kmaps, pis, unital, tol: Tolerances = DEFAULT_TOLERANCES,
+               check_tp: bool = False) -> list:
+    """make_step of every map, in one stacked pass (potential.classify_maps).
+
+    pis[r] is map r's state or None, unital[r] its flag; with check_tp each
+    map must also be trace preserving.  The error raised is the first failing
+    map's, as making the steps one by one in order would raise it.
+    """
+    structures = classify_maps(kmaps, pis, unital, tol, check_tp=check_tp)
+    return [ProcessStep(map=kmap, structure=s) for kmap, s in zip(kmaps, structures)]
 
 
 def process_spec(
@@ -117,9 +123,8 @@ def process_spec(
     symmetry: SymmetryOp | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ProcessSpec:
-    """Validated ProcessSpec constructor."""
-    steps = tuple(steps)
-    dims = {s.map.dim for s in steps}
+    """Validated ProcessSpec constructor: the boundary and symmetry, then with_steps."""
+    dims = set()
     if boundary_mode == ENTROPIC:
         if initial_state is None:
             raise ValueError("entropic mode needs an initial state")
@@ -144,8 +149,8 @@ def process_spec(
     dim = dims.pop()
     if symmetry is None:
         symmetry = theta(dim)
-    return ProcessSpec(
-        steps=steps,
+    boundary = ProcessSpec(
+        steps=(),
         boundary_mode=boundary_mode,
         initial_state=initial_state,
         h_initial=h_initial,
@@ -153,6 +158,16 @@ def process_spec(
         beta=beta,
         symmetry=symmetry,
     )
+    return with_steps(boundary, steps)
+
+
+def with_steps(spec: ProcessSpec, steps) -> ProcessSpec:
+    """spec with these steps in place of its own; their maps must have its boundary's dimension."""
+    steps = tuple(steps)
+    dims = {s.map.dim for s in steps} | {spec.symmetry.matrix.shape[0]}
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"inconsistent dimensions in process: {dims}")
+    return replace(spec, steps=steps)
 
 
 def compile_process(
@@ -432,11 +447,14 @@ def sample_trajectories(
     a bool) and seed an integer in [0, 2**128); other values raise
     ValueError.  A sample_count above DEFAULT_BRANCH_CAP raises
     SampleCountTooLarge.  Both checks come before anything is allocated.
-    The uniforms come from one Philox stream keyed by seed, read as a
-    (sample_count, R + 2) array: row i holds trajectory i's draws for n,
-    each step's Kraus label and m, so it depends only on (seed, i) and a
-    longer run extends a shorter one.  _walk takes SAMPLE_BLOCK rows at a
-    time, one trajectory per column of its (d, N) state array.
+    The uniforms come from one Philox stream keyed by seed, read in rows of
+    R + 2: row i holds trajectory i's draws for n, each step's Kraus label
+    and m, so it depends only on (seed, i) and a longer run extends a
+    shorter one.  The rows are drawn SAMPLE_BLOCK at a time from the one
+    generator, which continues the stream where the last block ended, so
+    they are the rows of one (sample_count, R + 2) draw without holding it;
+    _walk takes each block, one trajectory per column of its (d, N) state
+    array.
     """
     if not (_is_integer(sample_count) and sample_count > 0):
         raise ValueError(f"sample_count must be a positive integer, got {sample_count!r}")
@@ -448,16 +466,15 @@ def sample_trajectories(
             f"{sample_count} samples are above the cap {DEFAULT_BRANCH_CAP}; draw fewer samples"
         )
     bnd = compile_process(spec, tol)
-    u = np.random.Generator(np.random.Philox(key=seed)).random(
-        (sample_count, len(spec.steps) + 2)
-    )
+    rng = np.random.Generator(np.random.Philox(key=seed))
     n = np.empty(sample_count, dtype=np.int64)
     ks = np.empty((sample_count, len(spec.steps)), dtype=np.int64)
     m = np.empty(sample_count, dtype=np.int64)
     dphi = np.empty(sample_count)
     for lo in range(0, sample_count, SAMPLE_BLOCK):
-        block = slice(lo, lo + SAMPLE_BLOCK)
-        n[block], ks[block], m[block], dphi[block] = _walk(spec, bnd, u[block])
+        u = rng.random((min(SAMPLE_BLOCK, sample_count - lo), len(spec.steps) + 2))
+        block = slice(lo, lo + len(u))
+        n[block], ks[block], m[block], dphi[block] = _walk(spec, bnd, u)
 
     ensemble = TrajectoryEnsemble(
         n=n,
@@ -480,13 +497,22 @@ def sample_trajectories(
 def build_dual_process(
     spec: ProcessSpec, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> ProcessSpec:
-    """Reversed concatenation of per-step dual maps with transformed bases."""
+    """Reversed concatenation of per-step dual maps with transformed bases.
+
+    Every dual map is built and classified in one stacked pass (classify_duals)
+    from the decompositions the forward steps already carry.
+    """
     bnd = compile_process(spec, tol)
     sym = spec.symmetry
-    dual_steps = []
-    for step in reversed(spec.steps):
-        dual = build_dual(step.map, step.structure.pi, sym, tol)
-        dual_steps.append(make_step(dual.map, dual.pi_dual, tol=tol))
+    steps = spec.steps[::-1]
+    # every step's pi and its decomposition, already checked when the step was classified
+    eig = HermitianEigenDecomposition(
+        np.array([s.structure.eigen.eigenvalues for s in steps]),
+        np.array([s.structure.eigen.eigenvectors for s in steps]),
+    )
+    maps, structures = classify_duals(
+        [s.map for s in steps], eig, np.array([s.structure.pi for s in steps]), sym, tol)
+    dual_steps = [ProcessStep(map=m, structure=s) for m, s in zip(maps, structures)]
 
     def transform_basis(basis: np.ndarray) -> np.ndarray:
         cols = basis.T.conj() if sym.antiunitary else basis.T

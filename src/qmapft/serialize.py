@@ -21,10 +21,11 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, MAX_DIM, Tolerances
 from .errors import DimensionMismatchError, HistogramTooLarge, ProcessFileError
-from .maps import KrausMap, kraus_map, require_trace_preserving
+from .maps import KrausMap, kraus_map
 from .potential import SymmetryOp
 from . import models
-from .process import ENTROPIC, EQUILIBRIUM, ProcessSpec, TrajectoryEnsemble, make_step, process_spec
+from .process import (ENTROPIC, EQUILIBRIUM, ProcessSpec, TrajectoryEnsemble, make_steps,
+                      process_spec, with_steps)
 
 SCHEMA_VERSION = 1
 
@@ -213,7 +214,8 @@ def _boolean(data: dict, key: str, default: bool) -> bool:
     return value
 
 
-def step_from_json(entry: dict, base_dir: Path, tol: Tolerances):
+def step_inputs_from_json(entry: dict, base_dir: Path, tol: Tolerances) -> tuple:
+    """(map, pi or None, unital flag) of one entry of "steps", read and built, not yet checked."""
     if not isinstance(entry, dict):
         raise _Malformed(f"each entry of 'steps' must be an object, got {entry!r}")
     if "map_file" in entry:
@@ -226,15 +228,21 @@ def step_from_json(entry: dict, base_dir: Path, tol: Tolerances):
         kmap = _build_model(entry, tol)
     else:
         raise _Malformed("each step needs one of 'map_file', 'map', or 'model'")
-    require_trace_preserving(kmap, tol)  # before pi: a map that loses trace has no dual
     pi = matrix_from_json(entry["pi"], "pi") if "pi" in entry else None
-    return make_step(kmap, pi=pi, unital=_boolean(entry, "unital", False), tol=tol)
+    return kmap, pi, _boolean(entry, "unital", False)
 
 
 def load_process_file(
     path, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[ProcessSpec, dict]:
-    """Load a process spec; returns (spec, raw dict) for seed/sample defaults."""
+    """Load a process spec; returns (spec, raw dict) for seed/sample defaults.
+
+    The whole file is read, and its boundary and symmetry checked, before any
+    step is: so a parse error anywhere comes first.  Then every step is checked
+    and classified in one make_steps pass (trace preservation first), which
+    raises the first failing step's error; last, the steps' dimension is
+    checked against the boundary's.
+    """
     path = Path(path)
     data = _read_json(path)
     if not isinstance(data, dict):
@@ -243,7 +251,7 @@ def load_process_file(
         steps = data.get("steps", [])
         if not isinstance(steps, list):  # a string would be read letter by letter
             raise _Malformed(f"'steps' must be an array of step objects, got {steps!r}")
-        steps = [step_from_json(e, path.parent, tol) for e in steps]
+        inputs = [step_inputs_from_json(e, path.parent, tol) for e in steps]
         mode = data.get("boundary_mode", ENTROPIC)
         symmetry = None
         if "symmetry" in data:
@@ -261,9 +269,9 @@ def load_process_file(
             kwargs["h_initial"] = matrix_from_json(data["H_i"], "H_i")
             kwargs["h_final"] = matrix_from_json(data["H_f"], "H_f")
             kwargs["beta"] = data["beta"]  # process_spec checks it is a finite number
-        spec = process_spec(
-            steps, boundary_mode=mode, symmetry=symmetry, tol=tol, **kwargs
-        )
+        boundary = process_spec((), boundary_mode=mode, symmetry=symmetry, tol=tol, **kwargs)
+        kmaps, pis, unital = zip(*inputs) if inputs else ((), (), ())
+        spec = with_steps(boundary, make_steps(kmaps, pis, unital, tol, check_tp=True))
     return spec, data
 
 

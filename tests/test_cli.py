@@ -973,3 +973,71 @@ def test_cli_wrong_json_types_are_parse_errors_naming_the_key(tmp_path, capsys, 
     assert main(["verify", str(proc)]) == 2
     key = next(v for k, v in NAMED_KEY.items() if case.startswith(k))
     assert key in assert_one_parse_error(capsys, proc)
+
+
+# One failing step of each kind, and a later step that fails at an earlier check (trace
+# preservation, or a mixed operator after a leaky map): steps are checked in one stacked
+# pass, and the first failing step in file order must still raise its own error.
+A, B = 0.2**0.5, 0.1**0.5
+MIXED_MAP = map_to_json(q.kraus_map([np.diag([(1 - B * B)**0.5, (1 - A * A)**0.5]),
+                                     [[0, A], [B, 0]]]))
+HADAMARD_STEP = {"model": "unitary", "U": matrix_to_json(np.array([[1, 1], [1, -1]]) / 2**0.5)}
+FAILING_STEPS = {
+    "non_unique": (HADAMARD_STEP, {"map": LEAKY_MAP}, q.NonUniqueInvariantState, 3,
+                   "error: invariant state is not unique (fixed subspace dimension 2)"),
+    "mixed": ({"map": MIXED_MAP}, {"map": LEAKY_MAP}, q.MixedPotentialOperator, 1,
+              "error: Kraus operator 1 straddles distinct potential gaps "
+              "[-0.69314718056, 0.69314718056]"),
+    "singular": ({"map": GAD_MAP, "pi": matrix_to_json(np.diag([0.5, 0.5]))},
+                 {"map": LEAKY_MAP}, q.SingularStateError, 1,
+                 "error: state is not a fixed point of the map: residual"),
+    "not_tp": ({"map": LEAKY_MAP}, {"map": MIXED_MAP}, q.NotTracePreservingError, 1,
+               "error: map is not trace preserving"),
+}
+
+
+@pytest.mark.parametrize("kind", list(FAILING_STEPS))
+def test_first_failing_step_in_file_order_raises(tmp_path, capsys, kind):
+    failing, later, error, code, message = FAILING_STEPS[kind]
+    good = {"model": "thermal_qubit", "beta_omega": LN2, "gamma": 0.5}
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, steps=[good, good, failing, good, later, failing])
+    assert main(["verify", str(proc)]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), lines
+    with pytest.raises(error) as info:
+        load_process_file(proc)
+    if kind == "non_unique":
+        assert info.value.subspace_dim == 2
+        assert np.array_equal(info.value.candidate, np.eye(2) / 2)
+    if kind == "mixed":
+        assert info.value.operator_index == 1
+        assert info.value.gaps == [-0.69314718056, 0.69314718056]
+
+
+@pytest.mark.parametrize("kind", list(FAILING_STEPS))
+@pytest.mark.parametrize("parse_error", ["bad_step", "initial_state", "boundary_mode"])
+def test_parse_errors_come_before_every_step_check(tmp_path, capsys, kind, parse_error):
+    failing = FAILING_STEPS[kind][0]
+    steps = [failing, {"model": "thermal_qubit", "beta_omega": LN2, "gamma": 0.5}]
+    settings = {"steps": steps}
+    if parse_error == "bad_step":
+        steps.append({"model": "thermal_qubit", "beta_omega": LN2, "gamma": "x"})
+    elif parse_error == "initial_state":
+        settings["initial_state"] = 5
+    else:
+        settings["boundary_mode"] = "adiabatic"
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, **settings)
+    assert main(["verify", str(proc)]) == 2
+    assert_one_parse_error(capsys, proc)
+
+
+def test_steps_of_different_dimensions_are_refused_before_any_step_check(tmp_path, capsys):
+    # the Hadamard step alone would need --pi (exit 3); the qutrit step cannot share its stack
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, steps=[HADAMARD_STEP, {"model": "unitary",
+                                                    "U": matrix_to_json(np.eye(3))}])
+    assert main(["verify", str(proc)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: inconsistent dimensions in process: {2, 3}"]

@@ -324,12 +324,18 @@ def test_segment_means_equal_np_mean_bit_for_bit():
     assert _segment_means(values, counts).tobytes() == np.array(want).tobytes()
 
 
-@given(st.lists(st.floats(-3, 3), min_size=1, max_size=40), st.sampled_from([0.0, 1e-9, 0.1]))
-def test_group_matches_the_one_by_one_reference(values, eps_group):
-    index, means = _group(np.array(values), eps_group)
-    classes, class_pot = _group_classes(np.array(values), eps_group)
-    assert tuple(index.tolist()) == classes
-    assert means.tobytes() == class_pot.tobytes()
+@given(st.lists(st.lists(st.floats(-3, 3), min_size=1, max_size=40), min_size=1, max_size=4),
+       st.sampled_from([0.0, 1e-9, 0.1]))
+def test_group_matches_the_one_by_one_reference(segments, eps_group):
+    # one call groups every segment; each segment's groups are its own one-by-one grouping
+    owner = np.repeat(np.arange(len(segments)), [len(v) for v in segments])
+    index, means, bases = _group(np.concatenate(segments), owner, eps_group)
+    starts = np.cumsum([0] + [len(v) for v in segments])
+    for r, values in enumerate(segments):
+        classes, class_pot = _group_classes(np.array(values), eps_group)
+        assert tuple(index[starts[r]:starts[r + 1]].tolist()) == classes
+        assert means[bases[r]:bases[r + 1]].tobytes() == class_pot.tobytes()
+    assert bases[-1] == len(means)
 
 
 def assert_gap_index(structure, eps_group=q.DEFAULT_TOLERANCES.eps_group):

@@ -710,6 +710,23 @@ def test_sampling_blocks_do_not_change_results(monkeypatch):
         assert np.array_equal(getattr(whole, field), getattr(blocked, field)), field
 
 
+def test_blockwise_uniforms_are_the_rows_of_one_draw(monkeypatch):
+    # three blocks and a ragged tail, each drawn from the one generator where the last
+    # block ended: the walk sees the rows of one (count, R + 2) draw
+    spec = gad_process()
+    monkeypatch.setattr(qmapft.process, "SAMPLE_BLOCK", 64)
+    count, width = 3 * 64 + 17, len(spec.steps) + 2
+    whole = np.random.Generator(np.random.Philox(key=12)).random((count, width))
+    rng = np.random.Generator(np.random.Philox(key=12))
+    blocks = [rng.random((n, width)) for n in (64, 64, 64, 17)]
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+    ens = q.sample_trajectories(spec, count, seed=12)
+    want = qmapft.process._walk(spec, compile_process(spec), whole)
+    for field, got, b in zip(("n", "ks", "m", "dphi"),
+                             (ens.n, ens.ks, ens.m, ens.delta_phi_sum), want):
+        assert got.dtype == b.dtype and np.array_equal(got, b), field
+
+
 def test_ensemble_is_arrays():
     spec = gad_process()
     for ens in (q.enumerate_trajectories(spec), q.sample_trajectories(spec, 30, seed=2)):

@@ -24,7 +24,6 @@ import qmapft.serialize
 from qmapft.cli import main
 from qmapft.config import DEFAULT_TOLERANCES
 from qmapft.linalg import as_complex_matrix
-from qmapft.maps import choose_invariant_state
 from qmapft.serialize import (
     dumps_report,
     load_map_file,
@@ -407,7 +406,7 @@ def test_classify_and_dual_reports_read_back_bit_exactly(tmp_path_factory, dims,
         path = tmp / "map.json"
         path.write_text(json.dumps(map_to_json(example.kmap)))
         kmap = load_map_file(path)
-        pi = choose_invariant_state(kmap)
+        pi = q.invariant_state(kmap)
         dual = q.build_dual(kmap, pi)
         structure = q.build_potential_structure(kmap, pi)
 
