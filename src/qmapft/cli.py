@@ -25,7 +25,7 @@ from .errors import (
     QmapError,
     SampleCountTooLarge,
 )
-from .maps import require_trace_preserving, validate_cptp
+from .maps import validate_cptp
 from .potential import build_dual, build_potential_structure, check_ladder_commutators
 from .process import (
     RNG_SCHEME,
@@ -88,7 +88,6 @@ def cmd_validate(args, tol: Tolerances) -> int:
 
 def cmd_classify(args, tol: Tolerances) -> int:
     kmap = load_map_file(args.map_file)
-    require_trace_preserving(kmap, tol)
     try:
         structure = build_potential_structure(kmap, _given_pi(kmap, args), tol)
     except NonUniqueInvariantState as exc:
@@ -111,7 +110,6 @@ def cmd_classify(args, tol: Tolerances) -> int:
 
 def cmd_dual(args, tol: Tolerances) -> int:
     kmap = load_map_file(args.map_file)
-    require_trace_preserving(kmap, tol)
     try:
         dual = build_dual(kmap, _given_pi(kmap, args), tol=tol)
     except NonUniqueInvariantState as exc:

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and FirstFailure, which picks the error a
-stacked pass over the steps of a process raises."""
+"""Exception types shared across the package, and raise_first, which raises the first
+failure of a stacked check."""
 
 from __future__ import annotations
 
@@ -13,11 +13,7 @@ class DimensionMismatchError(QmapError):
 
 
 class NonHermitianError(QmapError):
-    """A matrix required to be Hermitian deviates beyond tolerance; index names it in a stack."""
-
-    def __init__(self, message: str, index: int = 0):
-        self.index = index
-        super().__init__(message)
+    """A matrix required to be Hermitian deviates beyond tolerance."""
 
 
 class NotUnitaryError(QmapError):
@@ -107,39 +103,7 @@ class ProcessFileError(QmapError):
     """A map or process file could not be parsed."""
 
 
-class FirstFailure:
-    """The error of the first failing step of a pass over a stack of steps.
-
-    A pass runs its checks in the order one step runs them, each check over
-    steps [0, count).  A failure at step r records its error and drops steps
-    r and later from the checks still to come, where an earlier step's
-    failure replaces it; so the pass ends with the error that checking the
-    steps one by one, in order, raises first.  A failure at step 0 raises at
-    once: no step comes before it.
-    """
-
-    def __init__(self, count: int):
-        self.count = count
-        self.error = None
-
-    def fail(self, index: int, error: Exception) -> None:
-        """Record step index's error, unless an earlier step's is recorded."""
-        if index < self.count:
-            self.count, self.error = index, error
-            if index == 0:
-                raise error
-
-    def check(self, failed, error_of, steps=None) -> None:
-        """Fail the first step whose entry of failed is true, with error_of(i) of its entry i.
-
-        Entry i is step i's, or step steps[i]'s for ascending step numbers steps.
-        """
-        if failed.any():
-            i = int(failed.argmax())
-            step = i if steps is None else int(steps[i])
-            if step < self.count:
-                self.fail(step, error_of(i))
-
-    def raise_first(self) -> None:
-        if self.error is not None:
-            raise self.error
+def raise_first(failed, error_of) -> None:
+    """Raise error_of(i) for the first i at which the boolean array failed is true, if any."""
+    if failed.any():
+        raise error_of(int(failed.argmax()))

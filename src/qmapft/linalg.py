@@ -105,8 +105,11 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     deterministic up to degeneracies, which LAPACK already resolves
     deterministically for fixed input bits.
     """
-    rows = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
-    pivot = np.take_along_axis(vectors, rows, axis=-2)
+    d, n = vectors.shape[-2:]
+    rows = np.argmax(np.abs(vectors), axis=-2)
+    if vectors.ndim == 3:  # the pivots' rows in the matrices read as one (R d, n) array
+        rows += np.arange(0, len(vectors) * d, d)[:, None]
+    pivot = vectors.reshape(-1, n)[rows, np.arange(n)][..., None, :]
     size = np.hypot(pivot.real, pivot.imag)  # what abs() of each pivot gives
     return vectors * np.divide(size, pivot, out=np.ones_like(pivot), where=size > 0)
 
@@ -117,23 +120,21 @@ def hermitian_eig(
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a (R, d, d) stack.
 
     The input is symmetrized as (A + A†)/2 before decomposition; inputs
-    that are non-Hermitian beyond eps_herm are rejected, a stack's first
-    such matrix by its index.  A stack's eigenvalues are (R, d) and its
-    eigenvectors (R, d, d), each matrix's bit for bit as decomposed alone.
+    that are non-Hermitian beyond eps_herm are rejected, a stack when any of
+    its matrices is.  A stack's eigenvalues are (R, d) and its eigenvectors
+    (R, d, d), each matrix's bit for bit as decomposed alone.
     """
     if np.ndim(a) == 3:
         a = as_complex_stack(a)
-        defects = hermiticity_defects(a)
+        defect = hermiticity_defects(a).max(initial=0.0)
     else:
         a = as_complex_matrix(a)
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatchError(f"matrix is not square: {a.shape}")
-        defects = [hermiticity_defect(a)]
-    bad = np.flatnonzero(np.greater(defects, tol.eps_herm))
-    if bad.size:
+        defect = hermiticity_defect(a)
+    if defect > tol.eps_herm:
         raise NonHermitianError(
-            f"Hermiticity defect {defects[bad[0]]:.3e} exceeds eps_herm={tol.eps_herm}",
-            index=int(bad[0]),
+            f"Hermiticity defect {defect:.3e} exceeds eps_herm={tol.eps_herm}"
         )
     vals, vecs = np.linalg.eigh((a + adjoint(a)) / 2)
     return HermitianEigenDecomposition(vals, _fix_phases(vecs))

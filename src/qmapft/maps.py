@@ -29,11 +29,11 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     DimensionMismatchError,
-    FirstFailure,
     NonHermitianError,
     NonUniqueInvariantState,
     NotTracePreservingError,
     SingularStateError,
+    raise_first,
 )
 from .linalg import (HermitianEigenDecomposition, adjoint, as_complex_matrix, as_complex_stack,
                      frob, frobs, hermitian_eig, hermiticity_defect)
@@ -78,13 +78,13 @@ class KrausStack:
     """The Kraus operators of R maps of one dimension, concatenated into one (sum K_r, d, d) array.
 
     Map r owns rows bounds[r] to bounds[r + 1] and owner[i] is the map of row i, so
-    per-operator work on every map of a process is one array operation.
+    per-operator work on every map of a process is one array operation; x[owner]
+    is each map's entry of a per-map (R, ...) array x at each of its rows.
     """
 
     operators: np.ndarray
     bounds: np.ndarray      # (R + 1,) row offsets
     owner: np.ndarray       # (sum K_r,) map index of each row
-    uniform: int            # the K_r of every map when they are all equal, else 0
 
     @property
     def dim(self) -> int:
@@ -93,26 +93,14 @@ class KrausStack:
     def __len__(self) -> int:
         return len(self.bounds) - 1
 
-    def head(self, count: int) -> KrausStack:
-        """The stack of the first count maps."""
-        end = self.bounds[count]
-        return KrausStack(self.operators[:end], self.bounds[:count + 1], self.owner[:end],
-                          self.uniform)
-
-    def at_rows(self, per_map: np.ndarray) -> np.ndarray:
-        """Each map's entry of a per-map (R, ...) array at each of its rows: per_map[owner],
-        or per_map itself, which broadcasts against the rows, when there is one map."""
-        return per_map if len(self) == 1 else per_map[self.owner]
-
     def sums(self, rows: np.ndarray) -> np.ndarray:
-        """Per map, the sum of its rows of a per-operator array, bit for bit as .sum(axis=0) of them.
+        """Per map, .sum(axis=0) of its rows of a per-operator array.
 
-        With one K for every map this is one reduction over a (R, K, ...) view,
-        which rounds as the per-map sums do (the terms are added in row order).
+        One sum per map: .sum(axis=0) does not add the rows strictly in order, so
+        np.add.reduceat over all rows, which does, rounds differently.
         """
-        if k := self.uniform:
-            return rows.reshape(len(self), k, *rows.shape[1:]).sum(axis=1)
-        return np.stack([rows[a:b].sum(axis=0) for a, b in zip(self.bounds[:-1], self.bounds[1:])])
+        bounds = self.bounds.tolist()
+        return np.stack([rows[a:b].sum(axis=0) for a, b in zip(bounds, bounds[1:])])
 
 
 def stack_maps(kmaps) -> KrausStack:
@@ -122,9 +110,7 @@ def stack_maps(kmaps) -> KrausStack:
         raise DimensionMismatchError(f"inconsistent dimensions in process: {dims}")
     counts = [len(kmap) for kmap in kmaps]
     ops = kmaps[0].operators if len(kmaps) == 1 else np.concatenate([m.operators for m in kmaps])
-    uniform = counts[0] if len(set(counts)) == 1 else 0
-    return KrausStack(ops, np.cumsum([0] + counts), np.repeat(np.arange(len(kmaps)), counts),
-                      uniform)
+    return KrausStack(ops, np.cumsum([0] + counts), np.repeat(np.arange(len(kmaps)), counts))
 
 
 def tp_defects(stack: KrausStack) -> np.ndarray:
@@ -158,13 +144,6 @@ def validate_cptp(kmap: KrausMap, tol: Tolerances = DEFAULT_TOLERANCES) -> Valid
     return ValidationReport(
         tp_deviation=dev, tolerance=tol.eps_tp, trace_preserving=dev <= tol.eps_tp
     )
-
-
-def require_trace_preserving(kmap: KrausMap, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
-    """Raise NotTracePreservingError unless validate_cptp passes."""
-    report = validate_cptp(kmap, tol)
-    if not report.passed:
-        raise not_trace_preserving(report.tp_deviation, tol)
 
 
 def not_trace_preserving(deviation: float, tol: Tolerances) -> NotTracePreservingError:
@@ -206,7 +185,7 @@ def fixed_point_residuals(stack: KrausStack, states: np.ndarray) -> np.ndarray:
     """||E_r(states[r]) - states[r]||_F for each map E_r of a stack: apply_map's products
     and sums over the stacked operators, bit for bit."""
     ops = stack.operators
-    return frobs(stack.sums(ops @ stack.at_rows(states) @ adjoint(ops)) - states)
+    return frobs(stack.sums(ops @ states[stack.owner] @ adjoint(ops)) - states)
 
 
 def superoperator_view(kmap: KrausMap) -> np.ndarray:
@@ -229,22 +208,6 @@ def build_superoperator(kmap: KrausMap) -> np.ndarray:
     """
     d = kmap.dim
     return superoperator_view(kmap).reshape(d * d, d * d)
-
-
-def superoperators(stack: KrausStack) -> np.ndarray:
-    """build_superoperator of each map of a stack, as one (R, d^2, d^2) array, bit for bit.
-
-    One gemm per map, as in superoperator_view; with one K for every map they are one
-    stacked matmul.
-    """
-    r, d = len(stack), stack.dim
-    f = stack.operators.reshape(-1, d * d)
-    if k := stack.uniform:
-        f = f.reshape(r, k, d * d)
-        choi = f.swapaxes(1, 2) @ f.conj()
-    else:
-        choi = np.stack([g.T @ g.conj() for g in np.split(f, stack.bounds[1:-1])])
-    return choi.reshape(r, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(r, d * d, d * d)
 
 
 # Half-width of the eigenvalue-1 window, with slack for roundoff in the spectrum.
@@ -318,77 +281,58 @@ def _not_unique(kmap: KrausMap, count: int, tol: Tolerances) -> NonUniqueInvaria
     return NonUniqueInvariantState(count, candidate=maxmix if fixed else None)
 
 
-def fixed_states(kmaps, steps, first: FirstFailure, tol: Tolerances) -> np.ndarray:
+def fixed_states(kmaps, tol: Tolerances) -> np.ndarray:
     """The trace-one Hermitian part of each map's eigenvalue-1 vector of S, not yet checked.
 
-    kmaps are the maps of the ascending step numbers `steps` of a pass, of one
-    dimension d.  Below BLOCK_SPLIT_MIN_DIM one eig of the stacked superoperators
-    serves every map; from it up each map takes one eig per diagonal block of S
-    (see the module docstring), in order, until one fails.  No fixed vector, a
-    degenerate fixed subspace or a traceless fixed vector goes to first; the
-    result has a state for each of the maps before the first failing step.
+    The maps share one dimension d.  Below BLOCK_SPLIT_MIN_DIM one eig of the
+    stacked superoperators serves every map; from it up each map takes one eig
+    per diagonal block of S (see the module docstring).  No fixed vector, a
+    degenerate fixed subspace or a traceless fixed vector raises.
     """
     d = kmaps[0].dim
     if d < BLOCK_SPLIT_MIN_DIM:
-        vals, vecs = np.linalg.eig(superoperators(stack_maps(kmaps)))
+        vals, vecs = np.linalg.eig(np.array([build_superoperator(kmap) for kmap in kmaps]))
         fixed = np.abs(vals - 1.0) <= FIXED_WINDOW
         counts = fixed.sum(axis=1)
         vectors = vecs[np.arange(len(kmaps)), :, fixed.argmax(axis=1)]
     else:
-        counts, vectors = [], []
-        for kmap in kmaps:
-            count, vector = _block_fixed_vector(superoperator_view(kmap))
-            counts.append(count)
-            vectors.append(vector if count == 1 else np.zeros(d * d, dtype=complex))
-            if count != 1:
-                break
-        counts, vectors = np.array(counts), np.array(vectors)
-    first.check(counts != 1, lambda i: _not_unique(kmaps[i], counts[i], tol) if counts[i] else
-                SingularStateError("the map has no fixed point within tolerance"), steps)
-    x = vectors.reshape(-1, d, d)
+        counts, vectors = zip(*(_block_fixed_vector(superoperator_view(m)) for m in kmaps))
+    for kmap, count in zip(kmaps, counts):
+        if count != 1:
+            raise (_not_unique(kmap, count, tol) if count else
+                   SingularStateError("the map has no fixed point within tolerance"))
+    x = np.reshape(vectors, (-1, d, d))
     pi = (x + adjoint(x)) / 2
     tr = np.trace(pi, axis1=1, axis2=2).real
     # eig makes a vector's largest entry real; for a trace-preserving map with a positive
     # pi that is a diagonal entry, so the fixed vector is a real multiple of pi
-    first.check(np.abs(tr) < 1e-14, lambda i: SingularStateError(
-        f"the map's only fixed vector has zero trace ({tr[i]:.3e}, below 1e-14), "
-        f"so it is no multiple of a density matrix"), steps)
-    keep = np.asarray(steps[:len(tr)]) < first.count
-    return pi[keep] / tr[keep, None, None]
+    raise_first(np.abs(tr) < 1e-14, lambda r: SingularStateError(
+        f"the map's only fixed vector has zero trace ({tr[r]:.3e}, below 1e-14), "
+        f"so it is no multiple of a density matrix"))
+    return pi / tr[:, None, None]
 
 
-def check_invariant_states(
-    stack: KrausStack, states: np.ndarray, first: FirstFailure, tol: Tolerances
-) -> HermitianEigenDecomposition:
-    """The eigendecomposition of each state, once it is checked to be a strictly positive
-    fixed point of its map of the stack; failures go to first.
-
-    One fixed-point residual ||E(pi) - pi||_F per map, above eps_fix a
-    SingularStateError; then positive_decomposition of the states that pass.
-    The decomposition covers at least the steps before the first failure.
-    """
-    n = first.count
-    residual = fixed_point_residuals(stack.head(n), states[:n])
-    first.check(residual > tol.eps_fix, lambda r: SingularStateError(
+def check_fixed_points(stack: KrausStack, states: np.ndarray, tol: Tolerances) -> None:
+    """Raise SingularStateError unless ||E_r(states[r]) - states[r]||_F <= eps_fix for each
+    map E_r of the stack."""
+    residual = fixed_point_residuals(stack, states)
+    raise_first(residual > tol.eps_fix, lambda r: SingularStateError(
         f"state is not a fixed point of the map: residual {residual[r]:.3e} "
         f"exceeds eps_fix={tol.eps_fix}"))
-    return positive_decomposition(states, first, tol)
 
 
-def positive_decomposition(
-    states: np.ndarray, first: FirstFailure, tol: Tolerances
-) -> HermitianEigenDecomposition:
-    """hermitian_eig of the states of steps [0, first.count), each checked to be strictly
-    positive; failures go to first."""
-    try:
-        eig = hermitian_eig(states[:first.count], tol)
-    except NonHermitianError as exc:
-        first.fail(exc.index, exc)
-        eig = hermitian_eig(states[:first.count], tol)
-    low = eig.eigenvalues.min(axis=1)
-    first.check(low <= tol.eps_pos, lambda r: SingularStateError(
+def require_positive(eigenvalues: np.ndarray, tol: Tolerances) -> None:
+    """Raise SingularStateError unless each row of (R, d) eigenvalues is above eps_pos."""
+    low = eigenvalues.min(axis=1)
+    raise_first(low <= tol.eps_pos, lambda r: SingularStateError(
         f"invariant state has eigenvalue {low[r]:.3e}, not above "
         f"eps_pos={tol.eps_pos}; a strictly positive invariant state is required"))
+
+
+def positive_decomposition(states: np.ndarray, tol: Tolerances) -> HermitianEigenDecomposition:
+    """hermitian_eig of a (R, d, d) stack of states, each checked to be strictly positive."""
+    eig = hermitian_eig(states, tol)
+    require_positive(eig.eigenvalues, tol)
     return eig
 
 
@@ -401,30 +345,43 @@ def _given_state(pi, dim: int) -> np.ndarray:
     return pi
 
 
-def choose_invariant_states(kmaps, pis, unital, first: FirstFailure,
-                            tol: Tolerances) -> np.ndarray:
-    """The state of each map as one (n, d, d) stack, not yet checked, n <= first.count.
+def choose_invariant_states(kmaps, pis, unital, tol: Tolerances) -> np.ndarray:
+    """The state of each map as one (R, d, d) stack, not yet checked.
 
     pis[r] if given, which must be a finite d x d matrix; else 1/N if unital[r]
     (the canonical choice when the fixed point is degenerate); else the unique
     invariant state, those of all such maps from one fixed_states call.
-    Failures go to first.
     """
     d = kmaps[0].dim
-    steps = [r for r in range(first.count) if pis[r] is None and not unital[r]]
-    found = dict(zip(steps, fixed_states([kmaps[r] for r in steps], steps, first, tol)
-                     if steps else ()))
-    states = []
-    for r in range(first.count):
-        if pis[r] is None:
-            states.append(np.eye(d) / d if unital[r] else found[r])
-            continue
-        try:
-            states.append(_given_state(pis[r], d))
-        except (DimensionMismatchError, ValueError, TypeError) as exc:
-            first.fail(r, exc)
-            break
-    return np.stack(states, dtype=np.complex128)
+    computed = [r for r, (pi, u) in enumerate(zip(pis, unital)) if pi is None and not u]
+    found = dict(zip(computed, fixed_states([kmaps[r] for r in computed], tol)
+                     if computed else ()))
+    return np.stack([found[r] if r in found else
+                     np.eye(d) / d if pi is None else _given_state(pi, d)
+                     for r, pi in enumerate(pis)], dtype=np.complex128)
+
+
+def check_invariant_states(
+    stack: KrausStack, states: np.ndarray, tol: Tolerances
+) -> HermitianEigenDecomposition:
+    """The eigendecomposition of each state, once it is checked to be a strictly positive
+    fixed point of its map of the stack (check_fixed_points, positive_decomposition)."""
+    check_fixed_points(stack, states, tol)
+    return positive_decomposition(states, tol)
+
+
+def checked_states(stack: KrausStack, kmaps, pis, unital, tol: Tolerances) -> tuple:
+    """(states, their HermitianEigenDecomposition) of the maps of a stack.
+
+    Each map is checked to be trace preserving (NotTracePreservingError), its
+    state chosen (choose_invariant_states) and checked to be a strictly positive
+    fixed point (SingularStateError): one stacked test of each kind for all maps.
+    Some map's error is raised; which one, when several fail, is not specified.
+    """
+    deviation = tp_defects(stack)
+    raise_first(deviation > tol.eps_tp, lambda r: not_trace_preserving(deviation[r], tol))
+    states = choose_invariant_states(kmaps, pis, unital, tol)
+    return states, check_invariant_states(stack, states, tol)
 
 
 def invariant_state(
@@ -440,7 +397,6 @@ def invariant_state(
     point raises SingularStateError.  The one-map case of fixed_states and
     check_invariant_states.
     """
-    first = FirstFailure(1)
-    pi = fixed_states([kmap], [0], first, tol)
-    check_invariant_states(stack_maps([kmap]), pi, first, tol)
+    pi = fixed_states([kmap], tol)
+    check_invariant_states(stack_maps([kmap]), pi, tol)
     return pi[0]

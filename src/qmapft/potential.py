@@ -17,12 +17,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import FirstFailure, MixedPotentialOperator, SingularStateError
+from .errors import MixedPotentialOperator, QmapError, SingularStateError, raise_first
 from .linalg import (HermitianEigenDecomposition, adjoint, as_complex_matrix, check_unitary,
                      frobs, hermitian_eig)
-from .maps import (KrausMap, KrausStack, check_invariant_states, choose_invariant_states,
-                   fixed_point_residuals, not_trace_preserving, positive_decomposition,
-                   stack_maps, tp_defects)
+from .maps import (KrausMap, KrausStack, check_fixed_points, checked_states,
+                   fixed_point_residuals, positive_decomposition, require_positive, stack_maps,
+                   tp_defects)
 
 
 # Tolerance of the ladder reports: Bohr ladder, ladder commutators, detailed balance.
@@ -129,29 +129,31 @@ def _group(values: np.ndarray, owner: np.ndarray, eps_group: float) -> tuple:
     return index, _segment_means(ascending, np.bincount(labels)), bases
 
 
+# What a stacked pass over the maps of a process raises when some map fails a check.
+PASS_ERRORS = (QmapError, ValueError, TypeError)
+
+
 def _classify(stack: KrausStack, states: np.ndarray, eig: HermitianEigenDecomposition,
-              first: FirstFailure, tol: Tolerances) -> list:
+              tol: Tolerances) -> list:
     """The PotentialStructure of every map of a stack against its checked state, as one pass.
 
     The potentials, their classes and every operator's connections and gaps are
-    computed over all maps at once; the first map with a mixed operator goes to
-    first, and the pass ends with the first failing map's error, if any.
+    computed over all maps at once; an operator that connects pairs of two gaps
+    raises MixedPotentialOperator.
     """
-    n, d = first.count, stack.dim
-    stack = stack.head(n)
+    n, d = len(stack), stack.dim
     ops, owner = stack.operators, stack.owner
-    vals, vecs = eig.eigenvalues[:n], eig.eigenvectors[:n]
+    vals, vecs = eig.eigenvalues, eig.eigenvectors
     potentials = -np.log(vals)
     classes, class_pot, class_bases = _group(
         potentials.ravel(), np.repeat(np.arange(n), d), tol.eps_group)
-    pot = class_pot[classes.reshape(n, d) + class_bases[:n, None]]
-    connects = connections(ops, stack.at_rows(vecs), tol.eps_zero)
-    gap_table = stack.at_rows(pot[:, :, None] - pot[:, None, :])  # gap of each pair (j, i)
+    pot = class_pot[classes.reshape(n, d) + class_bases[:-1, None]]
+    connects = connections(ops, vecs[owner], tol.eps_zero)
+    gap_table = (pot[:, :, None] - pot[:, None, :])[owner]  # gap of each pair (j, i)
     high = np.where(connects, gap_table, -np.inf)
     spread = high.max(axis=(1, 2)) - np.where(connects, gap_table, np.inf).min(axis=(1, 2))
-    first.check(spread > tol.eps_group, lambda k: MixedPotentialOperator(
-        int(k - stack.bounds[owner[k]]), _distinct(high[k][connects[k]])), owner)
-    first.raise_first()
+    raise_first(spread > tol.eps_group, lambda k: MixedPotentialOperator(
+        int(k - stack.bounds[owner[k]]), _distinct(high[k][connects[k]])))
     # row-major: operator by operator, each one's pairs in (j, i) order
     delta_phi = _segment_means(high[connects], connects.sum(axis=(1, 2)))
     gap_index, gaps, gap_bases = _group(delta_phi, owner, tol.eps_group)
@@ -166,26 +168,28 @@ def _classify(stack: KrausStack, states: np.ndarray, eig: HermitianEigenDecompos
     return structures
 
 
-def classify_maps(kmaps, pis, unital, tol: Tolerances = DEFAULT_TOLERANCES,
-                  check_tp: bool = False) -> list:
+def classify_maps(kmaps, pis, unital, tol: Tolerances = DEFAULT_TOLERANCES) -> list:
     """build_potential_structure of every map against the state choose_invariant_states picks.
 
-    One pass over the maps stacked as one KrausStack: with check_tp, one
-    trace-preservation test; the given, unital and computed states; one
-    fixed-point residual and one hermitian_eig of all states; then the
-    classification.  Each check runs once per (map, state), and the error
-    raised is the first failing map's, as classifying the maps one by one
-    in order would raise it.
+    One pass over the maps stacked as one KrausStack (checked_states, then the
+    classification), so each check runs once per (map, state).  The maps must
+    share one dimension.  When some map fails, each map is passed alone, in
+    order, so the error raised is the first failing map's own, as classifying
+    the maps one by one would raise it.
     """
     if not len(kmaps):
         return []
-    stack, first = stack_maps(kmaps), FirstFailure(len(kmaps))
-    if check_tp:
-        deviation = tp_defects(stack)
-        first.check(deviation > tol.eps_tp, lambda r: not_trace_preserving(deviation[r], tol))
-    states = choose_invariant_states(kmaps, pis, unital, first, tol)
-    eig = check_invariant_states(stack, states, first, tol)
-    return _classify(stack, states, eig, first, tol)
+    stack = stack_maps(kmaps)
+    try:
+        states, eig = checked_states(stack, kmaps, pis, unital, tol)
+        return _classify(stack, states, eig, tol)
+    except PASS_ERRORS as exc:
+        if len(kmaps) == 1:
+            raise
+        failure = exc
+    for r in range(len(kmaps)):
+        classify_maps(kmaps[r:r + 1], pis[r:r + 1], unital[r:r + 1], tol)
+    raise failure
 
 
 def build_potential_structure(
@@ -194,10 +198,11 @@ def build_potential_structure(
     """Classify the Kraus operators of a map as potential ladder operators.
 
     pi None classifies against the map's unique invariant state.  Raises
-    MixedPotentialOperator if some operator connects eigenstate pairs with
-    two distinct potential gaps, and SingularStateError if pi is not
-    strictly positive or not a fixed point.  A zero operator has no jumps and
-    changes the potential by 0.  The one-map case of classify_maps.
+    NotTracePreservingError for a map that loses trace, MixedPotentialOperator
+    if some operator connects eigenstate pairs with two distinct potential
+    gaps, and SingularStateError if pi is not strictly positive or not a fixed
+    point.  A zero operator has no jumps and changes the potential by 0.  The
+    one-map case of classify_maps.
     """
     return classify_maps([kmap], [pi], [False], tol)[0]
 
@@ -212,26 +217,27 @@ class DualMap:
 
 
 def _dual_stack(stack: KrausStack, eig: HermitianEigenDecomposition, states: np.ndarray,
-                symmetry: SymmetryOp, first: FirstFailure, tol: Tolerances) -> tuple:
+                symmetry: SymmetryOp, tol: Tolerances) -> tuple:
     """(dual operators as a stack of the same bounds, transformed states) of every map of a stack.
 
     The operators A pi^(1/2) M_k† pi^(-1/2) A† come from each state's decomposition,
     and the dual states are A pi A†.  Each dual map is checked to be trace
-    preserving and to fix its state, failures to first.
+    preserving and to fix its state (SingularStateError).
     """
     v, w = eig.eigenvectors, eig.eigenvalues[:, None, :]
     # the expressions of matrix_power_of_positive, from the one decomposition
     sq = (v * w**0.5) @ adjoint(v)
     sqinv = (v * w**-0.5) @ adjoint(v)
-    ops = symmetry.on_matrix(stack.at_rows(sq) @ adjoint(stack.operators) @ stack.at_rows(sqinv))
+    owner = stack.owner
+    ops = symmetry.on_matrix(sq[owner] @ adjoint(stack.operators) @ sqinv[owner])
     ops.setflags(write=False)
     duals = replace(stack, operators=ops)
     pi_duals = symmetry.on_matrix(states)
     deviation = tp_defects(duals)
-    first.check(deviation > tol.eps_tp, lambda r: SingularStateError(
+    raise_first(deviation > tol.eps_tp, lambda r: SingularStateError(
         f"dual map is not trace preserving (deviation {deviation[r]:.3e})"))
-    residual = fixed_point_residuals(duals.head(first.count), pi_duals[:first.count])
-    first.check(residual > tol.eps_fix,
+    residual = fixed_point_residuals(duals, pi_duals)
+    raise_first(residual > tol.eps_fix,
                 lambda r: SingularStateError("dual map does not fix the transformed state"))
     return duals, pi_duals
 
@@ -247,13 +253,13 @@ def build_dual(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> DualMap:
     """Dual map with operators A pi^(1/2) M_k† pi^(-1/2) A†, pi None being the map's unique
-    invariant state: the one-map case of classify_duals without the dual's classification."""
+    invariant state.  The map and pi are checked as build_potential_structure checks them
+    (checked_states), and the dual as classify_duals checks it."""
     if symmetry is None:
         symmetry = theta(kmap.dim)
-    stack, first = stack_maps([kmap]), FirstFailure(1)
-    states = choose_invariant_states([kmap], [pi], [False], first, tol)
-    eig = check_invariant_states(stack, states, first, tol)
-    duals, pi_duals = _dual_stack(stack, eig, states, symmetry, first, tol)
+    stack = stack_maps([kmap])
+    states, eig = checked_states(stack, [kmap], [pi], [False], tol)
+    duals, pi_duals = _dual_stack(stack, eig, states, symmetry, tol)
     return DualMap(map=_dual_maps(duals, [kmap])[0], pi_dual=pi_duals[0], symmetry=symmetry)
 
 
@@ -261,19 +267,32 @@ def classify_duals(kmaps, eig: HermitianEigenDecomposition, states: np.ndarray,
                    symmetry: SymmetryOp, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
     """(dual maps, their PotentialStructures) of maps already classified against states.
 
-    build_dual and build_potential_structure of each dual map against its
-    transformed state, in one pass: the maps' state decompositions (eig, a
-    stack) give every dual operator, and each dual map's trace preservation,
-    fixed point, state decomposition and classification is checked once.  The
-    error raised is the first failing map's.
+    eig is the stack of the states' decompositions the classification made; it
+    is trusted, and each state is checked again, under tol, to be a strictly
+    positive fixed point of its map.  Then build_dual and
+    build_potential_structure of each dual map against its transformed state,
+    in one pass: each dual map's trace preservation, fixed point, state
+    decomposition and classification is checked once.  When some map fails,
+    each map is passed alone, in order, so the error raised is the first
+    failing map's own.
     """
     if not len(kmaps):
         return [], []
-    stack, first = stack_maps(kmaps), FirstFailure(len(kmaps))
-    duals, pi_duals = _dual_stack(stack, eig, states, symmetry, first, tol)
-    dual_eig = positive_decomposition(pi_duals, first, tol)
-    structures = _classify(duals, pi_duals, dual_eig, first, tol)
-    return _dual_maps(duals, kmaps), structures
+    stack = stack_maps(kmaps)
+    try:
+        check_fixed_points(stack, states, tol)
+        require_positive(eig.eigenvalues, tol)
+        duals, pi_duals = _dual_stack(stack, eig, states, symmetry, tol)
+        structures = _classify(duals, pi_duals, positive_decomposition(pi_duals, tol), tol)
+        return _dual_maps(duals, kmaps), structures
+    except PASS_ERRORS as exc:
+        if len(kmaps) == 1:
+            raise
+        failure = exc
+    for r in range(len(kmaps)):
+        one = HermitianEigenDecomposition(eig.eigenvalues[r:r + 1], eig.eigenvectors[r:r + 1])
+        classify_duals(kmaps[r:r + 1], one, states[r:r + 1], symmetry, tol)
+    raise failure
 
 
 @dataclass(frozen=True)

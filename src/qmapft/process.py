@@ -101,15 +101,14 @@ def make_step(
     return make_steps([kmap], [pi], [unital], tol)[0]
 
 
-def make_steps(kmaps, pis, unital, tol: Tolerances = DEFAULT_TOLERANCES,
-               check_tp: bool = False) -> list:
+def make_steps(kmaps, pis, unital, tol: Tolerances = DEFAULT_TOLERANCES) -> list:
     """make_step of every map, in one stacked pass (potential.classify_maps).
 
-    pis[r] is map r's state or None, unital[r] its flag; with check_tp each
-    map must also be trace preserving.  The error raised is the first failing
-    map's, as making the steps one by one in order would raise it.
+    pis[r] is map r's state or None, unital[r] its flag.  The error raised is
+    the first failing map's, as making the steps one by one in order would
+    raise it.
     """
-    structures = classify_maps(kmaps, pis, unital, tol, check_tp=check_tp)
+    structures = classify_maps(kmaps, pis, unital, tol)
     return [ProcessStep(map=kmap, structure=s) for kmap, s in zip(kmaps, structures)]
 
 
@@ -500,12 +499,13 @@ def build_dual_process(
     """Reversed concatenation of per-step dual maps with transformed bases.
 
     Every dual map is built and classified in one stacked pass (classify_duals)
-    from the decompositions the forward steps already carry.
+    from the decompositions the forward steps already carry; each forward pi is
+    checked again, under tol, to be a strictly positive fixed point.
     """
     bnd = compile_process(spec, tol)
     sym = spec.symmetry
     steps = spec.steps[::-1]
-    # every step's pi and its decomposition, already checked when the step was classified
+    # every step's pi and the decomposition its classification made
     eig = HermitianEigenDecomposition(
         np.array([s.structure.eigen.eigenvalues for s in steps]),
         np.array([s.structure.eigen.eigenvectors for s in steps]),

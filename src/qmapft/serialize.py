@@ -271,7 +271,7 @@ def load_process_file(
             kwargs["beta"] = data["beta"]  # process_spec checks it is a finite number
         boundary = process_spec((), boundary_mode=mode, symmetry=symmetry, tol=tol, **kwargs)
         kmaps, pis, unital = zip(*inputs) if inputs else ((), (), ())
-        spec = with_steps(boundary, make_steps(kmaps, pis, unital, tol, check_tp=True))
+        spec = with_steps(boundary, make_steps(kmaps, pis, unital, tol))
     return spec, data
 
 

@@ -415,6 +415,18 @@ def test_dual_process_reverses_step_order():
         assert frob(dual.steps[1].map.operators[k] - a.map.operators[p]) <= 1e-12
 
 
+def test_dual_process_checks_each_forward_pi_under_its_tolerances():
+    # the first step's pi is a fixed point within the default eps_fix, not within 1e-14
+    kmap = q.thermal_qubit_map(LN2, 0.5)
+    pi = q.invariant_state(kmap) + 1e-12 * np.diag([1.0, -1.0])
+    spec = q.process_spec([q.make_step(kmap, pi), q.make_step(kmap)],
+                          initial_state=np.diag([0.8, 0.2]).astype(complex))
+    q.build_dual_process(spec)
+    strict = dataclasses.replace(q.DEFAULT_TOLERANCES, eps_fix=1e-14)
+    with pytest.raises(q.SingularStateError, match="not a fixed point of the map"):
+        q.build_dual_process(spec, strict)
+
+
 def test_dual_process_stationary_is_statistically_identical():
     step = q.make_step(q.thermal_qubit_map(LN2, 0.5))
     pi = step.structure.pi
