@@ -224,8 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=text)
         p.add_argument("map_file")
-        p.add_argument("--pi", help="JSON matrix file with the invariant state")
-        p.add_argument("--unital", action="store_true", help="use pi = 1/N")
+        given = p.add_mutually_exclusive_group()
+        given.add_argument("--pi", help="JSON matrix file with the invariant state")
+        given.add_argument("--unital", action="store_true", help="use pi = 1/N")
         p.add_argument("--out")
         p.set_defaults(func=func)
 

@@ -35,8 +35,8 @@ from .errors import (
     SingularStateError,
     raise_first,
 )
-from .linalg import (HermitianEigenDecomposition, adjoint, as_complex_matrix, as_complex_stack,
-                     frob, frobs, hermitian_eig, hermiticity_defect)
+from .linalg import (adjoint, as_complex_matrix, as_complex_stack, frob, frobs, hermitian_eig,
+                     hermiticity_defect)
 
 
 @dataclass(frozen=True)
@@ -143,13 +143,6 @@ def validate_cptp(kmap: KrausMap, tol: Tolerances = DEFAULT_TOLERANCES) -> Valid
     dev = tp_defect(kmap)
     return ValidationReport(
         tp_deviation=dev, tolerance=tol.eps_tp, trace_preserving=dev <= tol.eps_tp
-    )
-
-
-def not_trace_preserving(deviation: float, tol: Tolerances) -> NotTracePreservingError:
-    return NotTracePreservingError(
-        f"map is not trace preserving: ||sum_k M_k† M_k - 1||_F = "
-        f"{deviation:.3e} exceeds eps_tp={tol.eps_tp}"
     )
 
 
@@ -329,13 +322,6 @@ def require_positive(eigenvalues: np.ndarray, tol: Tolerances) -> None:
         f"eps_pos={tol.eps_pos}; a strictly positive invariant state is required"))
 
 
-def positive_decomposition(states: np.ndarray, tol: Tolerances) -> HermitianEigenDecomposition:
-    """hermitian_eig of a (R, d, d) stack of states, each checked to be strictly positive."""
-    eig = hermitian_eig(states, tol)
-    require_positive(eig.eigenvalues, tol)
-    return eig
-
-
 def _given_state(pi, dim: int) -> np.ndarray:
     pi = as_complex_matrix(pi)
     if pi.shape != (dim, dim):
@@ -345,43 +331,32 @@ def _given_state(pi, dim: int) -> np.ndarray:
     return pi
 
 
-def choose_invariant_states(kmaps, pis, unital, tol: Tolerances) -> np.ndarray:
-    """The state of each map as one (R, d, d) stack, not yet checked.
+def checked_states(stack: KrausStack, kmaps, pis, unital, tol: Tolerances) -> tuple:
+    """(states, their HermitianEigenDecomposition) of the maps of a stack; the pass's one entry.
 
-    pis[r] if given, which must be a finite d x d matrix; else 1/N if unital[r]
-    (the canonical choice when the fixed point is degenerate); else the unique
-    invariant state, those of all such maps from one fixed_states call.
+    Each map is checked to be trace preserving (NotTracePreservingError).  Its
+    state is pis[r] if given (a finite d x d matrix), else 1/N if unital[r] (the
+    canonical choice when the fixed point is degenerate), else its unique
+    invariant state, from one fixed_states call for all such maps.  Each state is
+    checked to be a strictly positive fixed point (check_fixed_points, one stacked
+    hermitian_eig, require_positive: SingularStateError).  One stacked test of each
+    kind serves all maps; which map's error is raised, when several fail, is not specified.
     """
-    d = kmaps[0].dim
+    deviation = tp_defects(stack)
+    raise_first(deviation > tol.eps_tp, lambda r: NotTracePreservingError(
+        f"map is not trace preserving: ||sum_k M_k† M_k - 1||_F = "
+        f"{deviation[r]:.3e} exceeds eps_tp={tol.eps_tp}"))
+    d = stack.dim
     computed = [r for r, (pi, u) in enumerate(zip(pis, unital)) if pi is None and not u]
     found = dict(zip(computed, fixed_states([kmaps[r] for r in computed], tol)
                      if computed else ()))
-    return np.stack([found[r] if r in found else
-                     np.eye(d) / d if pi is None else _given_state(pi, d)
-                     for r, pi in enumerate(pis)], dtype=np.complex128)
-
-
-def check_invariant_states(
-    stack: KrausStack, states: np.ndarray, tol: Tolerances
-) -> HermitianEigenDecomposition:
-    """The eigendecomposition of each state, once it is checked to be a strictly positive
-    fixed point of its map of the stack (check_fixed_points, positive_decomposition)."""
+    states = np.stack([found[r] if r in found else
+                       np.eye(d) / d if pi is None else _given_state(pi, d)
+                       for r, pi in enumerate(pis)], dtype=np.complex128)
     check_fixed_points(stack, states, tol)
-    return positive_decomposition(states, tol)
-
-
-def checked_states(stack: KrausStack, kmaps, pis, unital, tol: Tolerances) -> tuple:
-    """(states, their HermitianEigenDecomposition) of the maps of a stack.
-
-    Each map is checked to be trace preserving (NotTracePreservingError), its
-    state chosen (choose_invariant_states) and checked to be a strictly positive
-    fixed point (SingularStateError): one stacked test of each kind for all maps.
-    Some map's error is raised; which one, when several fail, is not specified.
-    """
-    deviation = tp_defects(stack)
-    raise_first(deviation > tol.eps_tp, lambda r: not_trace_preserving(deviation[r], tol))
-    states = choose_invariant_states(kmaps, pis, unital, tol)
-    return states, check_invariant_states(stack, states, tol)
+    eig = hermitian_eig(states, tol)
+    require_positive(eig.eigenvalues, tol)
+    return states, eig
 
 
 def invariant_state(
@@ -394,9 +369,11 @@ def invariant_state(
     S (see the module docstring), with the fixed dimension counted over all
     blocks.  A degenerate subspace raises NonUniqueInvariantState (with 1/N
     offered as candidate when it is itself fixed), a singular or traceless fixed
-    point raises SingularStateError.  The one-map case of fixed_states and
-    check_invariant_states.
+    point raises SingularStateError.  It runs fixed_states and checked_states' two checks,
+    not its trace-preservation test, so a map that loses trace and whose only fixed vector
+    is traceless raises fixed_states' "zero trace" SingularStateError.
     """
     pi = fixed_states([kmap], tol)
-    check_invariant_states(stack_maps([kmap]), pi, tol)
+    check_fixed_points(stack_maps([kmap]), pi, tol)
+    require_positive(hermitian_eig(pi, tol).eigenvalues, tol)
     return pi[0]

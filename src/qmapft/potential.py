@@ -21,8 +21,7 @@ from .errors import MixedPotentialOperator, QmapError, SingularStateError, raise
 from .linalg import (HermitianEigenDecomposition, adjoint, as_complex_matrix, check_unitary,
                      frobs, hermitian_eig)
 from .maps import (KrausMap, KrausStack, check_fixed_points, checked_states,
-                   fixed_point_residuals, positive_decomposition, require_positive, stack_maps,
-                   tp_defects)
+                   fixed_point_residuals, require_positive, stack_maps, tp_defects)
 
 
 # Tolerance of the ladder reports: Bohr ladder, ladder commutators, detailed balance.
@@ -133,6 +132,26 @@ def _group(values: np.ndarray, owner: np.ndarray, eps_group: float) -> tuple:
 PASS_ERRORS = (QmapError, ValueError, TypeError)
 
 
+def _replayed(run, kmaps, *per_map):
+    """run(stack_maps(kmaps), kmaps, *per_map), whose sequences hold one entry per map.
+
+    Maps of different dimensions raise before the pass.  When the pass raises
+    PASS_ERRORS over more than one map, each map is run again alone, in order,
+    so the error raised is the first failing map's own, as running the maps one
+    by one would raise it.
+    """
+    stack = stack_maps(kmaps)
+    try:
+        return run(stack, kmaps, *per_map)
+    except PASS_ERRORS as exc:
+        if len(kmaps) == 1:
+            raise
+        failure = exc
+    for r in range(len(kmaps)):
+        run(stack_maps(kmaps[r:r + 1]), *(x[r:r + 1] for x in (kmaps, *per_map)))
+    raise failure
+
+
 def _classify(stack: KrausStack, states: np.ndarray, eig: HermitianEigenDecomposition,
               tol: Tolerances) -> list:
     """The PotentialStructure of every map of a stack against its checked state, as one pass.
@@ -169,27 +188,21 @@ def _classify(stack: KrausStack, states: np.ndarray, eig: HermitianEigenDecompos
 
 
 def classify_maps(kmaps, pis, unital, tol: Tolerances = DEFAULT_TOLERANCES) -> list:
-    """build_potential_structure of every map against the state choose_invariant_states picks.
+    """build_potential_structure of every map against its state: pis[r] if given, else 1/N
+    if unital[r], else the map's invariant state (checked_states).
 
     One pass over the maps stacked as one KrausStack (checked_states, then the
     classification), so each check runs once per (map, state).  The maps must
-    share one dimension.  When some map fails, each map is passed alone, in
-    order, so the error raised is the first failing map's own, as classifying
-    the maps one by one would raise it.
+    share one dimension, and pis and unital hold one entry per map (ValueError).
+    When some map fails, the error raised is the first failing map's (_replayed).
     """
-    if not len(kmaps):
-        return []
-    stack = stack_maps(kmaps)
-    try:
-        states, eig = checked_states(stack, kmaps, pis, unital, tol)
-        return _classify(stack, states, eig, tol)
-    except PASS_ERRORS as exc:
-        if len(kmaps) == 1:
-            raise
-        failure = exc
-    for r in range(len(kmaps)):
-        classify_maps(kmaps[r:r + 1], pis[r:r + 1], unital[r:r + 1], tol)
-    raise failure
+    if not len(kmaps) == len(pis) == len(unital):
+        raise ValueError(f"{len(kmaps)} maps, {len(pis)} pis and {len(unital)} unital flags")
+
+    def run(stack, kmaps, pis, unital):
+        return _classify(stack, *checked_states(stack, kmaps, pis, unital, tol), tol)
+
+    return _replayed(run, kmaps, pis, unital) if len(kmaps) else []
 
 
 def build_potential_structure(
@@ -254,7 +267,8 @@ def build_dual(
 ) -> DualMap:
     """Dual map with operators A pi^(1/2) M_k† pi^(-1/2) A†, pi None being the map's unique
     invariant state.  The map and pi are checked as build_potential_structure checks them
-    (checked_states), and the dual as classify_duals checks it."""
+    (checked_states), and the dual as classify_duals checks it.  Not classify_duals' one-map
+    case, which also classifies the dual: a map outside the ladder family has a dual too."""
     if symmetry is None:
         symmetry = theta(kmap.dim)
     stack = stack_maps([kmap])
@@ -263,36 +277,29 @@ def build_dual(
     return DualMap(map=_dual_maps(duals, [kmap])[0], pi_dual=pi_duals[0], symmetry=symmetry)
 
 
-def classify_duals(kmaps, eig: HermitianEigenDecomposition, states: np.ndarray,
-                   symmetry: SymmetryOp, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
-    """(dual maps, their PotentialStructures) of maps already classified against states.
+def classify_duals(kmaps, structures, symmetry: SymmetryOp,
+                   tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
+    """(dual maps, their PotentialStructures) of maps classified as structures.
 
-    eig is the stack of the states' decompositions the classification made; it
-    is trusted, and each state is checked again, under tol, to be a strictly
-    positive fixed point of its map.  Then build_dual and
-    build_potential_structure of each dual map against its transformed state,
-    in one pass: each dual map's trace preservation, fixed point, state
-    decomposition and classification is checked once.  When some map fails,
-    each map is passed alone, in order, so the error raised is the first
-    failing map's own.
+    Each structure's pi and eigendecomposition are stacked and trusted, and each
+    pi is checked again, under tol, to be a strictly positive fixed point of its
+    map.  Then build_dual and build_potential_structure of each dual map against
+    its transformed state, in one pass: each dual map's trace preservation,
+    fixed point, state decomposition and classification is checked once.  When
+    some map fails, the error raised is the first failing map's (_replayed).
     """
-    if not len(kmaps):
-        return [], []
-    stack = stack_maps(kmaps)
-    try:
+    def run(stack, kmaps, structures):
+        states = np.array([s.pi for s in structures])
+        eig = HermitianEigenDecomposition(np.array([s.eigen.eigenvalues for s in structures]),
+                                          np.array([s.eigen.eigenvectors for s in structures]))
         check_fixed_points(stack, states, tol)
         require_positive(eig.eigenvalues, tol)
         duals, pi_duals = _dual_stack(stack, eig, states, symmetry, tol)
-        structures = _classify(duals, pi_duals, positive_decomposition(pi_duals, tol), tol)
-        return _dual_maps(duals, kmaps), structures
-    except PASS_ERRORS as exc:
-        if len(kmaps) == 1:
-            raise
-        failure = exc
-    for r in range(len(kmaps)):
-        one = HermitianEigenDecomposition(eig.eigenvalues[r:r + 1], eig.eigenvectors[r:r + 1])
-        classify_duals(kmaps[r:r + 1], one, states[r:r + 1], symmetry, tol)
-    raise failure
+        dual_eig = hermitian_eig(pi_duals, tol)
+        require_positive(dual_eig.eigenvalues, tol)
+        return _dual_maps(duals, kmaps), _classify(duals, pi_duals, dual_eig, tol)
+
+    return _replayed(run, kmaps, structures) if len(kmaps) else ([], [])
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,7 @@ from .errors import (
     SampleCountTooLarge,
     ZeroProbabilityBranch,
 )
-from .linalg import (HermitianEigenDecomposition, adjoint, as_complex_matrix, hermitian_eig,
-                     von_neumann_entropy)
+from .linalg import adjoint, as_complex_matrix, hermitian_eig, von_neumann_entropy
 from .maps import KrausMap, apply_map, validate_density
 from .potential import PotentialStructure, SymmetryOp, classify_duals, classify_maps, theta
 from .models import gibbs_populations
@@ -97,16 +96,17 @@ def make_step(
     unital: bool = False,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ProcessStep:
-    """Classify a map against the state choose_invariant_states picks: one step of make_steps."""
+    """Classify a map against pi if given, else 1/N if unital, else its invariant state: one
+    step of make_steps."""
     return make_steps([kmap], [pi], [unital], tol)[0]
 
 
 def make_steps(kmaps, pis, unital, tol: Tolerances = DEFAULT_TOLERANCES) -> list:
     """make_step of every map, in one stacked pass (potential.classify_maps).
 
-    pis[r] is map r's state or None, unital[r] its flag.  The error raised is
-    the first failing map's, as making the steps one by one in order would
-    raise it.
+    pis[r] is map r's state or None, unital[r] its flag; lists of another
+    length than kmaps raise ValueError.  The error raised is the first failing
+    map's, as making the steps one by one in order would raise it.
     """
     structures = classify_maps(kmaps, pis, unital, tol)
     return [ProcessStep(map=kmap, structure=s) for kmap, s in zip(kmaps, structures)]
@@ -505,13 +505,8 @@ def build_dual_process(
     bnd = compile_process(spec, tol)
     sym = spec.symmetry
     steps = spec.steps[::-1]
-    # every step's pi and the decomposition its classification made
-    eig = HermitianEigenDecomposition(
-        np.array([s.structure.eigen.eigenvalues for s in steps]),
-        np.array([s.structure.eigen.eigenvectors for s in steps]),
-    )
     maps, structures = classify_duals(
-        [s.map for s in steps], eig, np.array([s.structure.pi for s in steps]), sym, tol)
+        [s.map for s in steps], [s.structure for s in steps], sym, tol)
     dual_steps = [ProcessStep(map=m, structure=s) for m, s in zip(maps, structures)]
 
     def transform_basis(basis: np.ndarray) -> np.ndarray:

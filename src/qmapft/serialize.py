@@ -229,7 +229,10 @@ def step_inputs_from_json(entry: dict, base_dir: Path, tol: Tolerances) -> tuple
     else:
         raise _Malformed("each step needs one of 'map_file', 'map', or 'model'")
     pi = matrix_from_json(entry["pi"], "pi") if "pi" in entry else None
-    return kmap, pi, _boolean(entry, "unital", False)
+    unital = _boolean(entry, "unital", False)
+    if unital and pi is not None:
+        raise _Malformed("a step takes 'pi' or 'unital': true, not both")
+    return kmap, pi, unital
 
 
 def load_process_file(

@@ -1041,3 +1041,38 @@ def test_steps_of_different_dimensions_are_refused_before_any_step_check(tmp_pat
     assert main(["verify", str(proc)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["error: inconsistent dimensions in process: {2, 3}"]
+
+
+@pytest.mark.parametrize("command", ["classify", "dual"])
+def test_pi_and_unital_flags_are_exclusive(tmp_path, capsys, command):
+    map_path, pi_path = tmp_path / "gad.json", tmp_path / "pi.json"
+    kmap = write_gad_map(map_path)
+    pi_path.write_text(json.dumps(matrix_to_json(q.invariant_state(kmap))))
+    with pytest.raises(SystemExit) as info:
+        main([command, str(map_path), "--pi", str(pi_path), "--unital"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert "not allowed with argument" in captured.err and captured.out == ""
+
+
+def test_step_with_pi_and_unital_true_is_a_parse_error(tmp_path, capsys):
+    pi = matrix_to_json(q.invariant_state(q.thermal_qubit_map(LN2, 0.5)))
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, steps=[{"map": GAD_MAP, "pi": pi, "unital": True}])
+    assert main(["verify", str(proc)]) == 2
+    line = assert_one_parse_error(capsys, proc)
+    assert "'pi'" in line and "'unital'" in line
+    # "unital": false next to "pi" says nothing new and stays allowed
+    write_process_with(proc, steps=[{"map": GAD_MAP, "pi": pi, "unital": False}])
+    assert main(["verify", str(proc)]) == 0
+
+
+def test_dual_of_a_map_outside_the_ladder_family(tmp_path, capsys):
+    # build_dual does not classify the dual: a mixed operator has a dual map, not a class
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(MIXED_MAP))
+    assert main(["dual", str(path)]) == 0
+    dual = json.loads(capsys.readouterr().out)["dual"]
+    assert len(dual["map"]["operators"]) == 2 and dual["map"]["dim"] == 2
+    assert main(["classify", str(path)]) == 1
+    assert "straddles distinct potential gaps" in capsys.readouterr().err

@@ -427,6 +427,28 @@ def test_dual_process_checks_each_forward_pi_under_its_tolerances():
         q.build_dual_process(spec, strict)
 
 
+def test_dual_process_raises_the_first_failing_step_in_dual_order():
+    # under these tolerances the first step's pi is not a fixed point and the last step's
+    # pi (smallest eigenvalue about 0.047) is not above eps_pos; the dual process runs the
+    # steps in reverse, so the last forward step fails first and must raise its own error
+    a = q.thermal_qubit_map(LN2, 0.5)
+    pi_a = q.invariant_state(a) + 1e-12 * np.diag([1.0, -1.0])
+    steps = [q.make_step(a, pi_a), q.make_step(a), q.make_step(q.thermal_qubit_map(3.0, 0.5))]
+    spec = q.process_spec(steps, initial_state=np.diag([0.8, 0.2]).astype(complex))
+    strict = dataclasses.replace(q.DEFAULT_TOLERANCES, eps_fix=1e-14, eps_pos=0.1)
+    with pytest.raises(q.SingularStateError, match="not above eps_pos"):
+        q.build_dual_process(spec, strict)
+
+
+@pytest.mark.parametrize("counts", [(2, 1, 1), (1, 2, 2)], ids=["short-lists", "long-lists"])
+def test_make_steps_refuses_lists_of_another_length_than_the_maps(counts):
+    gad = q.thermal_qubit_map(LN2, 0.5)
+    maps, pis, unital = [gad] * counts[0], [None] * counts[1], [False] * counts[2]
+    with pytest.raises(ValueError, match=f"{counts[0]} maps, {counts[1]} pis and "
+                                         f"{counts[2]} unital flags"):
+        q.process.make_steps(maps, pis, unital)
+
+
 def test_dual_process_stationary_is_statistically_identical():
     step = q.make_step(q.thermal_qubit_map(LN2, 0.5))
     pi = step.structure.pi
