@@ -66,28 +66,20 @@ def frob(a: np.ndarray) -> float:
 
 
 def frobs(stack: np.ndarray) -> np.ndarray:
-    """frob of each matrix of a complex (K, m, n) stack, bit for bit.
-
-    frob takes two BLAS dot products, of the real and of the imaginary parts; a
-    (K, 1, mn) @ (K, mn, 1) matmul makes the same calls, np.linalg.norm over two axes does not.
-    """
-    re, im = (part.reshape(len(stack), 1, -1) for part in (stack.real, stack.imag))
-    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
-
-
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Relative Frobenius distance of A from its Hermitian part."""
-    na = frob(a)
-    if na == 0.0:
-        return 0.0
-    return frob(a - adjoint(a)) / na
+    """Frobenius norm of each matrix of a (K, m, n) stack."""
+    return np.linalg.norm(stack, axis=(-2, -1))
 
 
 def hermiticity_defects(stack: np.ndarray) -> np.ndarray:
-    """hermiticity_defect of each matrix of a (R, d, d) stack, bit for bit."""
-    norms = frobs(np.concatenate((stack, stack - adjoint(stack))))
-    r = len(stack)
-    return np.divide(norms[r:], norms[:r], out=np.zeros(r), where=norms[:r] != 0.0)
+    """Relative Frobenius distance of each matrix of a (R, d, d) stack from its Hermitian part."""
+    norms = frobs(stack)
+    return np.divide(frobs(stack - adjoint(stack)), norms, out=np.zeros(len(stack)),
+                     where=norms != 0.0)
+
+
+def hermiticity_defect(a: np.ndarray) -> float:
+    """hermiticity_defects of one matrix."""
+    return float(hermiticity_defects(a[None])[0])
 
 
 @dataclass(frozen=True)
@@ -110,7 +102,7 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     if vectors.ndim == 3:  # the pivots' rows in the matrices read as one (R d, n) array
         rows += np.arange(0, len(vectors) * d, d)[:, None]
     pivot = vectors.reshape(-1, n)[rows, np.arange(n)][..., None, :]
-    size = np.hypot(pivot.real, pivot.imag)  # what abs() of each pivot gives
+    size = np.abs(pivot)
     return vectors * np.divide(size, pivot, out=np.ones_like(pivot), where=size > 0)
 
 
@@ -126,12 +118,11 @@ def hermitian_eig(
     """
     if np.ndim(a) == 3:
         a = as_complex_stack(a)
-        defect = hermiticity_defects(a).max(initial=0.0)
     else:
         a = as_complex_matrix(a)
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatchError(f"matrix is not square: {a.shape}")
-        defect = hermiticity_defect(a)
+    defect = hermiticity_defects(a.reshape(-1, *a.shape[-2:])).max(initial=0.0)
     if defect > tol.eps_herm:
         raise NonHermitianError(
             f"Hermiticity defect {defect:.3e} exceeds eps_herm={tol.eps_herm}"

@@ -94,11 +94,9 @@ class KrausStack:
         return len(self.bounds) - 1
 
     def sums(self, rows: np.ndarray) -> np.ndarray:
-        """Per map, .sum(axis=0) of its rows of a per-operator array.
-
-        One sum per map: .sum(axis=0) does not add the rows strictly in order, so
-        np.add.reduceat over all rows, which does, rounds differently.
-        """
+        """Per map, the sum of its rows of a per-operator (sum K_r, ...) array."""
+        # one .sum(axis=0) per map: on one d = 16, K = 31 map's complex rows it took
+        # 7 us, np.add.reduceat along the first axis 17-105 us (one thread)
         bounds = self.bounds.tolist()
         return np.stack([rows[a:b].sum(axis=0) for a, b in zip(bounds, bounds[1:])])
 
@@ -175,8 +173,7 @@ def apply_map(kmap: KrausMap, rho: np.ndarray) -> np.ndarray:
 
 
 def fixed_point_residuals(stack: KrausStack, states: np.ndarray) -> np.ndarray:
-    """||E_r(states[r]) - states[r]||_F for each map E_r of a stack: apply_map's products
-    and sums over the stacked operators, bit for bit."""
+    """||E_r(states[r]) - states[r]||_F for each map E_r of a stack."""
     ops = stack.operators
     return frobs(stack.sums(ops @ states[stack.owner] @ adjoint(ops)) - states)
 

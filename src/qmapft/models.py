@@ -8,6 +8,7 @@ identities hold exactly rather than to first order in the time step.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -105,15 +106,15 @@ def lindblad_step(
 
     M_0 = 1 - (iH + sum L†L / 2) dt, M_k = L_k sqrt(dt), followed by the
     exact renormalization; the pre-normalization trace defect is O(dt^2).
-    H must be square; `lindblads` is a (K, d, d) stack, or a possibly empty
-    list, of matrices of H's size, checked once as a whole.  The products run
-    over the stack; each sum over k adds in operator order, as a loop would.
+    dt must be positive and finite, H square, and `lindblads` a (K, d, d)
+    stack, or a possibly empty list, of matrices of H's size, checked once as
+    a whole.
     """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     h = as_complex_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise DimensionMismatchError(f"Hamiltonian is not square: {h.shape}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     if hermiticity_defect(h) > tol.eps_herm:
         raise NonHermitianError("Hamiltonian is not Hermitian within eps_herm")
     dim = h.shape[0]

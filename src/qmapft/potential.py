@@ -36,8 +36,7 @@ def _norms(ops: np.ndarray) -> np.ndarray:
 def connections(ops: np.ndarray, basis: np.ndarray, eps_zero: float) -> np.ndarray:
     """[k, j, i] is true when |<v_j|M_k|v_i>| > eps_zero ||M_k||_F, for the columns v of basis."""
     coeff = adjoint(basis) @ ops @ basis
-    # hypot, not np.abs: it rounds as abs() of one entry does
-    return np.hypot(coeff.real, coeff.imag) > eps_zero * _norms(ops)[:, None, None]
+    return np.abs(coeff) > eps_zero * _norms(ops)[:, None, None]
 
 
 def commutator_residuals(ops: np.ndarray, x: np.ndarray, shifts) -> np.ndarray:
@@ -89,18 +88,9 @@ def _distinct(values) -> list:
     return sorted(set(round(v, 12) for v in values.tolist()))
 
 
-def _segment_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """np.mean of each consecutive run of values with these lengths, bit for bit; 0 if empty.
-
-    np.mean adds a run to a zero, np.add.reduceat to the run's first value: so
-    each run gets a zero in front of it.
-    """
-    heads = (counts + 1).cumsum() - counts - 1
-    zero = np.zeros(len(values) + len(counts), dtype=bool)
-    zero[heads] = True
-    padded = np.zeros(len(zero))
-    padded[~zero] = values
-    return np.add.reduceat(padded, heads) / np.maximum(counts, 1)
+def _segment_means(values: np.ndarray, segment: np.ndarray, count: int) -> np.ndarray:
+    """The mean of the values of each of count segments, segment[i] being value i's; 0 if empty."""
+    return np.bincount(segment, values, count) / np.maximum(np.bincount(segment, None, count), 1)
 
 
 def _group(values: np.ndarray, owner: np.ndarray, eps_group: float) -> tuple:
@@ -122,10 +112,10 @@ def _group(values: np.ndarray, owner: np.ndarray, eps_group: float) -> tuple:
                 bases.append(group)
         labels.append(group)
     bases.append(group + 1)
-    bases = np.array(bases)
+    bases, labels = np.array(bases), np.array(labels, dtype=np.intp)
     index = np.empty_like(order)
-    index[order] = np.array(labels) - bases[owner]
-    return index, _segment_means(ascending, np.bincount(labels)), bases
+    index[order] = labels - bases[owner]
+    return index, _segment_means(ascending, labels, group + 1), bases
 
 
 # What a stacked pass over the maps of a process raises when some map fails a check.
@@ -173,8 +163,7 @@ def _classify(stack: KrausStack, states: np.ndarray, eig: HermitianEigenDecompos
     spread = high.max(axis=(1, 2)) - np.where(connects, gap_table, np.inf).min(axis=(1, 2))
     raise_first(spread > tol.eps_group, lambda k: MixedPotentialOperator(
         int(k - stack.bounds[owner[k]]), _distinct(high[k][connects[k]])))
-    # row-major: operator by operator, each one's pairs in (j, i) order
-    delta_phi = _segment_means(high[connects], connects.sum(axis=(1, 2)))
+    delta_phi = _segment_means(high[connects], np.nonzero(connects)[0], len(ops))
     gap_index, gaps, gap_bases = _group(delta_phi, owner, tol.eps_group)
     structures = []
     for r, (a, b) in enumerate(zip(stack.bounds[:-1], stack.bounds[1:])):

@@ -291,11 +291,8 @@ class TrajectoryEnsemble(Sequence):
 
 def _boundary_table(bnd: BoundaryData, tol: Tolerances) -> np.ndarray:
     """ln p_i(n) - ln p~_f(m) of all (n, m) pairs; NaN where a population is <= eps_prob."""
-    # math.log per population: np.log is not bit-identical to it
-    log_i, log_f = (
-        np.array([math.log(p) if p > tol.eps_prob else math.nan for p in probs.tolist()])
-        for probs in (bnd.initial_probs, bnd.final_probs)
-    )
+    log_i, log_f = (np.log(p, out=np.full(len(p), np.nan), where=p > tol.eps_prob)
+                    for p in (bnd.initial_probs, bnd.final_probs))
     return log_i[:, None] - log_f[None, :]
 
 
@@ -338,17 +335,13 @@ def enumerate_trajectories(
     for step in spec.steps:
         live = _live(phi, tol)
         ops = step.map.operators
-        # one gemv per row against the K operators stacked as K*d rows: each
-        # output is the dot product a gemv per (row, k) gives, bit for bit;
-        # phi @ ops and gemm-shaped products round differently
-        phi = (ops.reshape(-1, dim)[None] @ phi[live, :, None]).reshape(-1, dim)
+        phi = (phi[live] @ ops.reshape(-1, dim).T).reshape(-1, dim)
         code = (code[live, None] * len(ops) + np.arange(len(ops))).ravel()
         dphi = (dphi[live, None] + step.structure.delta_phi).ravel()
     live = _live(phi, tol)
-    amps = (adjoint(bnd.final_basis)[None] @ phi[live, :, None])[:, :, 0]
+    amps = phi[live] @ bnd.final_basis.conj()
     n = code[live] // strings
-    # hypot and float_power round as the scalar abs(z) ** 2 does; np.abs and ** 2 do not
-    probs = np.float_power(np.hypot(amps.real, amps.imag), 2.0) * bnd.initial_probs[n, None]
+    probs = (np.square(amps.real) + np.square(amps.imag)) * bnd.initial_probs[n, None]
     row, m = np.nonzero(probs > tol.eps_prob)
     if not len(row):
         raise ZeroProbabilityBranch(f"every branch has probability <= eps_prob = {tol.eps_prob}")
@@ -510,10 +503,7 @@ def build_dual_process(
     dual_steps = [ProcessStep(map=m, structure=s) for m, s in zip(maps, structures)]
 
     def transform_basis(basis: np.ndarray) -> np.ndarray:
-        cols = basis.T.conj() if sym.antiunitary else basis.T
-        # a gemv per column, as V @ x of one vector: the gemm V @ basis rounds differently;
-        # C order, as column_stack gave: the enumerator's products round by operand layout
-        return np.ascontiguousarray((sym.matrix[None] @ cols[:, :, None])[:, :, 0].T)
+        return sym.matrix @ (basis.conj() if sym.antiunitary else basis)
 
     boundary = BoundaryData(
         initial_basis=transform_basis(bnd.final_basis),

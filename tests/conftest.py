@@ -23,6 +23,29 @@ SZ_BASIS = [np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)]
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
+def assert_close(got, want, ulps, label=None, scale=None):
+    """Assert that got is the reference want up to ulps units of roundoff.
+
+    A unit is float64's machine epsilon times the reference's scale: max |want|
+    unless scale is given (an array scales entry by entry).  Shapes, dtypes and
+    NaN positions must agree, and integer arrays must be equal.  ulps=0 asks for
+    the same bytes, signed zeros included.
+    """
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype, label
+    if ulps == 0 or not np.issubdtype(want.dtype, np.inexact):
+        assert got.tobytes() == want.tobytes(), label
+        return
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan), label
+    if scale is None:
+        scale = np.max(np.abs(want[~nan]), initial=0.0)
+    error = np.abs(np.where(nan, 0.0, got - want))
+    bound = ulps * np.finfo(float).eps * np.broadcast_to(scale, want.shape)
+    worst = np.argmax(error - bound) if error.size else 0
+    assert np.all(error <= bound), (label, f"error {error.flat[worst]:.3e} > {bound.flat[worst]:.3e}")
+
+
 def gad_step(beta_omega=LN2, gamma=0.5):
     return q.make_step(q.thermal_qubit_map(beta_omega, gamma))
 

@@ -483,6 +483,18 @@ def test_cli_bad_values_in_process_file_are_parse_errors(tmp_path, capsys, case,
     assert_one_parse_error(capsys, proc)
 
 
+@pytest.mark.parametrize("dt", [float("inf"), float("nan")], ids=["infinity", "nan"])
+def test_cli_non_finite_dt_is_a_parse_error_naming_dt(tmp_path, capsys, dt):
+    # JSON's Infinity and NaN once warned, then failed on "NaN or Inf entries"
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, steps=[dict(LINDBLAD_STEP, dt=dt)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", str(proc)]) == 2
+    assert "dt must be positive and finite" in assert_one_parse_error(capsys, proc)
+    assert caught == []
+
+
 @pytest.mark.parametrize("case", ["more-labels-than-operators", "no-operators",
                                   "dim-not-a-number", "dim-not-an-integer",
                                   "dim-a-string-of-digits", "dim-true"])

@@ -7,6 +7,7 @@ from scipy.sparse.csgraph import connected_components
 import qmapft as q
 from qmapft.linalg import frob
 from qmapft.maps import BLOCK_SPLIT_MIN_DIM, superoperator_blocks, superoperator_view, tp_defect
+from conftest import assert_close
 from test_ladder_properties import haar_unitary, ladder_maps
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -141,7 +142,7 @@ def test_stacked_operators_match_per_operator_loop(seed, dim):
         applied = applied + m @ rho @ m.conj().T
     assert np.array_equal(q.apply_map(kmap, rho), applied)
     defect = frob(sum(m.conj().T @ m for m in ops) - np.eye(dim))
-    assert tp_defect(kmap) == defect
+    assert_close(tp_defect(kmap), defect, ulps=4)
 
 
 def kron_superoperator(kmap):

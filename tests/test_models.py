@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import qmapft as q
 from qmapft.linalg import (adjoint, as_complex_matrix, frob, hermiticity_defect,
                            matrix_power_of_positive)
+from conftest import assert_close
 from test_process import _ladder_chain
 
 LN2 = np.log(2.0)
@@ -127,6 +129,17 @@ def test_lindblad_step_rejects_bad_inputs():
         q.lindblad_step(np.zeros((2, 2), complex), [down], -0.1)
     with pytest.raises(q.NonHermitianError):
         q.lindblad_step(down, [down], 0.01)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_lindblad_step_refuses_a_dt_that_is_not_positive_and_finite(dt):
+    # an infinite dt once warned three times and failed on "NaN or Inf entries"
+    down = np.array([[0, 1], [0, 0]], dtype=complex)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            q.lindblad_step(np.diag([0.0, 1.0]), [down], dt)
+    assert caught == []
 
 
 def test_lindblad_step_coarse_dt_warns():
@@ -347,9 +360,10 @@ def test_bohr_frequencies_match_entry_loop(seed, dim):
         report = q.check_bohr_ladder(h, l, f=f, pi=pi)
         if report.omega is None:
             assert report.residual == float("inf") and report.potential_residual is None
-        else:  # bit for bit
-            residuals = (report.residual, report.potential_residual)
-            assert residuals == bohr_residuals_inline(h, l, report.omega, f, pi)
+        else:  # relative to each residual, as both take the norm of the same matrix
+            residuals = np.array([report.residual, report.potential_residual])
+            want = np.array(bohr_residuals_inline(h, l, report.omega, f, pi))
+            assert_close(residuals, want, ulps=4, scale=want)
 
 
 def kraus_map_per_operator(operators, labels=None):
