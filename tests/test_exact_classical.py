@@ -44,6 +44,9 @@ DUAL_PROB_RTOL = 2e-13   # each branch's p~, relative to it
 SIGMA_ATOL = 2e-13       # each branch's Sigma, absolute
 INTEGRAL_ATOL = 1e-14    # <e^{-Sigma}>, absolute; the exact value is at most 1
 RESIDUAL_ATOL = 1e-13    # the detailed-FT residual max |ln(p / p~) - Sigma|; exactly 0
+# Pruning is tested only where the exact p is outside this band around eps_prob; p and p~
+# carry the relative errors above, so a branch inside it may fall on either side.
+PRUNE_BAND = DUAL_PROB_RTOL  # relative to eps_prob
 
 # ROADMAP item 2: the eigenvalue-1 path to pi loses accuracy as a chain nears
 # decomposition; at coupling 1e-6 its Delta Phi is 1.5e-10 from the exact value.
@@ -273,3 +276,34 @@ def test_random_classical_processes(process):
         pi = sorted(stationary(t))
         assume(all(b == a or b - a > 1e-6 * b for a, b in zip(pi, pi[1:])))
     assert_process(chain, p0)
+
+
+def leaky(a, b):
+    """A three-state step with O(1) inflow to every state, so pi is well conditioned, and
+    two small entries: 0 -> 2 with weight a and 1 -> 1 with weight b."""
+    return [[F(1, 2), F(1, 2) - b, F(1, 3)], [F(1, 2) - a, b, F(1, 3)], [a, F(1, 2), F(1, 3)]]
+
+
+@pytest.mark.parametrize("a, b, c", [(F(1, 10**5), F(2, 10**5), F(3, 10**8)),
+                                     (F(1, 20000), F(7, 10**5), F(1, 10**10))])
+def test_pruning_keeps_exactly_the_branches_above_eps_prob(a, b, c):
+    # products of the small entries and of the small initial population c put
+    # forward and dual branches at about 10 and 0.1 times eps_prob; with c = 1e-10
+    # some of those at 0.1 times it reach the last stage, so its own floor drops them
+    chain, p0 = [leaky(a, b), leaky(b, a), leaky(a, b)], [F(1, 2) - c, F(1, 2), c]
+    exact = Exact(chain, p0)
+    eps = F(TOL.eps_prob)
+    ratios = [p / eps for p in (*exact.forward.values(), *exact.dual.values())]
+    assert any(5 < x < 20 for x in ratios) and any(F(1, 20) < x < F(1, 5) for x in ratios)
+
+    spec = spec_of(chain, p0)
+    dual_spec = q.build_dual_process(spec)
+    ones = replace(dual_spec.explicit_boundary,
+                   final_probs=np.ones_like(dual_spec.explicit_boundary.final_probs))
+    for label, s, bnd, want in (
+            ("forward", spec, compile_process(spec), exact.forward),
+            ("dual", replace(dual_spec, explicit_boundary=ones), ones, exact.dual)):
+        kept = keyed(q.enumerate_trajectories(s), bnd).keys()
+        assert kept <= want.keys(), label
+        clear = {key for key, p in want.items() if abs(p - eps) > PRUNE_BAND * eps}
+        assert kept & clear == {key for key in clear if want[key] > eps}, label

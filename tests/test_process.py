@@ -13,7 +13,7 @@ from qmapft.process import (
     BoundaryData,
     IntegralFTReport,
     WorkReport,
-    _boundary_table,
+    _boundary_terms,
     compile_process,
 )
 
@@ -66,7 +66,7 @@ def test_sigma_boundary_indices_follow_eigenvalue_order():
     m = int(np.argmin(comp.final_probs))     # outcome with p = 1/3
     assert sigma_boundary(comp, n, m) == pytest.approx(np.log(0.75 / (1 / 3)), abs=1e-12)
     assert sigma_boundary(comp, n, m) == pytest.approx(np.log(9 / 4), abs=1e-12)
-    assert _boundary_table(comp, q.DEFAULT_TOLERANCES)[n, m] == sigma_boundary(comp, n, m)
+    assert _boundary_terms(comp, n, m, q.DEFAULT_TOLERANCES) == sigma_boundary(comp, n, m)
 
 
 def test_sigma_boundary_zero_probability():
@@ -79,11 +79,11 @@ def test_sigma_boundary_zero_probability():
     m = int(np.argmin(comp.final_probs))
     with pytest.raises(q.ZeroProbabilityBranch):
         sigma_boundary(comp, n, m)
-    assert np.isnan(_boundary_table(comp, q.DEFAULT_TOLERANCES)[n, m])
+    assert np.isnan(_boundary_terms(comp, n, m, q.DEFAULT_TOLERANCES))
 
 
 def _reference_table(bnd, tol):
-    """The per-pair loop the boundary table replaced: NaN where sigma_boundary raises."""
+    """The per-pair loop the boundary terms replaced, as a table: NaN where it raises."""
     dim = len(bnd.initial_probs)
     table = np.full((dim, dim), np.nan)
     for i, j in np.ndindex(dim, dim):
@@ -101,7 +101,8 @@ def test_boundary_table_matches_per_pair_formula(library):
             # eps_prob equal to the smallest initial population: its row turns NaN
             low = float(np.min(bnd.initial_probs))
             for tol in (q.DEFAULT_TOLERANCES, q.Tolerances(eps_prob=low)):
-                got, want = _boundary_table(bnd, tol), _reference_table(bnd, tol)
+                n, m = np.indices((len(bnd.initial_probs), len(bnd.final_probs)))
+                got, want = _boundary_terms(bnd, n, m, tol), _reference_table(bnd, tol)
                 assert_close(got, want, 2, (label, tol.eps_prob))
                 dead = np.logical_or.outer(bnd.initial_probs <= tol.eps_prob,
                                            bnd.final_probs <= tol.eps_prob)
@@ -690,6 +691,116 @@ def test_walk_matches_reference_on_dense_complex_maps(d):
 def test_walk_matches_reference_on_ladder_chains():
     for d in range(8, 17):
         _assert_walk_matches_reference(_ladder_chain(d, 3, 1), 2000, d, d)
+
+
+def _is_real(spec):
+    """Every operator of spec and both of its measurement bases have zero imaginary parts."""
+    bnd = compile_process(spec)
+    arrays = [s.map.operators for s in spec.steps] + [bnd.initial_basis, bnd.final_basis]
+    return not any(a.imag.any() for a in arrays)
+
+
+def _classical_chain(d, r, seed):
+    """R random classical Markov steps M_ji = sqrt(T_ji) |j><i| on d states from a random
+    diagonal state: a real process.  A cycle 0 -> 1 -> .. -> 0 keeps every T irreducible."""
+    rng = np.random.default_rng([d, r, seed])
+    kmaps = []
+    for _ in range(r):
+        weights = rng.random((d, d)) * (rng.random((d, d)) < 0.4) + np.roll(np.eye(d), 1, axis=0)
+        t = weights / weights.sum(axis=0)
+        ops = []
+        for j, i in zip(*np.nonzero(t)):
+            ops.append(np.zeros((d, d)))
+            ops[-1][j, i] = np.sqrt(t[j, i])
+        kmaps.append(q.kraus_map(ops))
+    steps = qmapft.process.make_steps(kmaps, [None] * r, [False] * r)
+    return q.process_spec(steps, initial_state=np.diag(rng.dirichlet(np.ones(d))))
+
+
+def _phase_twin(spec, seed, first=0):
+    """spec with each operator of steps first .. R - 1 times its own unit phase e^{i theta_k}.
+
+    The twin has the same channel, the same potential changes and the same
+    boundary as spec, but complex operators, so it takes the complex path.
+    """
+    rng = np.random.default_rng(seed)
+    steps = list(spec.steps)
+    for r in range(first, len(steps)):
+        kmap = steps[r].map
+        phases = np.exp(2j * np.pi * rng.random(len(kmap)))[:, None, None]
+        phased = q.kraus_map(phases * kmap.operators, kmap.labels)
+        steps[r] = dataclasses.replace(steps[r], map=phased)
+    return dataclasses.replace(spec, steps=tuple(steps), explicit_boundary=compile_process(spec))
+
+
+def _real_processes(library):
+    """The real processes of the library and real classical chains on d = 2 .. 7 states."""
+    real = {name: spec for name, spec in library.items() if _is_real(spec)}
+    assert {"gad_r3", "gad_mixed_r4", "unital_concat", "sudden_quench"} <= real.keys()
+    chains = {f"classical_d{d}": _classical_chain(d, 3, 0) for d in range(2, 8)}
+    assert all(_is_real(spec) for spec in chains.values())
+    return {**real, **chains}
+
+
+# A real process and its phase twin take the float64 and the complex128 path,
+# whose probabilities round apart by a few units of roundoff of the largest one
+# (at most 3.2 over these processes and their duals).  Their potential changes
+# come from the same structures, forward and dual, so the summed ones are equal.
+TWIN_PROB_ULPS = 8
+TWIN_DPHI_ULPS = 0
+
+
+def test_phase_twins_enumerate_as_the_real_process(library):
+    for name, spec in _real_processes(library).items():
+        # every step complex, and only the last (the state turns complex mid-chain)
+        for first in (0, len(spec.steps) - 1):
+            twin = _phase_twin(spec, first, first)
+            pairs = ((name, spec, twin),
+                     (name + " dual", q.build_dual_process(spec), q.build_dual_process(twin)))
+            for label, real, phased in pairs:
+                got, want = q.enumerate_trajectories(phased), q.enumerate_trajectories(real)
+                for field in ("n", "labels", "m"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field)), label
+                label = (label, first)
+                assert_close(got.probability, want.probability, TWIN_PROB_ULPS, label)
+                assert_close(got.sigma_boundary, want.sigma_boundary, 0, label)
+                assert_close(got.delta_phi_sum, want.delta_phi_sum, TWIN_DPHI_ULPS, label)
+
+
+def test_phase_twins_sample_as_the_real_process(library):
+    for name, spec in _real_processes(library).items():
+        for first in (0, len(spec.steps) - 1):
+            got = q.sample_trajectories(_phase_twin(spec, first, first), 4000, seed=first + 5)
+            want = q.sample_trajectories(spec, 4000, seed=first + 5)
+            for field in ("n", "labels", "m"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (name, field)
+            assert_close(got.delta_phi_sum, want.delta_phi_sum, TWIN_DPHI_ULPS, (name, first))
+
+
+def test_real_processes_run_in_float64(monkeypatch):
+    # every step product passes through _squared_norms: the enumerator's R + 1 row
+    # prunings and its probabilities, and the sampler's R branch weights and m draw
+    dtypes = []
+    squared_norms = qmapft.process._squared_norms
+
+    def spy(z):
+        dtypes.append(z.dtype.name)
+        return squared_norms(z)
+
+    monkeypatch.setattr(qmapft.process, "_squared_norms", spy)
+    spec = gad_process(steps=4)
+    f, c = "float64", "complex128"
+    # the chain, its last step complex, every step complex (the initial basis stays real)
+    cases = ((spec, [f] * 6, [f] * 5),
+             (_phase_twin(spec, 0, 3), [f] * 4 + [c] * 2, [f] * 3 + [c] * 2),
+             (_phase_twin(spec, 0), [f] + [c] * 5, [c] * 5))
+    for s, enumerated, sampled in cases:
+        dtypes.clear()
+        q.enumerate_trajectories(s)
+        assert dtypes == enumerated
+        dtypes.clear()
+        q.sample_trajectories(s, 100, seed=1)
+        assert dtypes == sampled
 
 
 def _searchsorted_draw(weights, u):
