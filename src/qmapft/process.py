@@ -64,10 +64,10 @@ class ProcessStep:
 class BoundaryData:
     """Measurement bases and populations at both ends of a process.
 
-    compile_process resolves one for every ProcessSpec.  A dual process
-    carries its own as explicit_boundary, because its bases come from
-    transforming the forward bases rather than from re-diagonalizing
-    anything.
+    Every ProcessSpec carries one, resolved when the spec is built: by
+    process_spec and with_steps from its boundary mode, or by
+    build_dual_process from transforming the forward bases rather than from
+    re-diagonalizing anything.
     """
 
     initial_basis: np.ndarray   # columns
@@ -78,16 +78,18 @@ class BoundaryData:
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """A map concatenation with boundary measurement data."""
+    """A map concatenation with its boundary, resolved for these steps under the
+    tolerances the spec was built with: change the steps with with_steps, as
+    dataclasses.replace(spec, steps=...) keeps the old boundary."""
 
     steps: tuple
+    boundary: BoundaryData
     boundary_mode: str = ENTROPIC
-    initial_state: np.ndarray | None = None  # entropic mode
+    initial_state: np.ndarray | None = None  # entropic mode; None for a dual process
     h_initial: np.ndarray | None = None      # equilibrium mode
     h_final: np.ndarray | None = None
     beta: float | None = None
     symmetry: SymmetryOp | None = None
-    explicit_boundary: BoundaryData | None = None  # dual processes, from build_dual_process
 
 
 def make_step(
@@ -122,7 +124,8 @@ def process_spec(
     symmetry: SymmetryOp | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ProcessSpec:
-    """Validated ProcessSpec constructor: the boundary and symmetry, then with_steps."""
+    """Validated ProcessSpec constructor: the boundary (resolved for no steps) and
+    symmetry, then with_steps."""
     dims = set()
     if boundary_mode == ENTROPIC:
         if initial_state is None:
@@ -148,8 +151,17 @@ def process_spec(
     dim = dims.pop()
     if symmetry is None:
         symmetry = theta(dim)
-    boundary = ProcessSpec(
+    if boundary_mode == ENTROPIC:
+        basis, probs = _measured(initial_state, tol)
+        bnd = BoundaryData(basis, probs, basis, probs)  # no steps: the final state is the initial
+    else:
+        # Gibbs populations of H_i and H_f at one beta
+        eig_i, eig_f = hermitian_eig(h_initial, tol), hermitian_eig(h_final, tol)
+        p_i, p_f = (gibbs_populations(e.eigenvalues, beta)[0] for e in (eig_i, eig_f))
+        bnd = BoundaryData(eig_i.eigenvectors, p_i, eig_f.eigenvectors, p_f)
+    spec = ProcessSpec(
         steps=(),
+        boundary=bnd,
         boundary_mode=boundary_mode,
         initial_state=initial_state,
         h_initial=h_initial,
@@ -157,38 +169,41 @@ def process_spec(
         beta=beta,
         symmetry=symmetry,
     )
-    return with_steps(boundary, steps)
+    return with_steps(spec, steps, tol)
 
 
-def with_steps(spec: ProcessSpec, steps) -> ProcessSpec:
-    """spec with these steps in place of its own; their maps must have its boundary's dimension."""
+def with_steps(spec: ProcessSpec, steps, tol: Tolerances = DEFAULT_TOLERANCES) -> ProcessSpec:
+    """spec with these steps, of its dimension, and its boundary resolved for them.
+
+    An entropic boundary keeps its initial side and decomposes, under tol, the
+    initial state evolved through the steps; a dual process has no initial
+    state and raises ValueError.  An equilibrium boundary is kept.
+    """
     steps = tuple(steps)
     dims = {s.map.dim for s in steps} | {spec.symmetry.matrix.shape[0]}
     if len(dims) != 1:
         raise DimensionMismatchError(f"inconsistent dimensions in process: {dims}")
-    return replace(spec, steps=steps)
+    bnd = spec.boundary
+    if spec.boundary_mode == ENTROPIC:
+        if spec.initial_state is None:
+            raise ValueError("a dual process has no initial state to evolve through new steps")
+        basis, probs = (_measured(_evolve(steps, spec.initial_state), tol) if steps
+                        else (bnd.initial_basis, bnd.initial_probs))
+        bnd = replace(bnd, final_basis=basis, final_probs=probs)
+    return replace(spec, steps=steps, boundary=bnd)
+
+
+def _measured(rho: np.ndarray, tol: Tolerances) -> tuple:
+    """(eigenbasis, populations) of a state: its eigenvalues clipped at 0."""
+    eig = hermitian_eig(rho, tol)
+    return eig.eigenvectors, np.clip(eig.eigenvalues, 0.0, None)
 
 
 def compile_process(
     spec: ProcessSpec, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> BoundaryData:
-    """Resolve measurement bases and boundary populations."""
-    if spec.explicit_boundary is not None:
-        return spec.explicit_boundary
-    if spec.boundary_mode == ENTROPIC:
-        eig_i = hermitian_eig(spec.initial_state, tol)
-        eig_f = hermitian_eig(_evolve(spec.steps, spec.initial_state), tol)
-        p_i, p_f = (np.clip(e.eigenvalues.real, 0.0, None) for e in (eig_i, eig_f))
-    else:
-        # equilibrium boundaries: Gibbs populations of H_i and H_f at one beta
-        eig_i, eig_f = hermitian_eig(spec.h_initial, tol), hermitian_eig(spec.h_final, tol)
-        p_i, p_f = (gibbs_populations(e.eigenvalues, spec.beta)[0] for e in (eig_i, eig_f))
-    return BoundaryData(
-        initial_basis=eig_i.eigenvectors,
-        initial_probs=p_i,
-        final_basis=eig_f.eigenvectors,
-        final_probs=p_f,
-    )
+    """spec.boundary: its measurement bases and populations, resolved when it was built."""
+    return spec.boundary
 
 
 def _evolve(steps, rho: np.ndarray) -> np.ndarray:
@@ -350,10 +365,15 @@ def enumerate_trajectories(
         code = (code.take(live)[:, None] * len(ops) + np.arange(len(ops))).ravel()
         dphi = (dphi.take(live)[:, None] + step.structure.delta_phi).ravel()
     live = _live(phi, tol)
-    amps = phi.take(live, axis=0) @ _real_if_exact(bnd.final_basis).conj()
-    code, dphi = code.take(live), dphi.take(live)
+    # each array is released once read, so that the temporaries after it reuse its
+    # memory instead of faulting in new pages
+    code, dphi, phi = code.take(live), dphi.take(live), phi.take(live, axis=0)
+    del live
+    amps = phi @ _real_if_exact(bnd.final_basis).conj()
+    del phi
     n = code // strings
     probs = _squared_norms(amps[None])
+    del amps
     probs *= bnd.initial_probs.take(n)[:, None]
     flat = np.flatnonzero(probs > tol.eps_prob)
     if not len(flat):
@@ -526,7 +546,7 @@ def build_dual_process(
         final_basis=transform_basis(bnd.initial_basis),
         final_probs=bnd.initial_probs,
     )
-    return ProcessSpec(steps=tuple(dual_steps), symmetry=sym, explicit_boundary=boundary)
+    return ProcessSpec(steps=tuple(dual_steps), boundary=boundary, symmetry=sym)
 
 
 @dataclass(frozen=True)
@@ -548,16 +568,17 @@ def verify_detailed_ft(
     """Check ln(p(gamma) / p~(reversed gamma)) = Sigma(gamma) branch by branch."""
     forward = enumerate_trajectories(spec, tol)
     dual_spec = build_dual_process(spec, tol)
-    bnd = dual_spec.explicit_boundary
+    bnd = dual_spec.boundary
     # the matching reads the dual's probabilities and outcome codes, not its own
     # boundary term, which is NaN where a forward initial population is 0
     ones = replace(bnd, final_probs=np.ones_like(bnd.final_probs))
-    dual = enumerate_trajectories(replace(dual_spec, explicit_boundary=ones), tol)
+    dual = enumerate_trajectories(replace(dual_spec, boundary=ones), tol)
     dim = bnd.initial_basis.shape[0]
     # codes (n, k_1 .. k_R, m), below 2**63 as d^2 * prod K_r <= DEFAULT_BRANCH_CAP; the
     # dual's ascend as its rows are lexicographic, and a sentinel (p = 0) catches the unmatched
     codes = np.append(dual.labels * dim + dual.m, np.iinfo(np.int64).max)
     probs = np.append(dual.probability, 0.0)
+    del dual  # the rest reads only these copies
     # each forward branch's reverse (m, k_R .. k_1, n), its digits moved one by one
     code, wanted = forward.labels, forward.m
     for radix in reversed(forward.radices):

@@ -244,7 +244,8 @@ def load_process_file(
     step is: so a parse error anywhere comes first.  Then every step is checked
     and classified in one make_steps pass (trace preservation first), which
     raises the first failing step's error; last, the steps' dimension is
-    checked against the boundary's.
+    checked against the boundary's and the boundary resolved for them
+    (with_steps), so the spec returned carries its measurement bases.
     """
     path = Path(path)
     data = _read_json(path)
@@ -274,7 +275,7 @@ def load_process_file(
             kwargs["beta"] = data["beta"]  # process_spec checks it is a finite number
         boundary = process_spec((), boundary_mode=mode, symmetry=symmetry, tol=tol, **kwargs)
         kmaps, pis, unital = zip(*inputs) if inputs else ((), (), ())
-        spec = with_steps(boundary, make_steps(kmaps, pis, unital, tol))
+        spec = with_steps(boundary, make_steps(kmaps, pis, unital, tol), tol)
     return spec, data
 
 

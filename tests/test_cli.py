@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qmapft as q
+import qmapft.process
 from qmapft.cli import main
 from test_potential import EDGE_TOLERANCES, shifted_pi
 from test_process import smallest_reverse_branch
@@ -224,6 +225,37 @@ def test_cli_verify_exact(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verify"]["integral_ft"]["deviation"] <= 1e-12
     assert report["verify"]["detailed_ft"]["passed"] is True
+
+
+def test_cli_exact_verify_resolves_the_boundary_once(tmp_path, monkeypatch):
+    # the forward enumeration, the dual and the detailed-FT matching all read the
+    # boundary the loaded spec carries: rho_i evolves once through the R steps,
+    # and rho_i and the evolved state are each decomposed once
+    r = 5
+    proc = tmp_path / "proc.json"
+    write_gad_process(proc, steps=r)
+    spec, _ = load_process_file(proc)
+    rho_f = spec.initial_state
+    for step in spec.steps:
+        rho_f = q.apply_map(step.map, rho_f)
+    evolved, decomposed = [], []
+
+    def spy(name, state_arg, seen):
+        real = getattr(qmapft.process, name)
+
+        def call(*args, **kwargs):
+            seen.append(np.array(args[state_arg]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qmapft.process, name, call)
+
+    spy("apply_map", 1, evolved)
+    spy("hermitian_eig", 0, decomposed)
+    assert main(["verify", str(proc), "--out", str(tmp_path / "report.json")]) == 0
+    assert len(evolved) == r
+    assert len(decomposed) == 2
+    assert np.array_equal(decomposed[0], spec.initial_state)
+    assert np.array_equal(decomposed[1], rho_f)
 
 
 def test_cli_verify_resource_cap(tmp_path, capsys):

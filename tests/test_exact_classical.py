@@ -198,9 +198,9 @@ def assert_process(chain, p0):
         assert_rel(p, exact.forward[key], PROB_RTOL, ("p", key))
 
     dual_spec = q.build_dual_process(spec)
-    dual_bnd = dual_spec.explicit_boundary
+    dual_bnd = dual_spec.boundary
     ones = replace(dual_bnd, final_probs=np.ones_like(dual_bnd.final_probs))
-    dual = keyed(q.enumerate_trajectories(replace(dual_spec, explicit_boundary=ones)), ones)
+    dual = keyed(q.enumerate_trajectories(replace(dual_spec, boundary=ones)), ones)
     assert dual.keys() == exact.dual.keys()
     for key, p in dual.items():
         assert_rel(p, exact.dual[key], DUAL_PROB_RTOL, ("p~", key))
@@ -298,11 +298,11 @@ def test_pruning_keeps_exactly_the_branches_above_eps_prob(a, b, c):
 
     spec = spec_of(chain, p0)
     dual_spec = q.build_dual_process(spec)
-    ones = replace(dual_spec.explicit_boundary,
-                   final_probs=np.ones_like(dual_spec.explicit_boundary.final_probs))
+    ones = replace(dual_spec.boundary,
+                   final_probs=np.ones_like(dual_spec.boundary.final_probs))
     for label, s, bnd, want in (
             ("forward", spec, compile_process(spec), exact.forward),
-            ("dual", replace(dual_spec, explicit_boundary=ones), ones, exact.dual)):
+            ("dual", replace(dual_spec, boundary=ones), ones, exact.dual)):
         kept = keyed(q.enumerate_trajectories(s), bnd).keys()
         assert kept <= want.keys(), label
         clear = {key for key, p in want.items() if abs(p - eps) > PRUNE_BAND * eps}

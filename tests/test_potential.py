@@ -229,7 +229,7 @@ def test_symmetry_op_antiunitary_action():
     spec = q.process_spec([q.make_step(q.unitary_map(np.eye(2)), unital=True)],
                           initial_state=rho, symmetry=sym)
     forward = q.compile_process(spec)
-    dual = q.build_dual_process(spec).explicit_boundary
+    dual = q.build_dual_process(spec).boundary
     assert np.abs(forward.initial_basis.imag).max() > 0.5  # conjugation is visible
     assert np.allclose(dual.final_basis, forward.initial_basis.conj())
     assert np.allclose(dual.initial_basis, forward.final_basis.conj())

@@ -7,14 +7,15 @@ import pytest
 
 import qmapft as q
 import qmapft.process
-from qmapft.linalg import adjoint, frob
-from conftest import assert_close
+from qmapft.linalg import adjoint, frob, hermitian_eig
+from conftest import HADAMARD, assert_close, gad_step
 from qmapft.process import (
     BoundaryData,
     IntegralFTReport,
     WorkReport,
     _boundary_terms,
     compile_process,
+    with_steps,
 )
 
 LN2 = np.log(2.0)
@@ -109,6 +110,62 @@ def test_boundary_table_matches_per_pair_formula(library):
                 assert np.array_equal(np.isnan(got), dead), (label, tol.eps_prob)
 
 
+def _reference_boundary(spec, tol=q.DEFAULT_TOLERANCES):
+    """compile_process as it was before specs carried their boundary: both sides
+    resolved from the spec's boundary mode and steps on every call."""
+    if spec.boundary_mode == "entropic":
+        rho = spec.initial_state
+        for step in spec.steps:
+            rho = q.apply_map(step.map, rho)
+        eig_i, eig_f = hermitian_eig(spec.initial_state, tol), hermitian_eig(rho, tol)
+        p_i, p_f = (np.clip(e.eigenvalues.real, 0.0, None) for e in (eig_i, eig_f))
+    else:
+        eig_i, eig_f = hermitian_eig(spec.h_initial, tol), hermitian_eig(spec.h_final, tol)
+        p_i, p_f = (q.gibbs_populations(e.eigenvalues, spec.beta)[0] for e in (eig_i, eig_f))
+    return BoundaryData(eig_i.eigenvectors, p_i, eig_f.eigenvectors, p_f)
+
+
+def assert_same_boundary(got, want, label):
+    for field in dataclasses.fields(BoundaryData):
+        assert_close(getattr(got, field.name), getattr(want, field.name), 0, (label, field.name))
+
+
+def test_resolved_boundary_is_the_reference_bit_for_bit(library):
+    modes = set()
+    for name, spec in library.items():
+        assert compile_process(spec) is spec.boundary
+        assert_same_boundary(spec.boundary, _reference_boundary(spec), name)
+        modes.add(spec.boundary_mode)
+    assert modes == {"entropic", "equilibrium"}
+
+
+def test_with_steps_resolves_the_final_basis_of_the_new_steps(library):
+    spec = library["gad_r3"]
+    other = [q.make_step(q.unitary_map(HADAMARD), unital=True), spec.steps[0]]
+    moved = with_steps(spec, other)
+    assert moved.steps == tuple(other)
+    assert_same_boundary(moved.boundary, _reference_boundary(moved), "new steps")
+    assert moved.boundary.initial_basis is spec.boundary.initial_basis
+    assert not np.array_equal(moved.boundary.final_basis, spec.boundary.final_basis)
+    # no steps: the final side is the initial one
+    bare = with_steps(spec, ())
+    assert_same_boundary(bare.boundary, _reference_boundary(bare), "no steps")
+    assert bare.boundary.final_probs is spec.boundary.initial_probs
+
+
+def test_with_steps_keeps_an_equilibrium_boundary(library):
+    spec = library["quench_then_thermalize"]
+    assert spec.boundary_mode == "equilibrium"
+    for steps in ((), spec.steps[::-1], [gad_step(LN2 / 2)] * 2):
+        assert with_steps(spec, steps).boundary is spec.boundary
+
+
+def test_with_steps_refuses_a_dual_process():
+    dual = q.build_dual_process(gad_process())
+    with pytest.raises(ValueError, match="initial state"):
+        with_steps(dual, dual.steps)
+
+
 def test_enumeration_r0_pure_boundary():
     # no maps at all: sigma is ln p_n - ln p_m of the same state
     rho = np.diag([0.75, 0.25]).astype(complex)
@@ -176,7 +233,7 @@ def test_enumeration_absolute_continuity_violation(run):
     spec = q.ProcessSpec(
         steps=(q.make_step(q.unitary_map(np.eye(2)), unital=True),),
         symmetry=q.theta(2),
-        explicit_boundary=boundary,
+        boundary=boundary,
     )
     with pytest.raises(q.AbsoluteContinuityViolation):
         run(spec)
@@ -294,7 +351,7 @@ def _qubit_spec(initial_probs, steps, final_probs=(0.5, 0.5)):
         final_basis=basis,
         final_probs=np.array(final_probs, dtype=float),
     )
-    return q.ProcessSpec(steps=tuple(steps), symmetry=q.theta(2), explicit_boundary=boundary)
+    return q.ProcessSpec(steps=tuple(steps), boundary=boundary, symmetry=q.theta(2))
 
 
 HALF_OR_REST = [0.5 * np.eye(2), math.sqrt(0.75) * np.eye(2)]
@@ -397,7 +454,7 @@ def test_dual_bases_match_per_column_transform(antiunitary):
             initial_state=rho,
             symmetry=q.SymmetryOp(v, antiunitary=antiunitary),
         )
-        dual = q.build_dual_process(spec).explicit_boundary
+        dual = q.build_dual_process(spec).boundary
         want_initial, want_final = _per_column_bases(spec)
         for got, want in ((dual.initial_basis, want_initial), (dual.final_basis, want_final)):
             assert_close(got, want, 4, d)
@@ -530,7 +587,7 @@ def test_rank_deficient_initial_state_verifies_the_detailed_ft():
     assert report.max_residual <= 1e-12
     # <e^{-Sigma}> falls short of 1 by the dual mass on the zero-population level
     dual = q.build_dual_process(spec)
-    bnd = dual.explicit_boundary
+    bnd = dual.boundary
     rho = (bnd.initial_basis * bnd.initial_probs) @ adjoint(bnd.initial_basis)
     for step in dual.steps:
         rho = q.apply_map(step.map, rho)
@@ -730,7 +787,7 @@ def _phase_twin(spec, seed, first=0):
         phases = np.exp(2j * np.pi * rng.random(len(kmap)))[:, None, None]
         phased = q.kraus_map(phases * kmap.operators, kmap.labels)
         steps[r] = dataclasses.replace(steps[r], map=phased)
-    return dataclasses.replace(spec, steps=tuple(steps), explicit_boundary=compile_process(spec))
+    return dataclasses.replace(spec, steps=tuple(steps), boundary=compile_process(spec))
 
 
 def _real_processes(library):
