@@ -5,19 +5,24 @@ holds the Kraus operators of one map as one stacked (K, dim, dim) array.
 Vectorization is row-major, so the superoperator of rho -> M rho M† is
 kron(M, conj(M)).
 
-From dimension BLOCK_SPLIT_MIN_DIM up, invariant_state splits the superoperator
-into the connected components of its exact nonzero pattern and takes one eig
-per block.  A map covariant under a diagonal Hamiltonian (Kossakowski, Frigerio,
-Gorini and Verri, CMP 57, 97 (1977)) only couples coherences of one Bohr
-frequency; a thermal ladder in its energy basis with one jump pair per pair of
-levels couples each coherence |i><j| only to itself: at d = 16 that is one
-16 x 16 population block and 240 1 x 1 blocks instead of one 256 x 256 eig.
+At every dimension, invariant_state splits the superoperator into the connected
+components of its exact nonzero pattern and takes one eig per block.  A map
+covariant under a diagonal Hamiltonian (Kossakowski, Frigerio, Gorini and Verri,
+CMP 57, 97 (1977)) only couples coherences of one Bohr frequency; a thermal ladder
+in its energy basis with one jump pair per pair of levels couples each coherence
+|i><j| only to itself: at d = 16 that is one 16 x 16 population block and 240
+1 x 1 blocks instead of one 256 x 256 eig, and a GAD qubit's population block is
+one real 2 x 2 eig.
 
 The maps of a process are checked together as one KrausStack, their operators
 concatenated into one (sum K_r, d, d) array: one trace-preservation test, one
-fixed-point residual and one eigendecomposition of the states serve every map,
-and below BLOCK_SPLIT_MIN_DIM one eig of the (R, d^2, d^2) superoperators.  Each
-result is bit for bit the one map's own; invariant_state is the one-map case.
+fixed-point residual and one eigendecomposition of the states serve every map.
+fixed_states labels the blocks of the stack's joint pattern, the union of the
+maps' own, once: each S is exactly block-diagonal on them, and each block takes
+one eig batched over the maps.  A stack that mixes patterns only gets coarser
+blocks, so a map's pi there is its one-map invariant_state's up to the roundoff
+of a larger eig; every other result is bit for bit the one map's own.
+invariant_state is the one-map case.
 """
 
 from __future__ import annotations
@@ -145,7 +150,13 @@ def validate_cptp(kmap: KrausMap, tol: Tolerances = DEFAULT_TOLERANCES) -> Valid
 
 
 def validate_density(rho: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Check Hermiticity, positivity up to -eps_pos, and unit trace."""
+    """Check Hermiticity, positivity up to -eps_pos, and unit trace; returns rho, complex."""
+    return checked_density(rho, tol)[0]
+
+
+def checked_density(rho: np.ndarray, tol: Tolerances) -> tuple:
+    """(rho, its HermitianEigenDecomposition) of a state that passes validate_density's
+    checks: the decomposition is the one its positivity test takes."""
     rho = as_complex_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise DimensionMismatchError(f"density matrix is not square: {rho.shape}")
@@ -154,12 +165,12 @@ def validate_density(rho: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> n
     tr = np.trace(rho)
     if abs(tr - 1.0) > 1e-12:
         raise ValueError(f"density matrix trace {tr} is not 1 within 1e-12")
-    vals = hermitian_eig(rho, tol).eigenvalues
-    if np.min(vals) < -tol.eps_pos:
+    eig = hermitian_eig(rho, tol)
+    if np.min(eig.eigenvalues) < -tol.eps_pos:
         raise ValueError(
-            f"density matrix has eigenvalue {np.min(vals):.3e} below -eps_pos"
+            f"density matrix has eigenvalue {np.min(eig.eigenvalues):.3e} below -eps_pos"
         )
-    return rho
+    return rho, eig
 
 
 def apply_map(kmap: KrausMap, rho: np.ndarray) -> np.ndarray:
@@ -178,48 +189,49 @@ def fixed_point_residuals(stack: KrausStack, states: np.ndarray) -> np.ndarray:
     return frobs(stack.sums(ops @ states[stack.owner] @ adjoint(ops)) - states)
 
 
-def superoperator_view(kmap: KrausMap) -> np.ndarray:
-    """The superoperator as a (dim, dim, dim, dim) array S[a, b, c, d], a view of the Choi matrix.
+def superoperator_views(kmaps) -> np.ndarray:
+    """The superoperators of R maps of one dimension as a (R, dim, dim, dim, dim) array
+    S[r, a, b, c, d], a view of their Choi matrices.
 
-    sum_k kron(M_k, conj(M_k)) as one gemm: with F the (K, dim^2) flattened operators,
-    the Choi matrix (F^T conj(F))[(a, c), (b, d)] = sum_k M_k[a, c] conj(M_k[b, d])
-    is S[(a, b), (c, d)] with the middle indices swapped.
+    sum_k kron(M_k, conj(M_k)) as one gemm per map, written into one (R, dim^2, dim^2)
+    array: with F the (K, dim^2) flattened operators, the Choi matrix
+    (F^T conj(F))[(a, c), (b, d)] = sum_k M_k[a, c] conj(M_k[b, d]) is S[(a, b), (c, d)]
+    with the middle indices swapped.
     """
-    k, d = len(kmap), kmap.dim
-    f = kmap.operators.reshape(k, d * d)
-    return (f.T @ f.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    d = kmaps[0].dim
+    choi = np.empty((len(kmaps), d * d, d * d), dtype=complex)
+    for kmap, out in zip(kmaps, choi):
+        f = kmap.operators.reshape(len(kmap), d * d)
+        np.matmul(f.T, f.conj(), out=out)
+    return choi.reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4)
 
 
 def build_superoperator(kmap: KrausMap) -> np.ndarray:
     """dim^2 x dim^2 matrix S with S vec(rho) = vec(E(rho)), row-major vec.
 
-    superoperator_view copied into matrix order: a second dim^4 array next to the
+    superoperator_views copied into matrix order: a second dim^4 array next to the
     Choi matrix (1 MB each at dim 16).
     """
     d = kmap.dim
-    return superoperator_view(kmap).reshape(d * d, d * d)
+    return superoperator_views([kmap])[0].reshape(d * d, d * d)
 
 
 # Half-width of the eigenvalue-1 window, with slack for roundoff in the spectrum.
 FIXED_WINDOW = 1e-9
-# invariant_state takes one dense eig of S below this dimension and one eig per
-# block of S from it up.  Ladder maps, one BLAS thread on a shared Xeon vCPU: at
-# d = 2 the split took 64 us against 14 us for the dense eig, at d = 6 the two
-# took the same time (96 us), and at d = 8 the split was 2-3x faster.
-BLOCK_SPLIT_MIN_DIM = 6
 
 
 def superoperator_blocks(s: np.ndarray) -> np.ndarray:
-    """Per index of S (superoperator_view), the least index of its connected component
-    in S's exact nonzero pattern.
+    """Per index of S, the least index of its connected component in the exact nonzero
+    pattern of S (dim, dim, dim, dim), or of every S of a (R, dim, dim, dim, dim) stack
+    together (superoperator_views).
 
-    adj = (S != 0) | (S != 0)^T with no threshold, so S restricted to the
+    adj = (S != 0) | (S != 0)^T with no threshold, so each S restricted to the
     components is exactly block-diagonal.  Each round sets every label to the
     least label among its neighbours and then jumps pointers until every label
     is its own label's label; the rounds stop when a round changes nothing.
     """
-    n = len(s) ** 2
-    nonzero = (s != 0).reshape(n, n)
+    n = s.shape[-1] ** 2
+    nonzero = (s != 0).reshape(-1, n, n).any(axis=0)
     adj = nonzero | nonzero.T
     np.fill_diagonal(adj, True)
     rows, cols = np.divmod(np.flatnonzero(adj), n)  # 10x faster than np.nonzero
@@ -235,35 +247,6 @@ def superoperator_blocks(s: np.ndarray) -> np.ndarray:
         labels = hooked
 
 
-def _block_fixed_vector(s: np.ndarray) -> tuple:
-    """(eigenvalues of S in the window around 1, the eigenvector when there is one), from
-    one eig per diagonal block of S (superoperator_view).
-
-    S is never copied into matrix order; each block is gathered from the view.
-    The 1 x 1 blocks are their own eigenvalues and take one vectorized test; the
-    eigenvector of a fixed block is scattered back into a zero vector of S's size.
-    """
-    d = len(s)
-    labels = superoperator_blocks(s)
-    sizes = np.bincount(labels, minlength=d * d)
-    singles = np.flatnonzero(sizes[labels] == 1)
-    a, b = np.divmod(singles, d)
-    fixed = singles[np.abs(s[a, b, a, b] - 1.0) <= FIXED_WINDOW]
-    count, vector = len(fixed), np.zeros(d * d, dtype=complex)
-    vector[fixed[:1]] = 1.0  # the eigenvector of a fixed 1 x 1 block, if there is one
-    for root in np.flatnonzero(sizes > 1):
-        block = np.flatnonzero(labels == root)
-        a, b = np.divmod(block, d)
-        sub = s[a[:, None], b[:, None], a, b]
-        # a real block, such as a ladder's population block, takes the faster real eig
-        vals, vecs = np.linalg.eig(sub if sub.imag.any() else sub.real)
-        in_window = np.flatnonzero(np.abs(vals - 1.0) <= FIXED_WINDOW)
-        if count == 0 and len(in_window) == 1:
-            vector[block] = vecs[:, in_window[0]]
-        count += len(in_window)
-    return count, vector if count == 1 else None
-
-
 def _not_unique(kmap: KrausMap, count: int, tol: Tolerances) -> NonUniqueInvariantState:
     """The error of a degenerate fixed subspace, offering 1/N when it is itself fixed."""
     maxmix = np.eye(kmap.dim) / kmap.dim
@@ -274,24 +257,39 @@ def _not_unique(kmap: KrausMap, count: int, tol: Tolerances) -> NonUniqueInvaria
 def fixed_states(kmaps, tol: Tolerances) -> np.ndarray:
     """The trace-one Hermitian part of each map's eigenvalue-1 vector of S, not yet checked.
 
-    The maps share one dimension d.  Below BLOCK_SPLIT_MIN_DIM one eig of the
-    stacked superoperators serves every map; from it up each map takes one eig
-    per diagonal block of S (see the module docstring).  No fixed vector, a
+    The maps share one dimension d.  One path serves every d and every stack (see
+    the module docstring): their Choi matrices in one (R, d^2, d^2) array, the
+    blocks of its joint pattern labelled once, every 1 x 1 block of every map in
+    one window test, and one eig per larger block batched over the maps (real when
+    the block's imaginary parts are all exactly zero).  On one BLAS thread of a
+    shared 2-vCPU host it took about 0.25 ms for nine GAD qubit maps, 0.8-1.0 ms
+    for one d = 16 ladder and 1.9-2.0 ms for three.  No fixed vector, a
     degenerate fixed subspace or a traceless fixed vector raises.
     """
     d = kmaps[0].dim
-    if d < BLOCK_SPLIT_MIN_DIM:
-        vals, vecs = np.linalg.eig(np.array([build_superoperator(kmap) for kmap in kmaps]))
-        fixed = np.abs(vals - 1.0) <= FIXED_WINDOW
-        counts = fixed.sum(axis=1)
-        vectors = vecs[np.arange(len(kmaps)), :, fixed.argmax(axis=1)]
-    else:
-        counts, vectors = zip(*(_block_fixed_vector(superoperator_view(m)) for m in kmaps))
+    s = superoperator_views(kmaps)
+    labels = superoperator_blocks(s)
+    sizes = np.bincount(labels, minlength=d * d)
+    singles = np.flatnonzero(sizes[labels] == 1)
+    a, b = np.divmod(singles, d)
+    fixed = np.abs(s[:, a, b, a, b] - 1.0) <= FIXED_WINDOW
+    counts, vectors = fixed.sum(axis=1), np.zeros((len(kmaps), d * d), dtype=complex)
+    vectors[:, singles] = fixed  # a fixed 1 x 1 block's eigenvector; used only if it is the one
+    for root in np.flatnonzero(sizes > 1):
+        block = np.flatnonzero(labels == root)
+        a, b = np.divmod(block, d)
+        sub = s[:, a[:, None], b[:, None], a, b]
+        # a real block, such as a ladder's population block, takes the faster real eig
+        vals, vecs = np.linalg.eig(sub if sub.imag.any() else sub.real)
+        in_window = np.abs(vals - 1.0) <= FIXED_WINDOW
+        rows = np.flatnonzero(in_window.sum(axis=1) == 1)
+        vectors[rows[:, None], block] = vecs[rows, :, in_window[rows].argmax(axis=1)]
+        counts += in_window.sum(axis=1)
     for kmap, count in zip(kmaps, counts):
         if count != 1:
             raise (_not_unique(kmap, count, tol) if count else
                    SingularStateError("the map has no fixed point within tolerance"))
-    x = np.reshape(vectors, (-1, d, d))
+    x = vectors.reshape(-1, d, d)
     pi = (x + adjoint(x)) / 2
     tr = np.trace(pi, axis1=1, axis2=2).real
     # eig makes a vector's largest entry real; for a trace-preserving map with a positive
@@ -361,12 +359,12 @@ def invariant_state(
 ) -> np.ndarray:
     """Unique strictly positive fixed point of the map.
 
-    Computed from the eigenvalue-1 subspace of the superoperator S: one dense
-    eig below dimension BLOCK_SPLIT_MIN_DIM, else one eig per diagonal block of
-    S (see the module docstring), with the fixed dimension counted over all
-    blocks.  A degenerate subspace raises NonUniqueInvariantState (with 1/N
-    offered as candidate when it is itself fixed), a singular or traceless fixed
-    point raises SingularStateError.  It runs fixed_states and checked_states' two checks,
+    Computed from the eigenvalue-1 subspace of the superoperator S at every
+    dimension: one eig per diagonal block of S (fixed_states' one-map case, see
+    the module docstring), with the fixed dimension counted over all blocks.  A
+    degenerate subspace raises NonUniqueInvariantState (with 1/N offered as
+    candidate when it is itself fixed), a singular or traceless fixed point
+    raises SingularStateError.  It runs fixed_states and checked_states' two checks,
     not its trace-preservation test, so a map that loses trace and whose only fixed vector
     is traceless raises fixed_states' "zero trace" SingularStateError.
     """

@@ -32,7 +32,7 @@ from .errors import (
     ZeroProbabilityBranch,
 )
 from .linalg import adjoint, as_complex_matrix, hermitian_eig, von_neumann_entropy
-from .maps import KrausMap, apply_map, validate_density
+from .maps import KrausMap, apply_map, checked_density
 from .potential import PotentialStructure, SymmetryOp, classify_duals, classify_maps, theta
 from .models import gibbs_populations
 
@@ -125,12 +125,13 @@ def process_spec(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ProcessSpec:
     """Validated ProcessSpec constructor: the boundary (resolved for no steps) and
-    symmetry, then with_steps."""
+    symmetry, then with_steps.  An entropic boundary's initial side is the
+    decomposition of rho_i that its positivity test takes (checked_density)."""
     dims = set()
     if boundary_mode == ENTROPIC:
         if initial_state is None:
             raise ValueError("entropic mode needs an initial state")
-        initial_state = validate_density(initial_state, tol)
+        initial_state, initial_eig = checked_density(initial_state, tol)
         dims.add(initial_state.shape[0])
     elif boundary_mode == EQUILIBRIUM:
         if h_initial is None or h_final is None or beta is None:
@@ -152,7 +153,7 @@ def process_spec(
     if symmetry is None:
         symmetry = theta(dim)
     if boundary_mode == ENTROPIC:
-        basis, probs = _measured(initial_state, tol)
+        basis, probs = _measured(initial_eig)
         bnd = BoundaryData(basis, probs, basis, probs)  # no steps: the final state is the initial
     else:
         # Gibbs populations of H_i and H_f at one beta
@@ -187,15 +188,14 @@ def with_steps(spec: ProcessSpec, steps, tol: Tolerances = DEFAULT_TOLERANCES) -
     if spec.boundary_mode == ENTROPIC:
         if spec.initial_state is None:
             raise ValueError("a dual process has no initial state to evolve through new steps")
-        basis, probs = (_measured(_evolve(steps, spec.initial_state), tol) if steps
-                        else (bnd.initial_basis, bnd.initial_probs))
+        basis, probs = (_measured(hermitian_eig(_evolve(steps, spec.initial_state), tol))
+                        if steps else (bnd.initial_basis, bnd.initial_probs))
         bnd = replace(bnd, final_basis=basis, final_probs=probs)
     return replace(spec, steps=steps, boundary=bnd)
 
 
-def _measured(rho: np.ndarray, tol: Tolerances) -> tuple:
-    """(eigenbasis, populations) of a state: its eigenvalues clipped at 0."""
-    eig = hermitian_eig(rho, tol)
+def _measured(eig) -> tuple:
+    """(eigenbasis, populations) of a state's decomposition: its eigenvalues clipped at 0."""
     return eig.eigenvectors, np.clip(eig.eigenvalues, 0.0, None)
 
 

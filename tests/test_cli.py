@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qmapft as q
+import qmapft.maps
 import qmapft.process
 from qmapft.cli import main
 from test_potential import EDGE_TOLERANCES, shifted_pi
@@ -230,7 +231,7 @@ def test_cli_verify_exact(tmp_path, capsys):
 def test_cli_exact_verify_resolves_the_boundary_once(tmp_path, monkeypatch):
     # the forward enumeration, the dual and the detailed-FT matching all read the
     # boundary the loaded spec carries: rho_i evolves once through the R steps,
-    # and rho_i and the evolved state are each decomposed once
+    # and rho_i and the evolved state are each decomposed once, in maps or in process
     r = 5
     proc = tmp_path / "proc.json"
     write_gad_process(proc, steps=r)
@@ -251,11 +252,16 @@ def test_cli_exact_verify_resolves_the_boundary_once(tmp_path, monkeypatch):
 
     spy("apply_map", 1, evolved)
     spy("hermitian_eig", 0, decomposed)
+    # rho_i's positivity test in maps takes the decomposition the boundary reads
+    real_eig = qmapft.maps.hermitian_eig
+    monkeypatch.setattr(qmapft.maps, "hermitian_eig",
+                        lambda a, *rest: decomposed.append(np.array(a)) or real_eig(a, *rest))
     assert main(["verify", str(proc), "--out", str(tmp_path / "report.json")]) == 0
     assert len(evolved) == r
-    assert len(decomposed) == 2
+    assert len(decomposed) == 3
     assert np.array_equal(decomposed[0], spec.initial_state)
-    assert np.array_equal(decomposed[1], rho_f)
+    assert decomposed[1].ndim == 3  # the steps' invariant states, one stacked decomposition
+    assert np.array_equal(decomposed[2], rho_f)
 
 
 def test_cli_verify_resource_cap(tmp_path, capsys):
@@ -1120,3 +1126,57 @@ def test_dual_of_a_map_outside_the_ladder_family(tmp_path, capsys):
     assert len(dual["map"]["operators"]) == 2 and dual["map"]["dim"] == 2
     assert main(["classify", str(path)]) == 1
     assert "straddles distinct potential gaps" in capsys.readouterr().err
+
+
+def test_cli_projective_unital_step_verifies(tmp_path, capsys):
+    # a process-file step of the "projective" model, in the Hadamard basis, with 1/N as its state
+    proc = tmp_path / "proc.json"
+    basis = matrix_to_json(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+    steps = [{"model": "thermal_qubit", "beta_omega": LN2, "gamma": 0.5},
+             {"model": "projective", "basis": basis, "unital": True}]
+    write_process_with(proc, steps=steps)
+    assert main(["verify", str(proc)]) == 0
+    report = json.loads(capsys.readouterr().out)["verify"]
+    assert report["detailed_ft"]["passed"] is True
+    assert abs(report["integral_ft"]["mean_exp_neg_sigma"] - 1.0) <= 1e-12
+
+
+def test_cli_dual_of_a_degenerate_map_needs_pi(tmp_path, capsys):
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(map_to_json(q.kraus_map([np.eye(3)]))))
+    with pytest.raises(SystemExit) as info:
+        main(["dual", str(path)])
+    assert info.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "fixed subspace dimension 9" in captured.err
+    assert "--pi" in captured.err and "--unital" in captured.err
+
+
+def test_cli_initial_state_below_minus_eps_pos_is_a_parse_error(tmp_path, capsys):
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, initial_state=matrix_to_json(np.diag([1.1, -0.1])))
+    assert main(["verify", str(proc)]) == 2
+    line = assert_one_parse_error(capsys, proc)
+    assert "density matrix has eigenvalue -1.000e-01 below -eps_pos" in line
+
+
+def test_cli_step_pi_of_the_wrong_shape_is_named(tmp_path, capsys):
+    proc = tmp_path / "proc.json"
+    step = {"model": "thermal_qubit", "beta_omega": LN2, "gamma": 0.5,
+            "pi": matrix_to_json(np.eye(3) / 3)}
+    write_process_with(proc, steps=[step])
+    assert main(["verify", str(proc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: state shape (3, 3) does not match map dimension 2"]
+
+
+def test_cli_missing_map_file_is_a_parse_error(tmp_path, capsys):
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, steps=[{"map_file": "missing.json"}])
+    assert main(["verify", str(proc)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith(f"parse error: {tmp_path / 'missing.json'}: [Errno 2] ")

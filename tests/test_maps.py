@@ -6,7 +6,7 @@ from scipy.sparse.csgraph import connected_components
 
 import qmapft as q
 from qmapft.linalg import frob
-from qmapft.maps import BLOCK_SPLIT_MIN_DIM, superoperator_blocks, superoperator_view, tp_defect
+from qmapft.maps import fixed_states, superoperator_blocks, superoperator_views, tp_defect
 from conftest import assert_close
 from test_ladder_properties import haar_unitary, ladder_maps
 
@@ -250,10 +250,20 @@ def dense_window(kmap):
 
 
 def dense_invariant_state(kmap):
-    """Reference: pi as the single dense eig of S gives it, for a one-dimensional window."""
-    x = dense_window(kmap)[:, 0].reshape(kmap.dim, kmap.dim)
+    """Reference: (pi as the single dense eig of S gives it, for a one-dimensional window;
+    its bound in ulps of max|pi|).
+
+    The bound is 2 / sep, with sep the distance from 1 of S's nearest other
+    eigenvalue: fixed_states takes the eig of S's blocks instead, another
+    backward-stable eig, and the eigenvector's condition grows as 1 / sep
+    (Golub and Van Loan, 7.2.4).
+    """
+    vals, vecs = np.linalg.eig(q.build_superoperator(kmap))
+    fixed = np.abs(vals - 1.0) <= 1e-9
+    assert fixed.sum() == 1
+    x = vecs[:, fixed.argmax()].reshape(kmap.dim, kmap.dim)
     pi = (x + x.conj().T) / 2
-    return pi / np.trace(pi).real
+    return pi / np.trace(pi).real, 2 / np.min(np.abs(vals[~fixed] - 1.0))
 
 
 def lindblad_ladder(d, collective=False, beta=0.7, rate=0.3):
@@ -286,8 +296,10 @@ def assert_blocks_exact(kmap):
     """The blocks are the components of S's pattern and S vanishes outside them;
     returns the number of blocks."""
     s = q.build_superoperator(kmap)
-    assert np.array_equal(superoperator_view(kmap).reshape(s.shape), s)
-    labels = superoperator_blocks(superoperator_view(kmap))
+    view = superoperator_views([kmap])
+    assert np.array_equal(view[0].reshape(s.shape), s)
+    labels = superoperator_blocks(view)
+    assert np.array_equal(superoperator_blocks(view[0]), labels)
     assert labels.shape == (len(s),)
     # each index carries the least index of its block, so the blocks partition range(d^2)
     assert np.all(labels <= np.arange(len(s))) and np.array_equal(labels[labels], labels)
@@ -298,7 +310,7 @@ def assert_blocks_exact(kmap):
     return count
 
 
-@given(st.booleans().flatmap(lambda haar: ladder_maps((BLOCK_SPLIT_MIN_DIM, 16), haar)))
+@given(st.booleans().flatmap(lambda haar: ladder_maps((2, 16), haar)))
 @settings(max_examples=15, deadline=None)
 def test_block_split_is_exact_on_ladder_maps(example):
     d = example.kmap.dim
@@ -308,7 +320,7 @@ def test_block_split_is_exact_on_ladder_maps(example):
     assert np.max(np.abs(q.invariant_state(example.kmap) - example.pi)) <= 1e-9
 
 
-@pytest.mark.parametrize("d", [BLOCK_SPLIT_MIN_DIM, 9, 16])
+@pytest.mark.parametrize("d", [2, 3, 6, 9, 16])
 @pytest.mark.parametrize("collective", [False, True])
 def test_block_split_is_exact_on_lindblad_ladders(d, collective):
     # 1 x 1 coherence blocks, or one block per diagonal of rho (2d - 1 of them)
@@ -318,18 +330,19 @@ def test_block_split_is_exact_on_lindblad_ladders(d, collective):
 
 
 def test_block_split_of_a_dense_map_is_one_block():
-    kmap = stinespring_map(BLOCK_SPLIT_MIN_DIM + 1, 3, seed=4)
-    assert assert_blocks_exact(kmap) == 1
-    assert_superoperator_and_fixed_point_match_kron(kmap)
+    for d in (2, 7):
+        kmap = stinespring_map(d, 3, seed=4)
+        assert assert_blocks_exact(kmap) == 1
+        assert_superoperator_and_fixed_point_match_kron(kmap)
 
 
-def test_dense_path_below_the_crossover_is_unchanged_on_model_library(library):
+def test_one_path_matches_the_dense_eig_on_model_library(library):
     maps = {id(s.map): s.map for spec in library.values() for s in spec.steps}
     for kmap in maps.values():
-        assert kmap.dim < BLOCK_SPLIT_MIN_DIM
         window = dense_window(kmap).shape[1]
         if window == 1:
-            assert np.array_equal(q.invariant_state(kmap), dense_invariant_state(kmap))
+            pi, bound = dense_invariant_state(kmap)
+            assert_close(q.invariant_state(kmap), pi, bound)
         else:
             with pytest.raises(q.NonUniqueInvariantState) as info:
                 q.invariant_state(kmap)
@@ -346,10 +359,9 @@ DEGENERATE_MAPS = {
 }
 
 
-@pytest.mark.parametrize("d", [6, 8, 16])
+@pytest.mark.parametrize("d", [2, 3, 6, 8, 16])
 @pytest.mark.parametrize("name", sorted(DEGENERATE_MAPS))
 def test_degenerate_maps_above_the_crossover(name, d):
-    assert d >= BLOCK_SPLIT_MIN_DIM
     kmap = DEGENERATE_MAPS[name](d)
     with pytest.raises(q.NonUniqueInvariantState) as info:
         q.invariant_state(kmap)
@@ -358,7 +370,7 @@ def test_degenerate_maps_above_the_crossover(name, d):
     assert np.array_equal(info.value.candidate, np.eye(d) / d)
 
 
-@pytest.mark.parametrize("d", [BLOCK_SPLIT_MIN_DIM, 16])
+@pytest.mark.parametrize("d", [2, 6, 16])
 def test_full_amplitude_damping_ladder_is_singular_above_the_crossover(d):
     e = np.eye(d)
     kmap = q.kraus_map([np.outer(e[0], e[0])] + [np.outer(e[i - 1], e[i]) for i in range(1, d)])
@@ -366,6 +378,36 @@ def test_full_amplitude_damping_ladder_is_singular_above_the_crossover(d):
     assert assert_blocks_exact(kmap) == d * d - d + 1
     with pytest.raises(q.SingularStateError, match="not above eps_pos"):
         q.invariant_state(kmap)
+
+
+def assert_stack_is_each_map_alone(kmaps):
+    """fixed_states of a stack whose joint pattern is one block, coarser than the first
+    map's own: each pi is its one-map invariant_state and the dense eig's within the
+    reference's 2 / sep ulps of max|pi|."""
+    d = kmaps[0].dim
+    assert len(np.unique(superoperator_blocks(superoperator_views(kmaps[:1])))) > 1
+    assert len(np.unique(superoperator_blocks(superoperator_views(kmaps)))) == 1
+    states = fixed_states(kmaps, q.DEFAULT_TOLERANCES)
+    assert states.shape == (len(kmaps), d, d)
+    for kmap, pi in zip(kmaps, states):
+        reference, bound = dense_invariant_state(kmap)
+        assert_close(pi, reference, bound)
+        assert_close(pi, q.invariant_state(kmap), bound)
+
+
+def test_energy_basis_ladder_stacked_with_a_rotated_one():
+    # the energy-basis ladder's own blocks are 1 x 1 coherences and one population
+    # block; the Haar-rotated ladder couples every index of S
+    ladder = lindblad_ladder(8)
+    u = haar_unitary(np.random.default_rng(8), 8)
+    rotated = q.kraus_map(u @ lindblad_ladder(8, beta=0.4).operators @ u.conj().T)
+    assert_stack_is_each_map_alone([ladder, rotated, ladder])
+
+
+def test_gad_stacked_with_a_dense_complex_map():
+    # GAD's own blocks: {|0><0|, |1><1|} and two 1 x 1 coherences
+    gad = q.thermal_qubit_map(np.log(2), 0.5)
+    assert_stack_is_each_map_alone([gad, stinespring_map(2, 3, seed=5)])
 
 
 def test_d16_ladder_takes_no_eig_of_the_whole_superoperator(monkeypatch):
@@ -378,7 +420,8 @@ def test_d16_ladder_takes_no_eig_of_the_whole_superoperator(monkeypatch):
 
     monkeypatch.setattr(q.maps.np.linalg, "eig", recording_eig)
     q.invariant_state(lindblad_ladder(16))
-    assert max(shapes) == (16, 16)
+    # eig is batched over the maps: (1, 16, 16)
+    assert max(shape[-2:] for shape in shapes) == (16, 16)
 
 
 def test_traceless_fixed_vector_is_a_singular_state_error():

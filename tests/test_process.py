@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qmapft as q
+import qmapft.maps
 import qmapft.process
 from qmapft.linalg import adjoint, frob, hermitian_eig
 from conftest import HADAMARD, assert_close, gad_step
@@ -1258,3 +1259,24 @@ def test_sampled_rows_weigh_one_over_n_and_mean_follows_the_mode(library):
     x = np.exp(-exact.sigmas())
     assert exact.mean(x) == float(np.sum(exact.probability * x))
     assert exact.mean(exact.sigmas()) == float(np.sum(exact.probability * exact.sigmas()))
+
+
+def test_process_spec_decomposes_the_initial_state_once(monkeypatch):
+    # validate_density's positivity test and the boundary's initial side share one
+    # decomposition of rho_i; the evolved state takes the other
+    steps = [gad_step()] * 3
+    rho = np.diag([0.9, 0.1]).astype(complex)
+    rho_f = rho
+    for step in steps:
+        rho_f = q.apply_map(step.map, rho_f)
+    decomposed = []
+    for module in (qmapft.maps, qmapft.process):
+        real = module.hermitian_eig
+        monkeypatch.setattr(module, "hermitian_eig", lambda a, *rest, real=real: (
+            decomposed.append(np.array(a)) or real(a, *rest)))
+    spec = q.process_spec(steps, initial_state=rho)
+    assert len(decomposed) == 2
+    assert np.array_equal(decomposed[0], rho) and np.array_equal(decomposed[1], rho_f)
+    eig = hermitian_eig(rho)
+    assert np.array_equal(spec.boundary.initial_basis, eig.eigenvectors)
+    assert np.array_equal(spec.boundary.initial_probs, eig.eigenvalues)
