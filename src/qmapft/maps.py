@@ -11,17 +11,13 @@ covariant under a diagonal Hamiltonian (Kossakowski, Frigerio, Gorini and Verri,
 CMP 57, 97 (1977)) only couples coherences of one Bohr frequency; a thermal ladder
 in its energy basis with one jump pair per pair of levels couples each coherence
 |i><j| only to itself: at d = 16 that is one 16 x 16 population block and 240
-1 x 1 blocks instead of one 256 x 256 eig, and a GAD qubit's population block is
-one real 2 x 2 eig.
+1 x 1 blocks instead of one 256 x 256 eig; a GAD qubit's is one real 2 x 2 eig.
 
 The maps of a process are checked together as one KrausStack, their operators
 concatenated into one (sum K_r, d, d) array: one trace-preservation test, one
-fixed-point residual and one eigendecomposition of the states serve every map.
-fixed_states labels the blocks of the stack's joint pattern, the union of the
-maps' own, once: each S is exactly block-diagonal on them, and each block takes
-one eig batched over the maps.  A stack that mixes patterns only gets coarser
-blocks, so a map's pi there is its one-map invariant_state's up to the roundoff
-of a larger eig; every other result is bit for bit the one map's own.
+fixed-point residual and one eigendecomposition of the states serve every map,
+and the maps whose S has one exact pattern share one block labelling and one eig
+per block (fixed_states).  Each result is bit for bit the one map's own;
 invariant_state is the one-map case.
 """
 
@@ -149,14 +145,9 @@ def validate_cptp(kmap: KrausMap, tol: Tolerances = DEFAULT_TOLERANCES) -> Valid
     )
 
 
-def validate_density(rho: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Check Hermiticity, positivity up to -eps_pos, and unit trace; returns rho, complex."""
-    return checked_density(rho, tol)[0]
-
-
-def checked_density(rho: np.ndarray, tol: Tolerances) -> tuple:
-    """(rho, its HermitianEigenDecomposition) of a state that passes validate_density's
-    checks: the decomposition is the one its positivity test takes."""
+def validate_density(rho: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
+    """Check Hermiticity, positivity up to -eps_pos, and unit trace; returns (rho as a
+    complex matrix, the HermitianEigenDecomposition its positivity test takes)."""
     rho = as_complex_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise DimensionMismatchError(f"density matrix is not square: {rho.shape}")
@@ -166,10 +157,9 @@ def checked_density(rho: np.ndarray, tol: Tolerances) -> tuple:
     if abs(tr - 1.0) > 1e-12:
         raise ValueError(f"density matrix trace {tr} is not 1 within 1e-12")
     eig = hermitian_eig(rho, tol)
-    if np.min(eig.eigenvalues) < -tol.eps_pos:
-        raise ValueError(
-            f"density matrix has eigenvalue {np.min(eig.eigenvalues):.3e} below -eps_pos"
-        )
+    low = np.min(eig.eigenvalues)
+    if low < -tol.eps_pos:
+        raise ValueError(f"density matrix has eigenvalue {low:.3e} below -eps_pos")
     return rho, eig
 
 
@@ -189,31 +179,27 @@ def fixed_point_residuals(stack: KrausStack, states: np.ndarray) -> np.ndarray:
     return frobs(stack.sums(ops @ states[stack.owner] @ adjoint(ops)) - states)
 
 
-def superoperator_views(kmaps) -> np.ndarray:
-    """The superoperators of R maps of one dimension as a (R, dim, dim, dim, dim) array
-    S[r, a, b, c, d], a view of their Choi matrices.
+def superoperator_view(kmap: KrausMap, out=None) -> np.ndarray:
+    """The superoperator as a (dim, dim, dim, dim) array S[a, b, c, d], a view of the Choi
+    matrix, written into out (a complex (dim^2, dim^2) array) when it is given.
 
-    sum_k kron(M_k, conj(M_k)) as one gemm per map, written into one (R, dim^2, dim^2)
-    array: with F the (K, dim^2) flattened operators, the Choi matrix
-    (F^T conj(F))[(a, c), (b, d)] = sum_k M_k[a, c] conj(M_k[b, d]) is S[(a, b), (c, d)]
-    with the middle indices swapped.
+    sum_k kron(M_k, conj(M_k)) as one gemm: with F the (K, dim^2) flattened operators,
+    the Choi matrix (F^T conj(F))[(a, c), (b, d)] = sum_k M_k[a, c] conj(M_k[b, d])
+    is S[(a, b), (c, d)] with the middle indices swapped.
     """
-    d = kmaps[0].dim
-    choi = np.empty((len(kmaps), d * d, d * d), dtype=complex)
-    for kmap, out in zip(kmaps, choi):
-        f = kmap.operators.reshape(len(kmap), d * d)
-        np.matmul(f.T, f.conj(), out=out)
-    return choi.reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4)
+    k, d = len(kmap), kmap.dim
+    f = kmap.operators.reshape(k, d * d)
+    return np.matmul(f.T, f.conj(), out=out).reshape(d, d, d, d).transpose(0, 2, 1, 3)
 
 
 def build_superoperator(kmap: KrausMap) -> np.ndarray:
     """dim^2 x dim^2 matrix S with S vec(rho) = vec(E(rho)), row-major vec.
 
-    superoperator_views copied into matrix order: a second dim^4 array next to the
+    superoperator_view copied into matrix order: a second dim^4 array next to the
     Choi matrix (1 MB each at dim 16).
     """
     d = kmap.dim
-    return superoperator_views([kmap])[0].reshape(d * d, d * d)
+    return superoperator_view(kmap).reshape(d * d, d * d)
 
 
 # Half-width of the eigenvalue-1 window, with slack for roundoff in the spectrum.
@@ -221,17 +207,16 @@ FIXED_WINDOW = 1e-9
 
 
 def superoperator_blocks(s: np.ndarray) -> np.ndarray:
-    """Per index of S, the least index of its connected component in the exact nonzero
-    pattern of S (dim, dim, dim, dim), or of every S of a (R, dim, dim, dim, dim) stack
-    together (superoperator_views).
+    """Per index of S (superoperator_view), the least index of its connected component
+    in S's exact nonzero pattern.
 
-    adj = (S != 0) | (S != 0)^T with no threshold, so each S restricted to the
+    adj = (S != 0) | (S != 0)^T with no threshold, so S restricted to the
     components is exactly block-diagonal.  Each round sets every label to the
     least label among its neighbours and then jumps pointers until every label
     is its own label's label; the rounds stop when a round changes nothing.
     """
-    n = s.shape[-1] ** 2
-    nonzero = (s != 0).reshape(-1, n, n).any(axis=0)
+    n = len(s) ** 2
+    nonzero = (s.view(np.float64) != 0).view(np.uint16).reshape(n, n) != 0  # 3x faster than s != 0
     adj = nonzero | nonzero.T
     np.fill_diagonal(adj, True)
     rows, cols = np.divmod(np.flatnonzero(adj), n)  # 10x faster than np.nonzero
@@ -254,37 +239,67 @@ def _not_unique(kmap: KrausMap, count: int, tol: Tolerances) -> NonUniqueInvaria
     return NonUniqueInvariantState(count, candidate=maxmix if fixed else None)
 
 
-def fixed_states(kmaps, tol: Tolerances) -> np.ndarray:
-    """The trace-one Hermitian part of each map's eigenvalue-1 vector of S, not yet checked.
-
-    The maps share one dimension d.  One path serves every d and every stack (see
-    the module docstring): their Choi matrices in one (R, d^2, d^2) array, the
-    blocks of its joint pattern labelled once, every 1 x 1 block of every map in
-    one window test, and one eig per larger block batched over the maps (real when
-    the block's imaginary parts are all exactly zero).  On one BLAS thread of a
-    shared 2-vCPU host it took about 0.25 ms for nine GAD qubit maps, 0.8-1.0 ms
-    for one d = 16 ladder and 1.9-2.0 ms for three.  No fixed vector, a
-    degenerate fixed subspace or a traceless fixed vector raises.
-    """
-    d = kmaps[0].dim
-    s = superoperator_views(kmaps)
+def _block_layout(s: np.ndarray) -> tuple:
+    """(blocks, gather) of one S: the indices of its 1 x 1 blocks, then of each larger block
+    (superoperator_blocks), and the flat indices of those blocks' entries in the Choi matrix."""
+    d = len(s)
     labels = superoperator_blocks(s)
     sizes = np.bincount(labels, minlength=d * d)
     singles = np.flatnonzero(sizes[labels] == 1)
-    a, b = np.divmod(singles, d)
-    fixed = np.abs(s[:, a, b, a, b] - 1.0) <= FIXED_WINDOW
-    counts, vectors = fixed.sum(axis=1), np.zeros((len(kmaps), d * d), dtype=complex)
-    vectors[:, singles] = fixed  # a fixed 1 x 1 block's eigenvector; used only if it is the one
-    for root in np.flatnonzero(sizes > 1):
-        block = np.flatnonzero(labels == root)
-        a, b = np.divmod(block, d)
-        sub = s[:, a[:, None], b[:, None], a, b]
+    blocks = [singles] + [np.flatnonzero(labels == root) for root in np.flatnonzero(sizes > 1)]
+    a, b = np.divmod(np.arange(d * d), d)
+    row, col = a * d**3 + b * d, a * d**2 + b  # S[a, b, c, e] is Choi[a, c, b, e]
+    return blocks, np.concatenate([row[singles] + col[singles]] +
+                                  [(row[block, None] + col[block]).ravel() for block in blocks[1:]])
+
+
+def _solve_blocks(blocks, rows, counts, vectors) -> None:
+    """counts and vectors of the maps of rows, (map index, entries at gather) of one pattern:
+    one window test of every 1 x 1 block and one eig per larger block, batched over them."""
+    members, entries = map(np.array, zip(*rows))
+    singles, start = blocks[0], len(blocks[0])
+    fixed = np.abs(entries[:, :start] - 1.0) <= FIXED_WINDOW
+    counts[members] = fixed.sum(axis=1)
+    vectors[members[:, None], singles] = fixed  # a fixed 1 x 1 block's eigenvector
+    for block in blocks[1:]:
+        n, start = len(block), start + len(block) ** 2
+        sub = entries[:, start - n * n:start].reshape(-1, n, n)
         # a real block, such as a ladder's population block, takes the faster real eig
         vals, vecs = np.linalg.eig(sub if sub.imag.any() else sub.real)
         in_window = np.abs(vals - 1.0) <= FIXED_WINDOW
-        rows = np.flatnonzero(in_window.sum(axis=1) == 1)
-        vectors[rows[:, None], block] = vecs[rows, :, in_window[rows].argmax(axis=1)]
-        counts += in_window.sum(axis=1)
+        one = np.flatnonzero(in_window.sum(axis=1) == 1)
+        vectors[members[one][:, None], block] = vecs[one, :, in_window[one].argmax(axis=1)]
+        counts[members] += in_window.sum(axis=1)
+
+
+def fixed_states(kmaps, tol: Tolerances) -> np.ndarray:
+    """The trace-one Hermitian part of each map's eigenvalue-1 vector of S, not yet checked.
+
+    One path for maps of one dimension d, at every d: each map's S is built in turn, keeping
+    only its block entries, never more than the maps' Kraus entries at once; maps whose S has
+    one exact pattern share one labelling and _solve_blocks' eig per block.  ~0.4 ms for nine
+    GAD maps, 0.7 ms for a d = 16 ladder, 1.6 ms for three (one BLAS thread, shared 2-vCPU
+    host).  No fixed vector, a degenerate fixed subspace or a traceless fixed vector raises.
+    """
+    d = kmaps[0].dim
+    counts, vectors = np.zeros(len(kmaps), dtype=np.int64), np.zeros((len(kmaps), d * d), complex)
+    groups, held = {}, 0  # exact pattern of S -> (its _block_layout, [(map index, entries)])
+    budget = sum(kmap.operators.size for kmap in kmaps)  # dense d = 16: S is 8x K = 31 operators
+    choi = np.empty((d, d, d, d), dtype=complex)  # every map's in turn: one allocation, not R
+    for r, kmap in enumerate(kmaps):
+        s = superoperator_view(kmap, out=choi.reshape(d * d, d * d))
+        pattern = np.packbits(choi.view(np.float64) != 0).tobytes()
+        if pattern not in groups:
+            groups[pattern] = (_block_layout(s), [])
+        (_, gather), rows = groups[pattern]
+        rows.append((r, choi.take(gather)))
+        held += len(gather)
+        if held > budget or r == len(kmaps) - 1:
+            for (blocks, _), pending in groups.values():
+                if pending:
+                    _solve_blocks(blocks, pending, counts, vectors)
+                    pending.clear()
+            held = 0
     for kmap, count in zip(kmaps, counts):
         if count != 1:
             raise (_not_unique(kmap, count, tol) if count else
@@ -359,14 +374,12 @@ def invariant_state(
 ) -> np.ndarray:
     """Unique strictly positive fixed point of the map.
 
-    Computed from the eigenvalue-1 subspace of the superoperator S at every
-    dimension: one eig per diagonal block of S (fixed_states' one-map case, see
-    the module docstring), with the fixed dimension counted over all blocks.  A
-    degenerate subspace raises NonUniqueInvariantState (with 1/N offered as
-    candidate when it is itself fixed), a singular or traceless fixed point
-    raises SingularStateError.  It runs fixed_states and checked_states' two checks,
-    not its trace-preservation test, so a map that loses trace and whose only fixed vector
-    is traceless raises fixed_states' "zero trace" SingularStateError.
+    fixed_states' one-map case (one eig per diagonal block of S at every d, the fixed
+    dimension counted over all blocks) and checked_states' two checks, not its
+    trace-preservation test.  A degenerate subspace raises NonUniqueInvariantState (with
+    1/N offered as candidate when it is itself fixed), a singular or traceless fixed point
+    SingularStateError; so a map that loses trace and whose only fixed vector is traceless
+    raises fixed_states' "zero trace" SingularStateError.
     """
     pi = fixed_states([kmap], tol)
     check_fixed_points(stack_maps([kmap]), pi, tol)

@@ -32,7 +32,7 @@ from .errors import (
     ZeroProbabilityBranch,
 )
 from .linalg import adjoint, as_complex_matrix, hermitian_eig, von_neumann_entropy
-from .maps import KrausMap, apply_map, checked_density
+from .maps import KrausMap, apply_map, validate_density
 from .potential import PotentialStructure, SymmetryOp, classify_duals, classify_maps, theta
 from .models import gibbs_populations
 
@@ -126,12 +126,12 @@ def process_spec(
 ) -> ProcessSpec:
     """Validated ProcessSpec constructor: the boundary (resolved for no steps) and
     symmetry, then with_steps.  An entropic boundary's initial side is the
-    decomposition of rho_i that its positivity test takes (checked_density)."""
+    decomposition of rho_i that its positivity test takes (validate_density)."""
     dims = set()
     if boundary_mode == ENTROPIC:
         if initial_state is None:
             raise ValueError("entropic mode needs an initial state")
-        initial_state, initial_eig = checked_density(initial_state, tol)
+        initial_state, initial_eig = validate_density(initial_state, tol)
         dims.add(initial_state.shape[0])
     elif boundary_mode == EQUILIBRIUM:
         if h_initial is None or h_final is None or beta is None:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from scipy.sparse.csgraph import connected_components
 
 import qmapft as q
 from qmapft.linalg import frob
-from qmapft.maps import fixed_states, superoperator_blocks, superoperator_views, tp_defect
+from qmapft.maps import fixed_states, superoperator_blocks, superoperator_view, tp_defect
 from conftest import assert_close
 from test_ladder_properties import haar_unitary, ladder_maps
 
@@ -236,6 +238,15 @@ def test_validate_density_rejects_bad_trace():
         q.validate_density(np.diag([0.5, 0.6]).astype(complex))
 
 
+def test_validate_density_returns_the_state_and_its_decomposition():
+    checked, eig = q.validate_density([[0.7, 0.2], [0.2, 0.3]])
+    assert checked.dtype == np.complex128
+    assert np.array_equal(checked, np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex))
+    want = q.hermitian_eig(checked)
+    assert np.array_equal(eig.eigenvalues, want.eigenvalues)
+    assert np.array_equal(eig.eigenvectors, want.eigenvectors)
+
+
 def test_invariant_state_singular_fixed_point():
     # full amplitude damping: the unique fixed point |0><0| has eigenvalue 0
     kmap = q.kraus_map([P0, np.array([[0, 1], [0, 0]], dtype=complex)])
@@ -249,21 +260,69 @@ def dense_window(kmap):
     return vecs[:, np.abs(vals - 1.0) <= 1e-9]
 
 
+# The most ulps of max|pi| that any comparison of pi with another solver's allows,
+# whatever the conditioning: 5.7e-14 relative.
+PI_ULPS_CAP = 256
+
+
 def dense_invariant_state(kmap):
     """Reference: (pi as the single dense eig of S gives it, for a one-dimensional window;
     its bound in ulps of max|pi|).
 
     The bound is 2 / sep, with sep the distance from 1 of S's nearest other
-    eigenvalue: fixed_states takes the eig of S's blocks instead, another
-    backward-stable eig, and the eigenvector's condition grows as 1 / sep
-    (Golub and Van Loan, 7.2.4).
+    eigenvalue, capped at PI_ULPS_CAP: fixed_states takes the eig of S's blocks
+    instead, another backward-stable eig, and the eigenvector's condition grows as
+    1 / sep (Golub and Van Loan, 7.2.4).
     """
     vals, vecs = np.linalg.eig(q.build_superoperator(kmap))
     fixed = np.abs(vals - 1.0) <= 1e-9
     assert fixed.sum() == 1
     x = vecs[:, fixed.argmax()].reshape(kmap.dim, kmap.dim)
     pi = (x + x.conj().T) / 2
-    return pi / np.trace(pi).real, 2 / np.min(np.abs(vals[~fixed] - 1.0))
+    return pi / np.trace(pi).real, min(2 / np.min(np.abs(vals[~fixed] - 1.0)), PI_ULPS_CAP)
+
+
+def rational_solve(a, b):
+    """x with a x = b, by Gauss-Jordan elimination in fractions.Fraction."""
+    m = [row + [v] for row, v in zip(a, b)]
+    for c in range(len(m)):
+        pivot = next(r for r in range(c, len(m)) if m[r][c] != 0)
+        m[c], m[pivot] = m[pivot], m[c]
+        for r in range(len(m)):
+            if r != c and m[r][c] != 0:
+                f = m[r][c] / m[c][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [row[-1] / row[i] for i, row in enumerate(m)]
+
+
+def exact_invariant_state(kmap):
+    """Reference: pi from the exact eigenvector of S's computed entries whose eigenvalue
+    is nearest 1, on the block of S that holds the populations.
+
+    Every float is an exact binary fraction, so A = S_block - 1 is exact in
+    fractions.Fraction, complex entries as the real 2 x 2 blocks [[re, -im], [im, re]].
+    A's eigenvalue nearest 0 is the roundoff of S's trace preservation, ~1e-16,
+    and its next is -sep, so two exact inverse-iteration solves from the trace
+    vector leave an error of ~(1e-16 / sep)^2 relative; the result is rounded once.
+    A must be nonsingular, as it is for every map of the model library.
+    """
+    d = kmap.dim
+    s = superoperator_view(kmap)
+    labels = superoperator_blocks(s)
+    block = np.flatnonzero(labels == labels[0])
+    a, b = np.divmod(block, d)
+    assert np.all(labels[np.arange(d) * (d + 1)] == labels[0]), "populations span blocks"
+    sub = s[a[:, None], b[:, None], a, b] - np.eye(len(block))
+    real = np.block([[sub.real, -sub.imag], [sub.imag, sub.real]])
+    x = [Fraction(int(i == j)) for i, j in zip(a, b)] + [Fraction(0)] * len(block)
+    for _ in range(2):
+        x = rational_solve([[Fraction(v) for v in row] for row in real.tolist()], x)
+    trace = sum(x[i] for i in np.flatnonzero(a == b))
+    n = len(block)
+    vector = np.zeros(d * d, dtype=complex)
+    vector[block] = [complex(float(x[i] / trace), float(x[n + i] / trace)) for i in range(n)]
+    pi = vector.reshape(d, d)
+    return (pi + pi.conj().T) / 2
 
 
 def lindblad_ladder(d, collective=False, beta=0.7, rate=0.3):
@@ -296,10 +355,9 @@ def assert_blocks_exact(kmap):
     """The blocks are the components of S's pattern and S vanishes outside them;
     returns the number of blocks."""
     s = q.build_superoperator(kmap)
-    view = superoperator_views([kmap])
-    assert np.array_equal(view[0].reshape(s.shape), s)
+    view = superoperator_view(kmap)
+    assert np.array_equal(view.reshape(s.shape), s)
     labels = superoperator_blocks(view)
-    assert np.array_equal(superoperator_blocks(view[0]), labels)
     assert labels.shape == (len(s),)
     # each index carries the least index of its block, so the blocks partition range(d^2)
     assert np.all(labels <= np.arange(len(s))) and np.array_equal(labels[labels], labels)
@@ -337,12 +395,17 @@ def test_block_split_of_a_dense_map_is_one_block():
 
 
 def test_one_path_matches_the_dense_eig_on_model_library(library):
+    # pi is within PI_ULPS_CAP of the exact eigenvector of S's computed entries, and
+    # within the capped 2 / sep of the dense eig, which is no more accurate: on the
+    # library's qubit Lindblad steps the one path's pi is within 1 ulp of the exact one
+    # and the dense eig's 9.8-14 ulps from it; on the qutrit step, 164 and 354 ulps
     maps = {id(s.map): s.map for spec in library.values() for s in spec.steps}
     for kmap in maps.values():
         window = dense_window(kmap).shape[1]
         if window == 1:
             pi, bound = dense_invariant_state(kmap)
             assert_close(q.invariant_state(kmap), pi, bound)
+            assert_close(q.invariant_state(kmap), exact_invariant_state(kmap), PI_ULPS_CAP)
         else:
             with pytest.raises(q.NonUniqueInvariantState) as info:
                 q.invariant_state(kmap)
@@ -380,34 +443,58 @@ def test_full_amplitude_damping_ladder_is_singular_above_the_crossover(d):
         q.invariant_state(kmap)
 
 
-def assert_stack_is_each_map_alone(kmaps):
-    """fixed_states of a stack whose joint pattern is one block, coarser than the first
-    map's own: each pi is its one-map invariant_state and the dense eig's within the
-    reference's 2 / sep ulps of max|pi|."""
-    d = kmaps[0].dim
-    assert len(np.unique(superoperator_blocks(superoperator_views(kmaps[:1])))) > 1
-    assert len(np.unique(superoperator_blocks(superoperator_views(kmaps)))) == 1
+def assert_stack_is_each_map_alone(kmaps, monkeypatch):
+    """fixed_states of a stack that mixes exact patterns: each pi is its one-map
+    invariant_state's bytes and the dense eig's within the reference's bound; returns
+    the (n, n) of each eig fixed_states takes."""
     states = fixed_states(kmaps, q.DEFAULT_TOLERANCES)
-    assert states.shape == (len(kmaps), d, d)
+    assert states.shape == (len(kmaps), kmaps[0].dim, kmaps[0].dim)
     for kmap, pi in zip(kmaps, states):
         reference, bound = dense_invariant_state(kmap)
         assert_close(pi, reference, bound)
-        assert_close(pi, q.invariant_state(kmap), bound)
+        assert_close(pi, q.invariant_state(kmap), 0)
+    shapes = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(q.maps.np.linalg, "eig", lambda a: shapes.append(a.shape[-2:]) or eig(a))
+    fixed_states(kmaps, q.DEFAULT_TOLERANCES)
+    return sorted(shapes)
 
 
-def test_energy_basis_ladder_stacked_with_a_rotated_one():
+def test_energy_basis_ladder_stacked_with_a_rotated_one(monkeypatch):
     # the energy-basis ladder's own blocks are 1 x 1 coherences and one population
-    # block; the Haar-rotated ladder couples every index of S
+    # block, and it keeps them: the Haar-rotated ladder's S is one 64 x 64 block
     ladder = lindblad_ladder(8)
     u = haar_unitary(np.random.default_rng(8), 8)
     rotated = q.kraus_map(u @ lindblad_ladder(8, beta=0.4).operators @ u.conj().T)
-    assert_stack_is_each_map_alone([ladder, rotated, ladder])
+    assert assert_blocks_exact(ladder) == 57 and assert_blocks_exact(rotated) == 1
+    shapes = assert_stack_is_each_map_alone([ladder, rotated, ladder], monkeypatch)
+    # the rotated S holds more entries than the three maps' operators, so the first
+    # ladder is solved with it and the second after it: one 8 x 8 eig each
+    assert shapes == [(8, 8), (8, 8), (64, 64)]
 
 
-def test_gad_stacked_with_a_dense_complex_map():
+def test_gad_stacked_with_a_dense_complex_map(monkeypatch):
     # GAD's own blocks: {|0><0|, |1><1|} and two 1 x 1 coherences
     gad = q.thermal_qubit_map(np.log(2), 0.5)
-    assert_stack_is_each_map_alone([gad, stinespring_map(2, 3, seed=5)])
+    dense = stinespring_map(2, 3, seed=5)
+    assert assert_blocks_exact(gad) == 3 and assert_blocks_exact(dense) == 1
+    shapes = assert_stack_is_each_map_alone([gad, dense, gad], monkeypatch)
+    assert shapes == [(2, 2), (4, 4)]
+
+
+def test_fixed_states_holds_no_more_block_entries_than_kraus_entries(monkeypatch):
+    # a dense d = 4 map's S has 256 entries against its 3 x 16 Kraus entries, so each map
+    # is solved alone; a GAD map keeps 6 block entries against 4 x 4, so one eig serves nine
+    dense = [stinespring_map(4, 3, seed) for seed in range(4)]
+    gads = [q.thermal_qubit_map(0.5 + 0.1 * i, 0.5) for i in range(9)]
+    singly = [q.invariant_state(kmap) for kmap in dense + gads]
+    batches = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(q.maps.np.linalg, "eig", lambda a: batches.append(a.shape) or eig(a))
+    states = [*fixed_states(dense, q.DEFAULT_TOLERANCES), *fixed_states(gads, q.DEFAULT_TOLERANCES)]
+    assert batches == [(1, 16, 16)] * 4 + [(9, 2, 2)]
+    for pi, want in zip(states, singly):
+        assert_close(pi, want, 0)
 
 
 def test_d16_ladder_takes_no_eig_of_the_whole_superoperator(monkeypatch):

@@ -3,11 +3,12 @@
 make_steps (which load_process_file calls) and build_dual_process check,
 classify and dualize every step of a process in one pass over stacked
 arrays.  The reference here is the per-map code that pass replaced: one
-superoperator eig (dense below d = 6, per block of the map's own S from it
-up), one fixed-point residual and one eigendecomposition per (map, state),
-and the dual built and classified map by map.  Every PotentialStructure
-field, every dual operator and every dual state must agree within the bound
-each test states (conftest.assert_close).
+unbatched eig per block of one map's superoperator, one fixed-point residual
+and one eigendecomposition per (map, state), and the dual built and
+classified map by map.  Every PotentialStructure field, every dual operator
+and every dual state must agree within the bound each test states
+(conftest.assert_close); test_maps compares pi with a dense eig of S and
+with the exact eigenvector of its computed entries.
 """
 
 import json
@@ -19,12 +20,11 @@ from hypothesis import strategies as st
 
 import qmapft as q
 from qmapft.linalg import adjoint, frob, frobs, hermiticity_defect, hermiticity_defects
-from qmapft.maps import (FIXED_WINDOW, stack_maps, superoperator_blocks, superoperator_views,
+from qmapft.maps import (FIXED_WINDOW, stack_maps, superoperator_blocks, superoperator_view,
                          tp_defect, tp_defects, fixed_point_residuals)
 from qmapft.serialize import load_process_file, map_to_json, matrix_to_json
 from conftest import assert_close
 from test_ladder_properties import ladder_maps
-from test_maps import dense_invariant_state
 
 TOL = q.DEFAULT_TOLERANCES
 
@@ -39,8 +39,7 @@ def reference_eig(a):
 
 def block_fixed_vector(s):
     """(eigenvalues of S in the window around 1, the eigenvector when there is one), from
-    one eig per diagonal block of one map's own S (superoperator_views): the per-map
-    block path fixed_states took from d = 6 up before it took the blocks of a stack."""
+    one unbatched eig per diagonal block of one map's S (superoperator_view)."""
     d = len(s)
     labels = superoperator_blocks(s)
     sizes = np.bincount(labels, minlength=d * d)
@@ -62,16 +61,12 @@ def block_fixed_vector(s):
 
 
 def reference_invariant_state(kmap):
-    """(pi, its bound in ulps of max|pi|): test_maps.dense_invariant_state below d = 6,
-    the per-map block path's pi and 0 from d = 6 up."""
     d = kmap.dim
-    if d < 6:
-        return dense_invariant_state(kmap)
-    count, vector = block_fixed_vector(superoperator_views([kmap])[0])
+    count, vector = block_fixed_vector(superoperator_view(kmap))
     assert count == 1
     x = vector.reshape(d, d)
     pi = (x + adjoint(x)) / 2
-    return pi / np.trace(pi).real, 0
+    return pi / np.trace(pi).real
 
 
 def reference_group(values, eps_group):
@@ -138,17 +133,9 @@ def assert_structure(structure, want, label, ulps):
             assert_close(got[field], value, ulps, (label, field))
 
 
-def assert_process_matches_reference(spec, pis, label, ulps, pi_bounds=None):
-    """spec's steps and dual steps are the reference's within ulps; pis[r] is step r's state.
-
-    With pi_bounds, step r's pi is pis[r] within max(ulps, pi_bounds[r]) ulps of
-    max|pi|, and its other fields are the reference's built from its own pi.
-    """
+def assert_process_matches_reference(spec, pis, label, ulps):
+    """spec's steps and dual steps are the reference's within ulps; pis[r] is step r's state."""
     for r, (step, pi) in enumerate(zip(spec.steps, pis)):
-        if pi_bounds is not None:
-            want = np.asarray(pi, dtype=complex)
-            assert_close(step.structure.pi, want, max(ulps, pi_bounds[r]), (label, r, "pi"))
-            pi = step.structure.pi
         assert_structure(step.structure, reference_structure(step.map, pi), (label, r), ulps)
     dual = q.build_dual_process(spec)
     for r, (step, fwd) in enumerate(zip(dual.steps, spec.steps[::-1])):
@@ -161,10 +148,9 @@ def assert_process_matches_reference(spec, pis, label, ulps, pi_bounds=None):
 
 
 def reference_state(kmap, pi, unital):
-    """(the state, its bound in ulps): a given pi or 1/N exactly, else reference_invariant_state."""
     if pi is not None:
-        return pi, 0
-    return (np.eye(kmap.dim) / kmap.dim, 0) if unital else reference_invariant_state(kmap)
+        return pi
+    return np.eye(kmap.dim) / kmap.dim if unital else reference_invariant_state(kmap)
 
 
 def assert_steps_match_reference(inputs, rho, label, ulps, symmetry=None):
@@ -172,8 +158,8 @@ def assert_steps_match_reference(inputs, rho, label, ulps, symmetry=None):
     kmaps, pis, unital = zip(*inputs)
     steps = q.process.make_steps(kmaps, pis, unital)
     spec = q.process_spec(steps, initial_state=rho, symmetry=symmetry)
-    states, bounds = zip(*(reference_state(*i) for i in inputs))
-    assert_process_matches_reference(spec, states, label, ulps, bounds)
+    states = [reference_state(*i) for i in inputs]
+    assert_process_matches_reference(spec, states, label, ulps)
 
 
 def library_inputs(library):
@@ -252,8 +238,8 @@ def test_mixed_process_file_matches_reference(tmp_path):
     spec, _ = load_process_file(path)
     assert [len(s.map) for s in spec.steps] == [4, 1, 4, 3, 4]
     given = [None, np.eye(2) / 2, pi, None, None]
-    states, bounds = zip(*(reference_state(s.map, p, False) for s, p in zip(spec.steps, given)))
-    assert_process_matches_reference(spec, states, "mixed file", 0, bounds)
+    states = [reference_state(s.map, p, False) for s, p in zip(spec.steps, given)]
+    assert_process_matches_reference(spec, states, "mixed file", 0)
 
 
 def signed_zero_stack(rng, counts, d):
