@@ -19,7 +19,6 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     EnumerationTooLarge,
     HistogramTooLarge,
-    MixedPotentialOperator,
     NonUniqueInvariantState,
     ProcessFileError,
     QmapError,
@@ -70,15 +69,6 @@ def _given_pi(kmap, args):
     return np.eye(kmap.dim) / kmap.dim if args.unital else None
 
 
-def _needs_pi(exc: NonUniqueInvariantState) -> SystemExit:
-    print(
-        f"error: {exc}; pass --pi FILE (or --unital for the maximally "
-        f"mixed state)",
-        file=sys.stderr,
-    )
-    return SystemExit(EXIT_NEEDS_INPUT)
-
-
 def cmd_validate(args, tol: Tolerances) -> int:
     kmap = load_map_file(args.map_file)
     report = validate_cptp(kmap, tol)
@@ -88,13 +78,7 @@ def cmd_validate(args, tol: Tolerances) -> int:
 
 def cmd_classify(args, tol: Tolerances) -> int:
     kmap = load_map_file(args.map_file)
-    try:
-        structure = build_potential_structure(kmap, _given_pi(kmap, args), tol)
-    except NonUniqueInvariantState as exc:
-        raise _needs_pi(exc) from exc
-    except MixedPotentialOperator as exc:
-        print(f"classification failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    structure = build_potential_structure(kmap, _given_pi(kmap, args), tol)
     comm = check_ladder_commutators(kmap, structure)
     body = {
         "pi": matrix_pairs(structure.pi),
@@ -110,10 +94,7 @@ def cmd_classify(args, tol: Tolerances) -> int:
 
 def cmd_dual(args, tol: Tolerances) -> int:
     kmap = load_map_file(args.map_file)
-    try:
-        dual = build_dual(kmap, _given_pi(kmap, args), tol=tol)
-    except NonUniqueInvariantState as exc:
-        raise _needs_pi(exc) from exc
+    dual = build_dual(kmap, _given_pi(kmap, args), tol=tol)
     body = {
         "map": map_pairs(dual.map),
         "pi_dual": matrix_pairs(dual.pi_dual),
@@ -263,7 +244,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_CAP
     except NonUniqueInvariantState as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        hint = "; pass --pi FILE (or --unital for the maximally mixed state)"
+        print(f"error: {exc}{hint if hasattr(args, 'pi') else ''}", file=sys.stderr)
         return EXIT_NEEDS_INPUT
     except QmapError as exc:
         print(f"error: {exc}", file=sys.stderr)

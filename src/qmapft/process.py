@@ -565,31 +565,32 @@ class DetailedFTReport:
 def verify_detailed_ft(
     spec: ProcessSpec, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> DetailedFTReport:
-    """Check ln(p(gamma) / p~(reversed gamma)) = Sigma(gamma) branch by branch."""
+    """Check ln(p(gamma) / p~(reversed gamma)) = Sigma(gamma) branch by branch.
+
+    The reverse of (n, k_1 .. k_R, m) has p~ = p~_i(m) |<theta n| M~1_{k_1} ..
+    M~R_{k_R} |theta m>|^2, M~r the dual of step r.  The read enumerates that
+    amplitude left to right: its spec holds the dual steps in forward order with
+    their operators transposed, which form no channel (it exists only to be
+    enumerated), and the dual's conjugated bases, ends swapped, every weight 1.
+    Its rows carry the forward's codes in the forward's ascending order.  It prunes
+    only reverses with p~ <= eps_prob, as no factor of p~ exceeds 1; those raise
+    AbsoluteContinuityViolation.
+    """
     forward = enumerate_trajectories(spec, tol)
-    dual_spec = build_dual_process(spec, tol)
-    bnd = dual_spec.boundary
-    # the matching reads the dual's probabilities and outcome codes, not its own
-    # boundary term, which is NaN where a forward initial population is 0
-    ones = replace(bnd, final_probs=np.ones_like(bnd.final_probs))
-    dual = enumerate_trajectories(replace(dual_spec, boundary=ones), tol)
-    dim = bnd.initial_basis.shape[0]
-    # codes (n, k_1 .. k_R, m), below 2**63 as d^2 * prod K_r <= DEFAULT_BRANCH_CAP; the
-    # dual's ascend as its rows are lexicographic, and a sentinel (p = 0) catches the unmatched
-    codes = np.append(dual.labels * dim + dual.m, np.iinfo(np.int64).max)
-    probs = np.append(dual.probability, 0.0)
-    del dual  # the rest reads only these copies
-    # each forward branch's reverse (m, k_R .. k_1, n), its digits moved one by one
-    code, wanted = forward.labels, forward.m
-    for radix in reversed(forward.radices):
-        quotient = code // radix
-        wanted, code = wanted * radix + (code - quotient * radix), quotient
-    wanted = wanted * dim + forward.n
-    # searched in ascending order, each search starts where the last one ended
-    order = np.argsort(wanted)
-    pos = np.empty_like(order)
-    pos[order] = np.searchsorted(codes, wanted[order])
-    p_rev = np.where(codes[pos] == wanted, probs[pos], 0.0)
+    dual = build_dual_process(spec, tol)
+    bnd = dual.boundary
+    steps = tuple(replace(s, map=replace(s.map, operators=np.ascontiguousarray(
+        s.map.operators.transpose(0, 2, 1)))) for s in dual.steps[::-1])
+    ones = np.ones(len(bnd.initial_probs))
+    read = enumerate_trajectories(ProcessSpec(steps, BoundaryData(
+        bnd.final_basis.conj(), ones, bnd.initial_basis.conj(), ones)), tol)
+    # keys (n, k_1 .. k_R, m), below 2**63 as d^2 * prod K_r <= DEFAULT_BRANCH_CAP, ascend in
+    # both ensembles; a key past the read's last is clipped onto it and so matches nothing
+    keys = read.labels * len(ones) + read.m
+    wanted = forward.labels * len(ones) + forward.m
+    pos = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
+    p_rev = np.where(keys.take(pos) == wanted,
+                     bnd.initial_probs.take(forward.m) * read.probability.take(pos), 0.0)
     unmatched = np.flatnonzero(p_rev <= tol.eps_prob)
     if unmatched.size:
         i = unmatched[0]

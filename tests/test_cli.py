@@ -192,10 +192,10 @@ def test_cli_classify_degenerate_needs_pi(tmp_path, capsys):
     )
     path = tmp_path / "proj.json"
     path.write_text(json.dumps(map_to_json(proj)))
-    with pytest.raises(SystemExit) as info:
-        main(["classify", str(path)])
-    assert info.value.code == 3
-    assert "--pi" in capsys.readouterr().err
+    assert main(["classify", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "--pi" in captured.err and "--unital" in captured.err
 
 
 def test_cli_classify_degenerate_with_unital_flag(tmp_path):
@@ -1055,6 +1055,8 @@ def test_first_failing_step_in_file_order_raises(tmp_path, capsys, kind):
     assert main(["verify", str(proc)]) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(message), lines
+    # verify has no --pi flag to hint at: a process file gives a step's "pi"
+    assert "--pi" not in lines[0]
     with pytest.raises(error) as info:
         load_process_file(proc)
     if kind == "non_unique":
@@ -1125,7 +1127,9 @@ def test_dual_of_a_map_outside_the_ladder_family(tmp_path, capsys):
     dual = json.loads(capsys.readouterr().out)["dual"]
     assert len(dual["map"]["operators"]) == 2 and dual["map"]["dim"] == 2
     assert main(["classify", str(path)]) == 1
-    assert "straddles distinct potential gaps" in capsys.readouterr().err
+    # one error: line, as every other failed check prints
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Kraus operator 1 straddles"), lines
 
 
 def test_cli_projective_unital_step_verifies(tmp_path, capsys):
@@ -1144,9 +1148,7 @@ def test_cli_projective_unital_step_verifies(tmp_path, capsys):
 def test_cli_dual_of_a_degenerate_map_needs_pi(tmp_path, capsys):
     path = tmp_path / "identity.json"
     path.write_text(json.dumps(map_to_json(q.kraus_map([np.eye(3)]))))
-    with pytest.raises(SystemExit) as info:
-        main(["dual", str(path)])
-    assert info.value.code == 3
+    assert main(["dual", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "fixed subspace dimension 9" in captured.err
     assert "--pi" in captured.err and "--unital" in captured.err

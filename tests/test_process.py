@@ -541,16 +541,22 @@ def _radix_edge_specs():
 
 
 def test_detailed_ft_matching_agrees_with_tuple_lookup(library):
-    # reference: each reversed branch looked up by its (n, ks, m) tuple
-    for name, spec in {**library, **_radix_edge_specs()}.items():
+    # reference: each reversed branch looked up by its (n, ks, m) tuple in the dual
+    # process's own enumeration, whose amplitudes are associated from the right;
+    # verify_detailed_ft associates them from the left.  Each branch's p~ then
+    # differs by at most 15.8 eps relative (unitary_k1, where the Hadamard step's
+    # amplitudes cancel; at most 2.9 eps on the others), so the residuals by that
+    # plus the rounding of a log below 3: the bound is twice the largest seen
+    specs = {**library, **_radix_edge_specs(), "gad_r5": gad_process(steps=5),
+             "ladder_d8": _ladder_chain(8, 3, 0)}
+    for name, spec in specs.items():
         forward = q.enumerate_trajectories(spec)
         dual = q.enumerate_trajectories(q.build_dual_process(spec))
         p_rev = {t.key(): t.probability for t in dual.trajectories}
-        # the matched ratios gathered into one array and logged as verify_detailed_ft does
         ratios = np.array([t.probability / p_rev[(t.m, t.ks[::-1], t.n)] for t in forward])
         worst = float(np.max(np.abs(np.log(ratios) - [t.sigma for t in forward])))
         report = q.verify_detailed_ft(spec)
-        assert report.max_residual == worst, name
+        assert abs(report.max_residual - worst) <= 32 * np.finfo(float).eps, name
         assert report.branch_count == len(forward.trajectories), name
 
 
@@ -980,7 +986,7 @@ def _assert_codes_ascend(ens, spec, label):
 
 
 def test_exact_outcome_codes_strictly_ascend(library):
-    # the detailed-FT matching searches the dual's codes as a sorted array
+    # the detailed-FT matching searches one sorted array of codes with another
     ladders = {f"ladder_d{d}": _ladder_chain(d, 3, 0) for d in (8, 12, 14, 16)}
     dense = {f"dense_d{d}": _dense_complex_chain(d, 3, 0) for d in range(2, 8)}
     for name, spec in {**library, **ladders, **dense, **_radix_edge_specs()}.items():
