@@ -11,6 +11,7 @@ are printed with 17 significant digits, so they read back bit-exactly.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 from contextlib import contextmanager
@@ -130,13 +131,20 @@ def map_from_json(data) -> KrausMap:
 
 
 def _read_json(path: Path):
-    """Parsed JSON of a file; failures become ProcessFileError with line and column."""
+    """Parsed JSON of a UTF-8 file, decoded with the cycle collector paused (JSON holds no
+    cycles to free) and then as it was; failures become ProcessFileError."""
     try:
-        return json.loads(path.read_text())
+        text, enabled = path.read_text(encoding="utf-8"), gc.isenabled()
+        gc.disable()
+        try:
+            return json.loads(text)
+        finally:
+            if enabled:
+                gc.enable()
     except json.JSONDecodeError as exc:
         raise ProcessFileError(f"{path}: invalid JSON at line {exc.lineno}, "
                                f"column {exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise ProcessFileError(f"{path}: {exc}") from exc
 
 
@@ -279,6 +287,15 @@ def load_process_file(
     return spec, data
 
 
+def _nested(items, shape, fmt="%.17g"):
+    """Texts of the consecutive `shape` blocks of items: a C-level template per row, per axis."""
+    items = iter(items)
+    for n in reversed(shape):
+        items = map(f"[{', '.join([fmt] * n)}]".__mod__, zip(*[items] * n))
+        fmt = "%s"
+    return items
+
+
 def _format_value(v) -> str:
     if isinstance(v, bool) or v is None:
         return json.dumps(v)
@@ -297,12 +314,14 @@ def _format_value(v) -> str:
         return "[" + ", ".join(_format_value(x) for x in v) + "]"
     if (type(v) is np.ndarray and v.dtype == np.float64 and v.ndim and v.size
             and np.isfinite(v).all()):
-        # the general path's bytes, from one C-level template per row, then per outer axis
-        rows, fmt = v.ravel().tolist(), "%.17g"
-        for n in reversed(v.shape):
-            rows = map(f"[{', '.join([fmt] * n)}]".__mod__, zip(*[iter(rows)] * n))
-            fmt = "%s"
-        return next(rows)
+        # the general path's bytes by blocks over the last two axes; zero bits share one text
+        shape = v.shape[-2:]
+        blocks = v.reshape(-1, math.prod(shape))
+        nonzero = blocks.view(np.uint64).any(axis=1)
+        zero = next(_nested([0.0] * blocks.shape[1], shape))
+        texts = _nested(blocks[nonzero].ravel().tolist(), shape)
+        return next(_nested([next(texts) if x else zero for x in nonzero.tolist()],
+                            v.shape[:-2], "%s"))
     if isinstance(v, (np.generic, np.ndarray)):
         return _format_value(v.tolist())
     if dataclasses.is_dataclass(v):

@@ -1182,3 +1182,26 @@ def test_cli_missing_map_file_is_a_parse_error(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert captured.out == "" and len(lines) == 1
     assert lines[0].startswith(f"parse error: {tmp_path / 'missing.json'}: [Errno 2] ")
+
+
+# file contents the JSON decoder refuses without a JSONDecodeError: a UTF-16 file
+# (its byte-order mark 0xff 0xfe is not UTF-8) and arrays nested past the depth limit
+UNDECODABLE = {
+    "not-utf-8": b"\xff\xfe" + "{}".encode("utf-16-le"),
+    "too-deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("kind", ["map", "process", "pi", "tolerances"])
+@pytest.mark.parametrize("content", list(UNDECODABLE))
+def test_cli_undecodable_files_are_parse_errors(tmp_path, capsys, kind, content):
+    map_path = tmp_path / "gad.json"
+    write_gad_map(map_path)
+    bad = tmp_path / f"{kind}.json"
+    bad.write_bytes(UNDECODABLE[content])
+    argv = {"map": ["classify", str(bad)],
+            "process": ["verify", str(bad)],
+            "pi": ["classify", str(map_path), "--pi", str(bad)],
+            "tolerances": ["--tolerances", str(bad), "classify", str(map_path)]}[kind]
+    assert main(argv) == 2
+    assert_one_parse_error(capsys, bad)

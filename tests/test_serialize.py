@@ -4,14 +4,16 @@ The reference layouts are the hand-written to_dict methods the report
 classes had before serialize learned to write dataclasses; the reference
 histogram is the per-bin mask loop sigma_histogram_csv had before it
 assigned each sample to its bin in one pass; the reference writer is
-_format_value as it was before it wrote finite float arrays row by row; the
-reference parser is matrix_from_json as it was before it read a list of
-matrices as one stack, one complex() call per entry.
+_format_value as it was before it wrote finite float arrays row by row and
+all-zero blocks once; the reference parser is matrix_from_json as it was
+before it read a list of matrices as one stack, one complex() call per entry.
 """
 
 import dataclasses
+import gc
 import json
 import math
+import re
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -383,6 +385,86 @@ def test_every_edge_float_writes_as_the_general_path_does(monkeypatch):
     assert text == reference_format_value(a.tolist()) + "\n"
     assert text.startswith("[0, -0, 4.9406564584124654e-324, -4.9406564584124654e-324, ")
     assert "1.7976931348623157e+308, -1.7976931348623157e+308, 3, -3, 10000000000000000, " in text
+
+
+def zero_blocks(shape, seed):
+    """A finite array whose blocks over the last two axes (the last axis of a vector) are,
+    in turn, zero, zero but for one -0.0, zero but for one 5e-324, and dense."""
+    a = np.random.default_rng(seed).normal(size=shape)
+    blocks = a.reshape(-1, math.prod(shape[-2:]))
+    for i, block in enumerate(blocks):
+        if i % 4 < 3:
+            block[:] = 0.0
+            block[len(block) // 2] = (0.0, -0.0, 5e-324)[i % 4]
+    return a
+
+
+def ladder_dual_operators():
+    """The dual operators of a d = 16 benchmark ladder map: a zero entry in most rows."""
+    from perfbench.gen import _ladder, _ladder_kraus
+
+    ops = _ladder_kraus(*_ladder(np.random.default_rng(7), 16))
+    return qmapft.serialize.matrix_pairs(q.build_dual(q.kraus_map(ops), None).map.operators)
+
+
+ZERO_BLOCK_ARRAYS = {
+    "zeros-1d": lambda: np.zeros(5),
+    "zeros-2d": lambda: np.zeros((3, 4)),
+    "zeros-4d": lambda: np.zeros((31, 16, 16, 2)),
+    "negative-zero-1d": lambda: np.array([0.0, 0.0, -0.0, 0.0]),
+    "negative-zero-block": lambda: zero_blocks((3, 4, 2), 0)[:2],
+    "subnormal-1d": lambda: np.array([0.0, 5e-324, 0.0]),
+    "subnormal-block": lambda: zero_blocks((3, 4, 2), 1)[2:],
+    "1d": lambda: zero_blocks((6,), 2),
+    "2d": lambda: zero_blocks((4, 3), 3),
+    "3d": lambda: zero_blocks((9, 4, 3), 4),
+    "5d": lambda: zero_blocks((2, 3, 2, 3, 2), 5),
+    "ladder-dual": ladder_dual_operators,
+    "dense": lambda: np.random.default_rng(6).normal(size=(31, 16, 16, 2)),
+}
+
+
+@pytest.mark.parametrize("case", list(ZERO_BLOCK_ARRAYS))
+def test_zero_blocks_write_the_general_path_bytes(monkeypatch, case):
+    a = ZERO_BLOCK_ARRAYS[case]()
+    if case == "ladder-dual":  # most blocks, the rows of an operator, are zero
+        nonzero = a.reshape(-1, 32).view(np.uint64).any(axis=1)
+        assert a.shape == (31, 16, 16, 2) and 0 < nonzero.sum() < len(nonzero) / 4
+    for v in (a, a[..., ::-1], a.T):
+        text, calls = writer_calls(monkeypatch, v)
+        assert calls == 1
+        assert text == qmapft.serialize._format_value(v.tolist()) + "\n"
+        assert text == reference_format_value(v.tolist()) + "\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("content", ["good", "invalid", "not-utf-8", "missing"])
+def test_read_json_leaves_the_cycle_collector_as_it_found_it(tmp_path, monkeypatch, enabled,
+                                                              content):
+    path = tmp_path / "file.json"
+    if content != "missing":
+        path.write_bytes({"good": b'{"a": [[1, 2], [3]]}', "invalid": b"{not json",
+                          "not-utf-8": b"\xff\xfe{}"}[content])
+    decoding = []
+
+    def loads(text):
+        decoding.append(gc.isenabled())
+        return json.JSONDecoder().decode(text)
+
+    monkeypatch.setattr(json, "loads", loads)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if content == "good":
+            assert qmapft.serialize._read_json(path) == {"a": [[1, 2], [3]]}
+        else:
+            with pytest.raises(q.ProcessFileError, match=re.escape(str(path))):
+                qmapft.serialize._read_json(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    # the decoder ran with the collector paused; a file that cannot be read is never decoded
+    assert decoding == ([False] if content in ("good", "invalid") else [])
 
 
 @pytest.mark.parametrize("value", [
