@@ -341,13 +341,12 @@ def _given_state(pi, dim: int) -> np.ndarray:
     return pi
 
 
-def checked_states(stack: KrausStack, kmaps, pis, unital, tol: Tolerances) -> tuple:
+def checked_states(stack: KrausStack, kmaps, pis, tol: Tolerances) -> tuple:
     """(states, their HermitianEigenDecomposition) of the maps of a stack; the pass's one entry.
 
     Each map is checked to be trace preserving (NotTracePreservingError).  Its
-    state is pis[r] if given (a finite d x d matrix), else 1/N if unital[r] (the
-    canonical choice when the fixed point is degenerate), else its unique
-    invariant state, from one fixed_states call for all such maps.  Each state is
+    state is pis[r] if given (a finite d x d matrix), else its unique invariant
+    state, from one fixed_states call for all such maps.  Each state is
     checked to be a strictly positive fixed point (check_fixed_points, one stacked
     hermitian_eig, require_positive: SingularStateError).  One stacked test of each
     kind serves all maps; which map's error is raised, when several fail, is not specified.
@@ -356,12 +355,10 @@ def checked_states(stack: KrausStack, kmaps, pis, unital, tol: Tolerances) -> tu
     raise_first(deviation > tol.eps_tp, lambda r: NotTracePreservingError(
         f"map is not trace preserving: ||sum_k M_k† M_k - 1||_F = "
         f"{deviation[r]:.3e} exceeds eps_tp={tol.eps_tp}"))
-    d = stack.dim
-    computed = [r for r, (pi, u) in enumerate(zip(pis, unital)) if pi is None and not u]
+    computed = [r for r, pi in enumerate(pis) if pi is None]
     found = dict(zip(computed, fixed_states([kmaps[r] for r in computed], tol)
                      if computed else ()))
-    states = np.stack([found[r] if r in found else
-                       np.eye(d) / d if pi is None else _given_state(pi, d)
+    states = np.stack([found[r] if pi is None else _given_state(pi, stack.dim)
                        for r, pi in enumerate(pis)], dtype=np.complex128)
     check_fixed_points(stack, states, tol)
     eig = hermitian_eig(states, tol)

@@ -176,22 +176,22 @@ def _classify(stack: KrausStack, states: np.ndarray, eig: HermitianEigenDecompos
     return structures
 
 
-def classify_maps(kmaps, pis, unital, tol: Tolerances = DEFAULT_TOLERANCES) -> list:
-    """build_potential_structure of every map against its state: pis[r] if given, else 1/N
-    if unital[r], else the map's invariant state (checked_states).
+def classify_maps(kmaps, pis, tol: Tolerances = DEFAULT_TOLERANCES) -> list:
+    """build_potential_structure of every map against its state: pis[r] if given, else the
+    map's invariant state (checked_states).
 
     One pass over the maps stacked as one KrausStack (checked_states, then the
     classification), so each check runs once per (map, state).  The maps must
-    share one dimension, and pis and unital hold one entry per map (ValueError).
+    share one dimension, and pis holds one entry per map (ValueError).
     When some map fails, the error raised is the first failing map's (_replayed).
     """
-    if not len(kmaps) == len(pis) == len(unital):
-        raise ValueError(f"{len(kmaps)} maps, {len(pis)} pis and {len(unital)} unital flags")
+    if len(kmaps) != len(pis):
+        raise ValueError(f"{len(kmaps)} maps and {len(pis)} pis")
 
-    def run(stack, kmaps, pis, unital):
-        return _classify(stack, *checked_states(stack, kmaps, pis, unital, tol), tol)
+    def run(stack, kmaps, pis):
+        return _classify(stack, *checked_states(stack, kmaps, pis, tol), tol)
 
-    return _replayed(run, kmaps, pis, unital) if len(kmaps) else []
+    return _replayed(run, kmaps, pis) if len(kmaps) else []
 
 
 def build_potential_structure(
@@ -206,7 +206,7 @@ def build_potential_structure(
     point.  A zero operator has no jumps and changes the potential by 0.  The
     one-map case of classify_maps.
     """
-    return classify_maps([kmap], [pi], [False], tol)[0]
+    return classify_maps([kmap], [pi], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -261,7 +261,7 @@ def build_dual(
     if symmetry is None:
         symmetry = theta(kmap.dim)
     stack = stack_maps([kmap])
-    states, eig = checked_states(stack, [kmap], [pi], [False], tol)
+    states, eig = checked_states(stack, [kmap], [pi], tol)
     duals, pi_duals = _dual_stack(stack, eig, states, symmetry, tol)
     return DualMap(map=_dual_maps(duals, [kmap])[0], pi_dual=pi_duals[0], symmetry=symmetry)
 

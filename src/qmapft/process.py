@@ -98,19 +98,23 @@ def make_step(
     unital: bool = False,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ProcessStep:
-    """Classify a map against pi if given, else 1/N if unital, else its invariant state: one
-    step of make_steps."""
-    return make_steps([kmap], [pi], [unital], tol)[0]
+    """Classify a map against pi if given, else its invariant state: one step of make_steps.
+    unital=True is read as pi = 1/N; pi and unital=True together raise ValueError."""
+    if unital:
+        if pi is not None:
+            raise ValueError("make_step takes pi or unital=True, not both")
+        pi = np.eye(kmap.dim) / kmap.dim
+    return make_steps([kmap], [pi], tol)[0]
 
 
-def make_steps(kmaps, pis, unital, tol: Tolerances = DEFAULT_TOLERANCES) -> list:
+def make_steps(kmaps, pis, tol: Tolerances = DEFAULT_TOLERANCES) -> list:
     """make_step of every map, in one stacked pass (potential.classify_maps).
 
-    pis[r] is map r's state or None, unital[r] its flag; lists of another
-    length than kmaps raise ValueError.  The error raised is the first failing
+    pis[r] is map r's state, or None for its invariant state; a list of another
+    length than kmaps raises ValueError.  The error raised is the first failing
     map's, as making the steps one by one in order would raise it.
     """
-    structures = classify_maps(kmaps, pis, unital, tol)
+    structures = classify_maps(kmaps, pis, tol)
     return [ProcessStep(map=kmap, structure=s) for kmap, s in zip(kmaps, structures)]
 
 
@@ -124,15 +128,16 @@ def process_spec(
     symmetry: SymmetryOp | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ProcessSpec:
-    """Validated ProcessSpec constructor: the boundary (resolved for no steps) and
-    symmetry, then with_steps.  An entropic boundary's initial side is the
-    decomposition of rho_i that its positivity test takes (validate_density)."""
-    dims = set()
+    """Validated ProcessSpec constructor: the boundary, resolved for no steps, and the
+    symmetry (theta of the boundary's dimension by default), then with_steps, which checks
+    their dimensions.  An entropic boundary's initial side is the decomposition of rho_i
+    that its positivity test takes (validate_density)."""
     if boundary_mode == ENTROPIC:
         if initial_state is None:
             raise ValueError("entropic mode needs an initial state")
         initial_state, initial_eig = validate_density(initial_state, tol)
-        dims.add(initial_state.shape[0])
+        basis, probs = _measured(initial_eig)
+        bnd = BoundaryData(basis, probs, basis, probs)  # no steps: the final state is the initial
     elif boundary_mode == EQUILIBRIUM:
         if h_initial is None or h_final is None or beta is None:
             raise ValueError("equilibrium mode needs H_i, H_f and beta")
@@ -140,26 +145,15 @@ def process_spec(
         if not (number and math.isfinite(beta)):
             raise ValueError(f"beta must be a finite number, got {beta!r}")
         beta = float(beta)
-        h_initial = as_complex_matrix(h_initial)
-        h_final = as_complex_matrix(h_final)
-        dims.update((h_initial.shape[0], h_final.shape[0]))
-    else:
-        raise ValueError(f"unknown boundary mode {boundary_mode!r}")
-    if symmetry is not None:
-        dims.add(symmetry.matrix.shape[0])
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"inconsistent dimensions in process: {dims}")
-    dim = dims.pop()
-    if symmetry is None:
-        symmetry = theta(dim)
-    if boundary_mode == ENTROPIC:
-        basis, probs = _measured(initial_eig)
-        bnd = BoundaryData(basis, probs, basis, probs)  # no steps: the final state is the initial
-    else:
+        h_initial, h_final = as_complex_matrix(h_initial), as_complex_matrix(h_final)
         # Gibbs populations of H_i and H_f at one beta
         eig_i, eig_f = hermitian_eig(h_initial, tol), hermitian_eig(h_final, tol)
         p_i, p_f = (gibbs_populations(e.eigenvalues, beta)[0] for e in (eig_i, eig_f))
         bnd = BoundaryData(eig_i.eigenvectors, p_i, eig_f.eigenvectors, p_f)
+    else:
+        raise ValueError(f"unknown boundary mode {boundary_mode!r}")
+    if symmetry is None:
+        symmetry = theta(len(bnd.initial_basis))
     spec = ProcessSpec(
         steps=(),
         boundary=bnd,
@@ -174,17 +168,19 @@ def process_spec(
 
 
 def with_steps(spec: ProcessSpec, steps, tol: Tolerances = DEFAULT_TOLERANCES) -> ProcessSpec:
-    """spec with these steps, of its dimension, and its boundary resolved for them.
+    """spec with these steps and its boundary resolved for them.
 
-    An entropic boundary keeps its initial side and decomposes, under tol, the
-    initial state evolved through the steps; a dual process has no initial
-    state and raises ValueError.  An equilibrium boundary is kept.
+    The steps, the symmetry and both boundary bases must share one dimension
+    (DimensionMismatchError).  An entropic boundary keeps its initial side and
+    decomposes, under tol, the initial state evolved through the steps; a dual
+    process has no initial state and raises ValueError.  An equilibrium
+    boundary is kept.
     """
-    steps = tuple(steps)
-    dims = {s.map.dim for s in steps} | {spec.symmetry.matrix.shape[0]}
+    steps, bnd = tuple(steps), spec.boundary
+    dims = ({s.map.dim for s in steps} | {len(spec.symmetry.matrix)}
+            | {len(bnd.initial_basis), len(bnd.final_basis)})
     if len(dims) != 1:
         raise DimensionMismatchError(f"inconsistent dimensions in process: {dims}")
-    bnd = spec.boundary
     if spec.boundary_mode == ENTROPIC:
         if spec.initial_state is None:
             raise ValueError("a dual process has no initial state to evolve through new steps")

@@ -223,7 +223,8 @@ def _boolean(data: dict, key: str, default: bool) -> bool:
 
 
 def step_inputs_from_json(entry: dict, base_dir: Path, tol: Tolerances) -> tuple:
-    """(map, pi or None, unital flag) of one entry of "steps", read and built, not yet checked."""
+    """(map, pi or None) of one entry of "steps", read and built, not yet checked; "unital":
+    true is read as pi = 1/N."""
     if not isinstance(entry, dict):
         raise _Malformed(f"each entry of 'steps' must be an object, got {entry!r}")
     if "map_file" in entry:
@@ -237,10 +238,11 @@ def step_inputs_from_json(entry: dict, base_dir: Path, tol: Tolerances) -> tuple
     else:
         raise _Malformed("each step needs one of 'map_file', 'map', or 'model'")
     pi = matrix_from_json(entry["pi"], "pi") if "pi" in entry else None
-    unital = _boolean(entry, "unital", False)
-    if unital and pi is not None:
-        raise _Malformed("a step takes 'pi' or 'unital': true, not both")
-    return kmap, pi, unital
+    if _boolean(entry, "unital", False):
+        if pi is not None:
+            raise _Malformed("a step takes 'pi' or 'unital': true, not both")
+        pi = np.eye(kmap.dim) / kmap.dim
+    return kmap, pi
 
 
 def load_process_file(
@@ -282,8 +284,8 @@ def load_process_file(
             kwargs["h_final"] = matrix_from_json(data["H_f"], "H_f")
             kwargs["beta"] = data["beta"]  # process_spec checks it is a finite number
         boundary = process_spec((), boundary_mode=mode, symmetry=symmetry, tol=tol, **kwargs)
-        kmaps, pis, unital = zip(*inputs) if inputs else ((), (), ())
-        spec = with_steps(boundary, make_steps(kmaps, pis, unital, tol), tol)
+        kmaps, pis = zip(*inputs) if inputs else ((), ())
+        spec = with_steps(boundary, make_steps(kmaps, pis, tol), tol)
     return spec, data
 
 

@@ -703,6 +703,18 @@ def test_cli_symmetry_dimension_must_match_the_maps(tmp_path, capsys, mode):
     assert len(lines) == 1 and lines[0].startswith("error: inconsistent dimensions"), captured.err
 
 
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_cli_equilibrium_hamiltonians_of_two_dimensions_are_refused(tmp_path, capsys, mode):
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, boundary_mode="equilibrium", beta=1.0,
+                       H_i=matrix_to_json(np.diag([0.0, 1.0])),
+                       H_f=matrix_to_json(np.diag([0.0, 1.0, 2.0])))
+    assert main(["verify", str(proc), "--mode", mode, "--samples", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: inconsistent dimensions in process: {2, 3}"]
+
+
 @pytest.mark.parametrize("width", ["1e-6", "1e-300", "1e-320"])
 def test_cli_histogram_over_the_bin_cap_is_a_resource_error(tmp_path, capsys, width):
     # a one-step GAD process spans 2.1 Sigma: 2.1M bins at 1e-6, and a count

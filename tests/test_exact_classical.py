@@ -144,8 +144,7 @@ class Exact:
 
 
 def spec_of(chain, p0):
-    steps = q.process.make_steps([kraus(t) for t in chain], [None] * len(chain),
-                                 [False] * len(chain))
+    steps = q.process.make_steps([kraus(t) for t in chain], [None] * len(chain))
     return q.process_spec(steps, initial_state=np.diag([float(p) for p in p0]).astype(complex))
 
 

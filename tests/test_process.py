@@ -498,13 +498,28 @@ def test_dual_process_raises_the_first_failing_step_in_dual_order():
         q.build_dual_process(spec, strict)
 
 
-@pytest.mark.parametrize("counts", [(2, 1, 1), (1, 2, 2)], ids=["short-lists", "long-lists"])
+@pytest.mark.parametrize("counts", [(2, 1), (1, 2)], ids=["short-lists", "long-lists"])
 def test_make_steps_refuses_lists_of_another_length_than_the_maps(counts):
     gad = q.thermal_qubit_map(LN2, 0.5)
-    maps, pis, unital = [gad] * counts[0], [None] * counts[1], [False] * counts[2]
-    with pytest.raises(ValueError, match=f"{counts[0]} maps, {counts[1]} pis and "
-                                         f"{counts[2]} unital flags"):
-        q.process.make_steps(maps, pis, unital)
+    maps, pis = [gad] * counts[0], [None] * counts[1]
+    with pytest.raises(ValueError, match=f"{counts[0]} maps and {counts[1]} pis"):
+        q.process.make_steps(maps, pis)
+
+
+def test_make_step_refuses_pi_and_unital_together():
+    gad = q.thermal_qubit_map(LN2, 0.5)
+    with pytest.raises(ValueError, match=r"^make_step takes pi or unital=True, not both$"):
+        q.make_step(gad, q.invariant_state(gad), unital=True)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)], ids=["qutrit-H_f", "qutrit-H_i"])
+@pytest.mark.parametrize("steps", [0, 1], ids=["no-steps", "qubit-step"])
+def test_equilibrium_boundary_of_two_dimensions_is_refused(dims, steps):
+    h_i, h_f = (np.diag(np.arange(d, dtype=float)) for d in dims)
+    gad = [q.make_step(q.thermal_qubit_map(LN2, 0.5))] * steps
+    with pytest.raises(q.DimensionMismatchError) as info:
+        q.process_spec(gad, boundary_mode="equilibrium", h_initial=h_i, h_final=h_f, beta=1.0)
+    assert str(info.value) == "inconsistent dimensions in process: {2, 3}"
 
 
 def test_dual_process_stationary_is_statistically_identical():
@@ -777,7 +792,7 @@ def _classical_chain(d, r, seed):
             ops.append(np.zeros((d, d)))
             ops[-1][j, i] = np.sqrt(t[j, i])
         kmaps.append(q.kraus_map(ops))
-    steps = qmapft.process.make_steps(kmaps, [None] * r, [False] * r)
+    steps = qmapft.process.make_steps(kmaps, [None] * r)
     return q.process_spec(steps, initial_state=np.diag(rng.dirichlet(np.ones(d))))
 
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmapft as q
+from qmapft.cli import main
 from qmapft.linalg import adjoint, frob, frobs, hermiticity_defect, hermiticity_defects
 from qmapft.maps import (FIXED_WINDOW, stack_maps, superoperator_blocks, superoperator_view,
                          tp_defect, tp_defects, fixed_point_residuals)
@@ -154,9 +155,10 @@ def reference_state(kmap, pi, unital):
 
 
 def assert_steps_match_reference(inputs, rho, label, ulps, symmetry=None):
-    """make_steps of (map, pi, unital) inputs of one dimension, and their duals."""
-    kmaps, pis, unital = zip(*inputs)
-    steps = q.process.make_steps(kmaps, pis, unital)
+    """make_steps of (map, pi, unital) inputs of one dimension, a unital one given pi = 1/N,
+    and their duals."""
+    steps = q.process.make_steps([m for m, _, _ in inputs],
+                                 [np.eye(m.dim) / m.dim if u else pi for m, pi, u in inputs])
     spec = q.process_spec(steps, initial_state=rho, symmetry=symmetry)
     states = [reference_state(*i) for i in inputs]
     assert_process_matches_reference(spec, states, label, ulps)
@@ -172,6 +174,41 @@ def library_inputs(library):
             unital = np.array_equal(step.structure.pi, np.eye(d) / d)
             by_dim.setdefault(d, []).append((step.map, None, unital))
     return by_dim
+
+
+def structure_bytes(s):
+    """Every array of a PotentialStructure as (dtype, shape, bytes)."""
+    arrays = (s.pi, s.eigen.eigenvalues, s.eigen.eigenvectors, s.potentials, s.delta_phi,
+              s.gaps, s.gap_index)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def unital_file(path, kmap, step):
+    """A qubit process file of a GAD step, so that Sigma fluctuates, then kmap with its state
+    set by step ("unital" or "pi" keys)."""
+    path.write_text(json.dumps({
+        "steps": [{"model": "thermal_qubit", "beta_omega": 0.5, "gamma": 0.3},
+                  {"map": map_to_json(kmap), **step}],
+        "initial_state": matrix_to_json(np.diag([0.7, 0.3]))}))
+    return path
+
+
+def test_three_ways_of_saying_unital_agree_bit_for_bit(library, tmp_path):
+    # make_step(unital=True), pi = 1/N given to make_steps, and "unital": true in a file
+    unital = [m for inputs in library_inputs(library).values() for m, _, u in inputs if u]
+    assert len(unital) == 9 and {m.dim for m in unital} == {2}
+    half = np.eye(2) / 2
+    for r, kmap in enumerate(unital):
+        flagged = unital_file(tmp_path / f"unital{r}.json", kmap, {"unital": True})
+        given = unital_file(tmp_path / f"pi{r}.json", kmap, {"pi": matrix_to_json(half)})
+        want = structure_bytes(q.make_step(kmap, unital=True).structure)
+        assert structure_bytes(q.process.make_steps([kmap], [half])[0].structure) == want, r
+        assert structure_bytes(load_process_file(flagged)[0].steps[1].structure) == want, r
+        for mode in (["--mode", "exact"], ["--mode", "mc", "--samples", "2000", "--seed", "5"]):
+            outs = [tmp_path / f"{name}{r}-{mode[1]}.out" for name in ("unital", "pi")]
+            for proc, out in zip((flagged, given), outs):
+                assert main(["verify", str(proc), *mode, "--out", str(out)]) == 0, (r, mode)
+            assert outs[0].read_bytes() == outs[1].read_bytes(), (r, mode)
 
 
 def test_library_steps_stacked_match_reference(library):
