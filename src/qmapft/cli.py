@@ -35,6 +35,7 @@ from .process import (
     verify_integral_ft,
 )
 from .serialize import (
+    collector_paused,
     dumps_report,
     load_map_file,
     load_matrix_file,
@@ -233,23 +234,27 @@ PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
-    try:
-        tol = DEFAULT_TOLERANCES if args.tolerances is None else load_tolerances(args.tolerances)
-        return args.func(args, tol)
-    except ProcessFileError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except (EnumerationTooLarge, HistogramTooLarge, SampleCountTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE_CAP
-    except NonUniqueInvariantState as exc:
-        hint = "; pass --pi FILE (or --unital for the maximally mixed state)"
-        print(f"error: {exc}{hint if hasattr(args, 'pi') else ''}", file=sys.stderr)
-        return EXIT_NEEDS_INPUT
-    except QmapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    """Run one command, parsing to report, with the cycle collector paused (a pass over its
+    decoded input and arrays frees nothing); every exit restores the caller's state."""
+    with collector_paused:
+        args = PARSER.parse_args(argv)
+        try:
+            tol = (DEFAULT_TOLERANCES if args.tolerances is None
+                   else load_tolerances(args.tolerances))
+            return args.func(args, tol)
+        except ProcessFileError as exc:
+            print(f"parse error: {exc}", file=sys.stderr)
+            return EXIT_PARSE_ERROR
+        except (EnumerationTooLarge, HistogramTooLarge, SampleCountTooLarge) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_RESOURCE_CAP
+        except NonUniqueInvariantState as exc:
+            hint = "; pass --pi FILE (or --unital for the maximally mixed state)"
+            print(f"error: {exc}{hint if hasattr(args, 'pi') else ''}", file=sys.stderr)
+            return EXIT_NEEDS_INPUT
+        except QmapError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -622,7 +622,10 @@ def verify_integral_ft(ensemble: TrajectoryEnsemble) -> IntegralFTReport:
     if ensemble.mode == "mc":
         n = len(sigmas)
         se = float(np.std(weights, ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-        z = (mean - 1.0) / se if se > 0 else 0.0
+        # no finer than the mean's own rounding, about n u mean (u = 2**-53): a deviation
+        # at roundoff scale is no evidence against the theorem, nor a zero spread for it
+        se = max(se, n * float(np.finfo(float).epsneg) * mean)
+        z = (mean - 1.0) / se if se > 0 else -math.inf  # se = 0 only when the mean is 0
     return IntegralFTReport(
         mode=ensemble.mode,
         mean_exp_neg_sigma=mean,

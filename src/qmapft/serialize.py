@@ -130,17 +130,37 @@ def map_from_json(data) -> KrausMap:
     return kmap
 
 
+class _CollectorPause:
+    """`with collector_paused:` pauses the cycle collector for the block and restores its
+    state on every exit, so a collector the caller disabled stays disabled.  Static methods
+    of one shared instance: entering and leaving allocate no object the collector tracks (no
+    context object, no bound method), so no pass starts at either edge of the block."""
+
+    # the collector's state before each open block, innermost last; one list per process,
+    # as there is one collector
+    states: list = []
+
+    @staticmethod
+    def __enter__():
+        _CollectorPause.states.append(gc.isenabled())
+        gc.disable()
+
+    @staticmethod
+    def __exit__(exc_type, exc, tb):
+        if _CollectorPause.states.pop():
+            gc.enable()
+
+
+collector_paused = _CollectorPause()
+
+
 def _read_json(path: Path):
     """Parsed JSON of a UTF-8 file, decoded with the cycle collector paused (JSON holds no
-    cycles to free) and then as it was; failures become ProcessFileError."""
+    cycles to free); failures become ProcessFileError."""
     try:
-        text, enabled = path.read_text(encoding="utf-8"), gc.isenabled()
-        gc.disable()
-        try:
+        text = path.read_text(encoding="utf-8")
+        with collector_paused:
             return json.loads(text)
-        finally:
-            if enabled:
-                gc.enable()
     except json.JSONDecodeError as exc:
         raise ProcessFileError(f"{path}: invalid JSON at line {exc.lineno}, "
                                f"column {exc.colno}: {exc.msg}") from exc

@@ -1,16 +1,21 @@
+import gc
 import json
+import sys
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 import qmapft as q
+import qmapft.cli
 import qmapft.maps
 import qmapft.process
 from qmapft.cli import main
 from test_potential import EDGE_TOLERANCES, shifted_pi
 from test_process import smallest_reverse_branch
 from qmapft.serialize import (
+    collector_paused,
     dumps_report,
     load_map_file,
     load_process_file,
@@ -828,9 +833,12 @@ def test_cli_rank_deficient_initial_state_verifies(tmp_path, capsys, step):
     report = json.loads(capsys.readouterr().out)["verify"]
     assert report["detailed_ft"]["passed"] is True
     assert report["detailed_ft"]["max_residual"] <= 1e-12
-    # that dual mass is missing from <e^{-Sigma}>, so the Monte Carlo z-test fails
+    # that dual mass is missing from <e^{-Sigma}>, so the Monte Carlo z-test fails; its
+    # standard error is the sample's, far above the floor at the mean's rounding
     assert report["integral_ft"]["mean_exp_neg_sigma"] < 0.99
     assert main(["verify", str(proc), "--mode", "mc", "--samples", "20000", "--seed", "3"]) == 1
+    integral = json.loads(capsys.readouterr().out)["verify"]["integral_ft"]
+    assert integral["standard_error"] > 1e6 * 20000 * 2.0**-53 and integral["z_score"] < -3.0
 
 
 @pytest.mark.parametrize("mode", ["exact", "mc"])
@@ -1217,3 +1225,124 @@ def test_cli_undecodable_files_are_parse_errors(tmp_path, capsys, kind, content)
             "tolerances": ["--tolerances", str(bad), "classify", str(map_path)]}[kind]
     assert main(argv) == 2
     assert_one_parse_error(capsys, bad)
+
+
+HADAMARD_STEP = {"model": "unitary", "unital": True,
+                 "U": matrix_to_json(np.array([[1, 1], [1, -1]]) / np.sqrt(2))}
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "mc", "--samples", "2000", "--seed", "5"]],
+                         ids=["exact", "mc"])
+def test_cli_unital_hadamard_step_verifies_at_roundoff_scale(tmp_path, capsys, mode):
+    # Sigma is 0 up to roundoff: <e^{-Sigma}> misses 1 by about 1e-16, with a sample spread
+    # smaller still; the Monte Carlo verdict once divided the two and exited 1
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, steps=[HADAMARD_STEP],
+                       initial_state=matrix_to_json(np.diag([2 / 3, 1 / 3])))
+    assert main(["verify", str(proc), *mode]) == 0
+    integral = json.loads(capsys.readouterr().out)["verify"]["integral_ft"]
+    assert integral["deviation"] <= 1e-15
+    if mode:
+        assert integral["standard_error"] == 2000 * 2.0**-53 * integral["mean_exp_neg_sigma"]
+
+
+def inside_main() -> bool:
+    frame = sys._getframe(1)
+    while frame is not None and frame.f_code is not main.__code__:
+        frame = frame.f_back
+    return frame is not None
+
+
+@contextmanager
+def collector(enabled, threshold=None):
+    """The cycle collector enabled or disabled (and at the given threshold), then as it was;
+    yields the list of the generations of the passes that start inside main meanwhile."""
+    was, thresholds, passes = gc.isenabled(), gc.get_threshold(), []
+
+    def record(phase, info):
+        if phase == "start" and inside_main():
+            passes.append(info["generation"])
+
+    (gc.enable if enabled else gc.disable)()
+    if threshold is not None:
+        gc.set_threshold(threshold)
+    gc.callbacks.append(record)
+    try:
+        yield passes
+    finally:
+        gc.callbacks.remove(record)
+        gc.set_threshold(*thresholds)
+        (gc.enable if was else gc.disable)()
+
+
+def command_ending(case, path, monkeypatch):
+    """argv of a command that ends in the given way, and its exit code or exception."""
+    if case == "check-failed":
+        path.write_text(json.dumps(map_to_json(q.kraus_map([0.9 * np.eye(2, dtype=complex)]))))
+        return ["validate", str(path)], 1
+    if case == "parse-error":
+        path.write_text("{not json")
+        return ["validate", str(path)], 2
+    if case == "needs-input":
+        proj = q.projective_measurement([np.array([1, 0], complex), np.array([0, 1], complex)])
+        path.write_text(json.dumps(map_to_json(proj)))
+        return ["classify", str(path)], 3
+    if case == "resource-cap":
+        write_gad_process(path)
+        return ["verify", str(path), "--mode", "mc", "--samples", str(10**13)], 4
+    if case == "argparse":
+        return ["no-such-command", str(path)], SystemExit
+    write_gad_map(path)
+    if case == "runtime-error":
+        def fail(*args):
+            raise RuntimeError("a fault inside the command")
+
+        monkeypatch.setattr(qmapft.cli, "validate_cptp", fail)
+        return ["validate", str(path)], RuntimeError
+    return ["validate", str(path)], 0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case", ["ok", "check-failed", "parse-error", "needs-input",
+                                  "resource-cap", "argparse", "runtime-error"])
+def test_main_restores_the_callers_collector(tmp_path, monkeypatch, case, enabled):
+    argv, outcome = command_ending(case, tmp_path / "input.json", monkeypatch)
+    parse_args, parsing = qmapft.cli.PARSER.parse_args, []
+
+    def recording(args):
+        parsing.append(gc.isenabled())
+        return parse_args(args)
+
+    monkeypatch.setattr(qmapft.cli.PARSER, "parse_args", recording)
+    # at threshold 1 a running collector would start a pass at almost every allocation
+    with collector(enabled, threshold=1) as passes:
+        try:
+            code = main(argv)
+        except (SystemExit, RuntimeError) as exc:
+            code = type(exc)
+        after = gc.isenabled()
+    assert code == outcome
+    assert after is enabled and collector_paused.states == []  # every block was left
+    assert parsing == [False] and passes == []
+
+
+def test_main_starts_no_collector_pass_on_a_ladder(tmp_path, monkeypatch):
+    from perfbench.gen import ladder_verify
+
+    op = ladder_verify(16, 3).make(np.random.default_rng(3), tmp_path / "ladder16")
+    with collector(True, threshold=1) as passes:
+        code = main(list(op.argv))
+    assert code == 0 and gc.isenabled()
+    assert passes == []
+    assert json.loads(op.report.read_text())["verify"]["detailed_ft"]["passed"] is True
+    # control: with the collector running inside the command, the same probe sees passes
+    enumerate_trajectories = qmapft.cli.enumerate_trajectories
+
+    def enabled_first(*args):
+        gc.enable()
+        return enumerate_trajectories(*args)
+
+    monkeypatch.setattr(qmapft.cli, "enumerate_trajectories", enabled_first)
+    with collector(True, threshold=1) as passes:
+        assert main(list(op.argv)) == 0
+    assert passes

@@ -1,0 +1,135 @@
+"""Metamorphic relations: invariances of the fluctuation theorems as oracles.
+
+Two runs of the oracle on inputs whose answers must agree are compared with
+each other, with no reference implementation:
+
+- relabelling: permuting one step's Kraus operators permutes the outcome
+  codes and changes nothing else;
+- identity insertion: a unital K = 1 identity step changes no row's code,
+  probability or entropy production.
+
+The processes are the model library and benchmark ladders (perfbench.gen)
+with d <= 8 and R <= 3.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import qmapft as q
+from conftest import assert_close, model_library
+from qmapft.process import with_steps
+from qmapft.serialize import load_process_file
+
+# name: (d, R, equilibrium boundary, generator seed)
+LADDERS = {"ladder_d3_r2": (3, 2, False, 1), "ladder_d4_r3": (4, 3, False, 2),
+           "ladder_d5_r3_eq": (5, 3, True, 3), "ladder_d8_r2": (8, 2, False, 4),
+           "ladder_d8_r3": (8, 3, False, 5), "ladder_d8_r2_eq": (8, 2, True, 6)}
+NAMES = list(model_library()) + list(LADDERS)
+
+
+@pytest.fixture(scope="module")
+def processes(tmp_path_factory):
+    from perfbench.gen import ladder_verify
+
+    specs = model_library()
+    for name, (d, r, equilibrium, seed) in LADDERS.items():
+        op = ladder_verify(d, r, equilibrium).make(np.random.default_rng(seed),
+                                                   tmp_path_factory.mktemp(name) / "ladder")
+        specs[name] = load_process_file(op.path)[0]
+    return specs
+
+
+def dimension(spec) -> int:
+    return len(spec.boundary.initial_basis)
+
+
+def is_unital(step) -> bool:
+    d = step.map.dim
+    return np.array_equal(step.structure.pi, np.eye(d) / d)
+
+
+def relabelled(spec, r, perm):
+    """spec with step r's operators reordered, its operator j being the old operator
+    perm[j]; the step is made as the old one was, with pi = 1/N if that was unital, else
+    with its invariant state computed again."""
+    step = spec.steps[r]
+    kmap = q.kraus_map(step.map.operators[perm], labels=[step.map.labels[j] for j in perm])
+    steps = list(spec.steps)
+    steps[r] = q.make_step(kmap, unital=is_unital(step))
+    return with_steps(spec, steps)
+
+
+def with_identity(spec, r):
+    """spec with a unital identity step inserted before step r."""
+    identity = q.make_step(q.kraus_map([np.eye(dimension(spec))]), unital=True)
+    return with_steps(spec, spec.steps[:r] + (identity,) + spec.steps[r:])
+
+
+def row_keys(spec, ens, r=None, perm=None):
+    """One integer key (n, k_1 .. k_R, m) per row, step r's labels read through perm."""
+    ks = ens.ks.copy()
+    if perm is not None:
+        ks[:, r] = perm[ks[:, r]]
+    code = ens.n.copy()
+    for step, column in zip(spec.steps, ks.T):
+        code = code * len(step.map) + column
+    return code * dimension(spec) + ens.m
+
+
+def shuffle(rng, k: int) -> np.ndarray:
+    """A random k-cycle of range(k), which moves every index when k > 1."""
+    order, perm = rng.permutation(k), np.empty(k, dtype=np.int64)
+    perm[order] = np.roll(order, -1)
+    return perm
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_relabelling_permutes_the_codes_and_nothing_else(processes, name):
+    spec = processes[name]
+    ens = q.enumerate_trajectories(spec)
+    keys, detailed = row_keys(spec, ens), q.verify_detailed_ft(spec)
+    rng = np.random.default_rng(NAMES.index(name))
+    for r in range(len(spec.steps)):
+        perm = shuffle(rng, len(spec.steps[r].map))
+        other = relabelled(spec, r, perm)
+        before, after = spec.steps[r].structure, other.steps[r].structure
+        # pi is computed again from the reordered operators, whose sums may round otherwise;
+        # the evolved final state does, so the final basis moves by roundoff.  Largest
+        # differences seen: pi and delta_phi none, p 1.7 eps relative, Sigma 1 eps, the
+        # detailed residual 0.25 eps
+        assert_close(after.pi, before.pi, 4, (name, r))
+        assert_close(after.delta_phi, before.delta_phi[perm], 4, (name, r), scale=1.0)
+        ens2 = q.enumerate_trajectories(other)
+        keys2 = row_keys(spec, ens2, r, perm)
+        order = np.argsort(keys2)
+        assert np.array_equal(keys2[order], keys), (name, r)
+        assert_close(ens2.probability[order], ens.probability, 8, (name, r),
+                     scale=ens.probability)
+        assert_close(ens2.sigmas()[order], ens.sigmas(), 8, (name, r), scale=1.0)
+        assert_close(q.verify_detailed_ft(other).max_residual, detailed.max_residual, 8,
+                     (name, r), scale=1.0)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_identity_insertion_changes_no_row(processes, name):
+    spec = processes[name]
+    ens = q.enumerate_trajectories(spec)
+    detailed = q.verify_detailed_ft(spec)
+    for r in range(len(spec.steps) + 1):
+        other = with_identity(spec, r)
+        identity = other.steps[r].structure
+        assert np.array_equal(identity.delta_phi, [0.0]), (name, r)
+        ens2 = q.enumerate_trajectories(other)
+        # 1 * x and x + 0 are exact: the same rows, in the same order, with the same numbers
+        assert np.array_equal(ens2.labels, ens.labels), (name, r)
+        assert np.array_equal(ens2.n, ens.n) and np.array_equal(ens2.m, ens.m), (name, r)
+        assert np.array_equal(np.delete(ens2.ks, r, axis=1), ens.ks), (name, r)
+        assert not ens2.ks[:, r].any(), (name, r)
+        assert np.array_equal(ens2.probability, ens.probability), (name, r)
+        assert np.array_equal(ens2.sigmas(), ens.sigmas()), (name, r)
+        # the dual of the identity is built through pi^(1/2) and pi^(-1/2), so it is the
+        # identity up to roundoff: residuals differed by at most 3.2 eps
+        assert_close(q.verify_detailed_ft(other).max_residual, detailed.max_residual, 16,
+                     (name, r), scale=1.0)

@@ -1071,6 +1071,32 @@ def test_sampling_integral_ft_within_error():
     assert abs(report.z_score) <= 3.0
 
 
+def mc_ensemble(sigmas):
+    """A sampled ensemble of one-step rows with the given entropy productions."""
+    n = len(sigmas)
+    zeros = np.zeros(n, dtype=np.int64)
+    return q.TrajectoryEnsemble(n=zeros, labels=zeros[:, None], m=zeros,
+                                probability=np.full(n, 1.0 / n),
+                                sigma_boundary=np.asarray(sigmas, dtype=float),
+                                delta_phi_sum=np.zeros(n), mode="mc")
+
+
+def test_integral_ft_verdict_fails_a_constant_sigma():
+    # every e^{-Sigma} is e^{-1/2}: no spread, yet the mean is 0.61; a zero standard error
+    # once gave z = 0
+    report = q.verify_integral_ft(mc_ensemble(np.full(2000, 0.5)))
+    assert report.mean_exp_neg_sigma == pytest.approx(np.exp(-0.5), rel=1e-15)
+    assert report.standard_error > 0
+    assert report.z_score < -3.0
+
+
+def test_integral_ft_verdict_of_vanishing_weights_is_minus_infinity():
+    # e^{-Sigma} underflows to 0 on every sample: the mean and its floor are 0
+    report = q.verify_integral_ft(mc_ensemble(np.full(10, 800.0)))
+    assert report.mean_exp_neg_sigma == 0.0 and report.standard_error == 0.0
+    assert report.z_score == -math.inf
+
+
 def test_work_statistics_trivial_process():
     h = np.diag([0.0, OMEGA]).astype(complex)
     spec = q.process_spec(
@@ -1213,7 +1239,10 @@ def forked_integral_ft(ensemble):
     n = len(sigmas)
     mean = float(np.mean(weights))
     se = float(np.std(weights, ddof=1) / np.sqrt(n)) if n > 1 else float("inf")
-    z = (mean - 1.0) / se if se > 0 else 0.0
+    # the standard error's floor at the mean's rounding, which the Monte Carlo verdict
+    # took on after the fork; it changes no mean
+    se = max(se, n * 2.0**-53 * mean)
+    z = (mean - 1.0) / se
     return IntegralFTReport(
         mode="mc",
         mean_exp_neg_sigma=mean,
