@@ -10,6 +10,7 @@ import qmapft as q
 from qmapft.linalg import frob
 from qmapft.maps import fixed_states, superoperator_blocks, superoperator_view, tp_defect
 from conftest import assert_close
+from test_exact_classical import kraus, nearly_decomposable
 from test_ladder_properties import haar_unitary, ladder_maps
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -295,6 +296,45 @@ def rational_solve(a, b):
     return [row[-1] / row[i] for i, row in enumerate(m)]
 
 
+def population_block(kmap):
+    """T[a, c] = sum_k |M_k[a, c]|^2, summed over k in order as fixed_states sums it, when
+    every operator is diagonal or has at most one nonzero entry (ladder pattern); else None."""
+    ops = kmap.operators
+    if any(np.count_nonzero(m) > 1 and np.count_nonzero(m - np.diag(np.diag(m))) for m in ops):
+        return None
+    return sum(m.real**2 + m.imag**2 for m in ops)
+
+
+# What GTH elimination achieves against closed_column_state, in ulps of each entry of pi:
+# 3.2 ulps (7.1e-16 relative) seen on the ladder inputs of perfbench and the library.
+GTH_ULPS = 9
+
+
+def closed_column_state(t):
+    """Reference: pi = diag(x), x the exact stationary vector of the column-stochastic matrix
+    whose off-diagonal entries are T's computed ones, each an exact binary fraction, and
+    whose diagonal entries close their columns to 1; rounded once.
+
+    fractions.Fraction Gauss-Jordan elimination of (A - 1) x = 0 with its last equation
+    replaced by sum x = 1.  The chain must have one closed class; x is 0 on its transient
+    states.
+    """
+    d = len(t)
+    a = [[Fraction(float(t[i][j])) if i != j else Fraction(0) for j in range(d)] for i in range(d)]
+    for c in range(d):
+        a[c][c] = 1 - sum(a[r][c] for r in range(d))
+    rows = [[a[i][j] - (i == j) for j in range(d)] for i in range(d - 1)] + [[Fraction(1)] * d]
+    x = rational_solve(rows, [Fraction(0)] * (d - 1) + [Fraction(1)])
+    return np.diag([float(v) for v in x]).astype(complex)
+
+
+def assert_gth_state(pi, kmap):
+    """pi is within GTH_ULPS of each entry of the closed-column state of kmap's population
+    block, and exactly 0 off the diagonal."""
+    want = closed_column_state(population_block(kmap))
+    assert_close(pi, want, GTH_ULPS, scale=np.abs(want))
+
+
 def exact_invariant_state(kmap):
     """Reference: pi from the exact eigenvector of S's computed entries whose eigenvalue
     is nearest 1, on the block of S that holds the populations.
@@ -395,14 +435,17 @@ def test_block_split_of_a_dense_map_is_one_block():
 
 
 def test_one_path_matches_the_dense_eig_on_model_library(library):
-    # pi is within PI_ULPS_CAP of the exact eigenvector of S's computed entries, and
-    # within the capped 2 / sep of the dense eig, which is no more accurate: on the
-    # library's qubit Lindblad steps the one path's pi is within 1 ulp of the exact one
-    # and the dense eig's 9.8-14 ulps from it; on the qutrit step, 164 and 354 ulps
+    # a map of ladder pattern takes GTH: its pi is within GTH_ULPS of each entry of the
+    # exact closed-column state (1.9e-16 relative at worst on the library's maps, where
+    # the dense eig was 9.8-14 ulps of max|pi| off on the qubit Lindblad steps and 354 on
+    # the qutrit step); a map on the block path is within the capped 2 / sep of the dense
+    # eig and PI_ULPS_CAP of the exact eigenvector of S's computed entries
     maps = {id(s.map): s.map for spec in library.values() for s in spec.steps}
     for kmap in maps.values():
         window = dense_window(kmap).shape[1]
-        if window == 1:
+        if window == 1 and population_block(kmap) is not None:
+            assert_gth_state(q.invariant_state(kmap), kmap)
+        elif window == 1:
             pi, bound = dense_invariant_state(kmap)
             assert_close(q.invariant_state(kmap), pi, bound)
             assert_close(q.invariant_state(kmap), exact_invariant_state(kmap), PI_ULPS_CAP)
@@ -443,72 +486,165 @@ def test_full_amplitude_damping_ladder_is_singular_above_the_crossover(d):
         q.invariant_state(kmap)
 
 
+def spy_block_path(monkeypatch):
+    """(the (n, n) of each eig, the maps whose S is built): what fixed_states' block path
+    takes, recorded from this call on."""
+    shapes, built = [], []
+    eig, view = np.linalg.eig, q.maps.superoperator_view
+    monkeypatch.setattr(q.maps.np.linalg, "eig", lambda a: shapes.append(a.shape[-2:]) or eig(a))
+    monkeypatch.setattr(q.maps, "superoperator_view",
+                        lambda kmap, out=None: built.append(kmap) or view(kmap, out))
+    return shapes, built
+
+
 def assert_stack_is_each_map_alone(kmaps, monkeypatch):
     """fixed_states of a stack that mixes exact patterns: each pi is its one-map
-    invariant_state's bytes and the dense eig's within the reference's bound; returns
-    the (n, n) of each eig fixed_states takes."""
+    invariant_state's bytes, a map of ladder pattern's within GTH_ULPS of its closed-column
+    state and any other's within the dense eig's bound; returns (the (n, n) of each eig
+    fixed_states takes, sorted; the indices of the maps whose S it builds)."""
     states = fixed_states(kmaps, q.DEFAULT_TOLERANCES)
     assert states.shape == (len(kmaps), kmaps[0].dim, kmaps[0].dim)
     for kmap, pi in zip(kmaps, states):
-        reference, bound = dense_invariant_state(kmap)
-        assert_close(pi, reference, bound)
+        if population_block(kmap) is None:
+            reference, bound = dense_invariant_state(kmap)
+            assert_close(pi, reference, bound)
+        else:
+            assert_gth_state(pi, kmap)
         assert_close(pi, q.invariant_state(kmap), 0)
-    shapes = []
-    eig = np.linalg.eig
-    monkeypatch.setattr(q.maps.np.linalg, "eig", lambda a: shapes.append(a.shape[-2:]) or eig(a))
+    shapes, built = spy_block_path(monkeypatch)
     fixed_states(kmaps, q.DEFAULT_TOLERANCES)
-    return sorted(shapes)
+    return sorted(shapes), [next(r for r, m in enumerate(kmaps) if m is b) for b in built]
 
 
 def test_energy_basis_ladder_stacked_with_a_rotated_one(monkeypatch):
-    # the energy-basis ladder's own blocks are 1 x 1 coherences and one population
-    # block, and it keeps them: the Haar-rotated ladder's S is one 64 x 64 block
+    # the energy-basis ladder is of ladder pattern and takes GTH, building no S; the
+    # Haar-rotated ladder's S is one 64 x 64 block, solved by the block path
     ladder = lindblad_ladder(8)
     u = haar_unitary(np.random.default_rng(8), 8)
     rotated = q.kraus_map(u @ lindblad_ladder(8, beta=0.4).operators @ u.conj().T)
     assert assert_blocks_exact(ladder) == 57 and assert_blocks_exact(rotated) == 1
-    shapes = assert_stack_is_each_map_alone([ladder, rotated, ladder], monkeypatch)
-    # the rotated S holds more entries than the three maps' operators, so the first
-    # ladder is solved with it and the second after it: one 8 x 8 eig each
-    assert shapes == [(8, 8), (8, 8), (64, 64)]
+    assert population_block(ladder) is not None and population_block(rotated) is None
+    assert assert_stack_is_each_map_alone([ladder, rotated, ladder], monkeypatch) == \
+        ([(64, 64)], [1])
 
 
 def test_gad_stacked_with_a_dense_complex_map(monkeypatch):
-    # GAD's own blocks: {|0><0|, |1><1|} and two 1 x 1 coherences
+    # GAD takes GTH on its {|0><0|, |1><1|} chain; the dense map keeps its one 4 x 4 eig
     gad = q.thermal_qubit_map(np.log(2), 0.5)
     dense = stinespring_map(2, 3, seed=5)
     assert assert_blocks_exact(gad) == 3 and assert_blocks_exact(dense) == 1
-    shapes = assert_stack_is_each_map_alone([gad, dense, gad], monkeypatch)
-    assert shapes == [(2, 2), (4, 4)]
+    assert assert_stack_is_each_map_alone([gad, dense, gad], monkeypatch) == ([(4, 4)], [1])
+
+
+def swap_qubit_map(a, b):
+    """A qubit map whose second operator both decays and excites, [[0, a], [b, 0]]: not of
+    ladder pattern, so it takes the block path, where S's blocks are its populations and
+    its two coherences |0><1|, |1><0|, which that operator couples; a != b keeps that
+    block's eigenvalues sqrt((1 - a^2)(1 - b^2)) +- ab below 1."""
+    return q.kraus_map([np.diag([np.sqrt(1 - b * b), np.sqrt(1 - a * a)]), [[0, a], [b, 0]]])
 
 
 def test_fixed_states_holds_no_more_block_entries_than_kraus_entries(monkeypatch):
     # a dense d = 4 map's S has 256 entries against its 3 x 16 Kraus entries, so each map
-    # is solved alone; a GAD map keeps 6 block entries against 4 x 4, so one eig serves nine
+    # is solved alone; a swap qubit map keeps 8 block entries against 2 x 4, so one eig per
+    # block serves nine; GAD maps take GTH and no eig
     dense = [stinespring_map(4, 3, seed) for seed in range(4)]
+    swaps = [swap_qubit_map(0.3 + 0.05 * i, 0.2) for i in range(9)]
     gads = [q.thermal_qubit_map(0.5 + 0.1 * i, 0.5) for i in range(9)]
-    singly = [q.invariant_state(kmap) for kmap in dense + gads]
+    singly = [q.invariant_state(kmap) for kmap in dense + swaps + gads]
     batches = []
     eig = np.linalg.eig
     monkeypatch.setattr(q.maps.np.linalg, "eig", lambda a: batches.append(a.shape) or eig(a))
-    states = [*fixed_states(dense, q.DEFAULT_TOLERANCES), *fixed_states(gads, q.DEFAULT_TOLERANCES)]
-    assert batches == [(1, 16, 16)] * 4 + [(9, 2, 2)]
+    states = [pi for kmaps in (dense, swaps, gads)
+              for pi in fixed_states(kmaps, q.DEFAULT_TOLERANCES)]
+    assert batches == [(1, 16, 16)] * 4 + [(9, 2, 2)] * 2
     for pi, want in zip(states, singly):
         assert_close(pi, want, 0)
 
 
 def test_d16_ladder_takes_no_eig_of_the_whole_superoperator(monkeypatch):
-    shapes = []
-    eig = np.linalg.eig
+    # nor any eig, nor its S: the energy-basis ladder is of ladder pattern
+    shapes, built = spy_block_path(monkeypatch)
+    kmap = lindblad_ladder(16)
+    assert_gth_state(q.invariant_state(kmap), kmap)
+    assert shapes == built == []
 
-    def recording_eig(a):
-        shapes.append(a.shape)
-        return eig(a)
 
-    monkeypatch.setattr(q.maps.np.linalg, "eig", recording_eig)
-    q.invariant_state(lindblad_ladder(16))
-    # eig is batched over the maps: (1, 16, 16)
-    assert max(shape[-2:] for shape in shapes) == (16, 16)
+# maps of ladder pattern: thermal ladders in their energy basis, and item 15's chains, whose
+# blocks {0, 1} and {2} are coupled with weight eps, the regime where an eigenvalue-1 solve
+# of S loses relative accuracy in pi's small entries
+LADDER_PATTERN_MAPS = {
+    **{f"ladder-d{d}-beta{beta}": (lambda d=d, beta=beta: lindblad_ladder(d, beta=beta))
+       for d in range(2, 17) for beta in (0.2, 0.7)},
+    **{f"chain-1e-{k}": (lambda k=k: kraus(nearly_decomposable(Fraction(1, 10**k))))
+       for k in (3, 6, 9, 12, 15)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_PATTERN_MAPS))
+def test_ladder_pattern_pi_is_the_exact_closed_column_state(name, monkeypatch):
+    shapes, built = spy_block_path(monkeypatch)
+    kmap = LADDER_PATTERN_MAPS[name]()
+    assert_gth_state(q.invariant_state(kmap), kmap)
+    assert shapes == built == []
+
+
+# states 0 and 1 drain into the closed class {2, 3}, whose pi is (2/3, 1/3)
+TRANSIENT_CHAIN = [[Fraction(1, 2), Fraction(1, 4), 0, 0], [Fraction(1, 4), Fraction(1, 4), 0, 0],
+                   [Fraction(1, 4), 0, Fraction(3, 4), Fraction(1, 2)],
+                   [0, Fraction(1, 2), Fraction(1, 4), Fraction(1, 2)]]
+
+
+def test_transient_states_get_exactly_zero():
+    # states 0 and 1 drain into the closed class {2, 3}, which lies above them, so GTH
+    # must eliminate them first; fixed_states leaves pi unchecked (assert_gth_state asks
+    # for exact zeros where the exact state is 0), invariant_state refuses it
+    kmap = kraus(TRANSIENT_CHAIN)
+    assert_gth_state(fixed_states([kmap], q.DEFAULT_TOLERANCES)[0], kmap)
+    with pytest.raises(q.SingularStateError, match="not above eps_pos"):
+        q.invariant_state(kmap)
+
+
+def test_reducible_population_chains_count_their_closed_classes():
+    # two closed classes ({0, 1} and {3}) and a transient state 2; then two absorbing
+    # states and a diagonal operator that keeps their coherences |0><1| and |1><0| fixed
+    two = kraus([[Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), 0],
+                 [Fraction(1, 2), Fraction(2, 3), Fraction(1, 4), 0],
+                 [0, 0, Fraction(1, 4), 0], [0, 0, Fraction(1, 4), 1]])
+    half = np.sqrt(0.5)
+    kept = q.kraus_map([np.diag([1.0, 1.0, 0.0]), half * np.outer(np.eye(3)[0], np.eye(3)[2]),
+                        half * np.outer(np.eye(3)[1], np.eye(3)[2])])
+    for kmap, dim in ((two, 2), (kept, 4)):
+        assert population_block(kmap) is not None
+        with pytest.raises(q.NonUniqueInvariantState) as info:
+            q.invariant_state(kmap)
+        assert info.value.subspace_dim == dense_window(kmap).shape[1] == dim
+        assert info.value.candidate is None
+
+
+def test_fixed_states_of_any_stack_are_each_maps_bytes():
+    # maps of ladder pattern (irreducible, and with transient states, which a stack of
+    # irreducible chains alone never gathers) and block-path maps, in shuffled stacks
+    rng = np.random.default_rng(3)
+    u = haar_unitary(rng, 4)
+    rotated = q.kraus_map(u @ lindblad_ladder(4).operators @ u.conj().T)
+    pool = [lindblad_ladder(4), lindblad_ladder(4, beta=0.2), kraus(TRANSIENT_CHAIN),
+            stinespring_map(4, 3, seed=6), rotated]
+    alone = [fixed_states([kmap], q.DEFAULT_TOLERANCES)[0] for kmap in pool]
+    for _ in range(12):
+        picks = rng.integers(0, len(pool), size=rng.integers(1, 7))
+        for r, pi in zip(picks, fixed_states([pool[r] for r in picks], q.DEFAULT_TOLERANCES)):
+            assert_close(pi, alone[r], 0)
+
+
+@pytest.mark.xfail(strict=True, raises=q.NonUniqueInvariantState,
+                   reason="ROADMAP item 2's coherence half: the two coherences' 1 x 1 entries, "
+                          "1 - 3.8e-11 +- 1e-10 i, lie within FIXED_WINDOW of 1")
+def test_lindblad_step_at_dt_1e_10_has_one_fixed_point():
+    # its population chain has one closed class, which GTH sees from the exact pattern
+    kmap = q.lindblad_step(np.diag([0.0, 1.0]), q.thermal_lindblad_pair(1.0, np.log(2), 0.5),
+                           dt=1e-10)
+    assert np.max(np.abs(q.invariant_state(kmap) - np.diag([2 / 3, 1 / 3]))) <= 1e-12
 
 
 def test_traceless_fixed_vector_is_a_singular_state_error():

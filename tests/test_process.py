@@ -576,10 +576,18 @@ def test_detailed_ft_matching_agrees_with_tuple_lookup(library):
 
 
 def smallest_reverse_branch(spec):
-    """(forward record, the probability of its reverse) where that reverse is least likely."""
+    """(forward record, the probability of its reverse) where that reverse is least likely
+    among the records whose reverse is less likely than they are.
+
+    Only those records are candidates: eps_prob = p~ must prune the reverse and keep the
+    forward branch.  Over all records the least p~ can be an exact tie (GAD(ln 2, 0.5)
+    gives (1, (2, 3), 0) and (0, (1, 3), 0) the same 11/720), and pi's last bit would
+    pick between a record with p~ < p and one with p~ > p.
+    """
     forward = q.enumerate_trajectories(spec)
     p_rev = {t.key(): t.probability for t in q.enumerate_trajectories(q.build_dual_process(spec))}
-    return min(((t, p_rev[(t.m, t.ks[::-1], t.n)]) for t in forward), key=lambda tp: tp[1])
+    pairs = [(t, p_rev[(t.m, t.ks[::-1], t.n)]) for t in forward]
+    return min(((t, p) for t, p in pairs if p < t.probability), key=lambda tp: tp[1])
 
 
 def test_detailed_ft_matching_at_the_eps_prob_edge():

@@ -2,10 +2,11 @@
 
 make_steps (which load_process_file calls) and build_dual_process check,
 classify and dualize every step of a process in one pass over stacked
-arrays.  The reference here is the per-map code that pass replaced: one
-unbatched eig per block of one map's superoperator, one fixed-point residual
-and one eigendecomposition per (map, state), and the dual built and
-classified map by map.  Every PotentialStructure field, every dual operator
+arrays.  The reference here is per-map code: GTH elimination in plain Python
+floats on the population chain of a map of ladder pattern, else one unbatched
+eig per block of one map's superoperator; one fixed-point residual and one
+eigendecomposition per (map, state); and the dual built and classified map by
+map.  Every PotentialStructure field, every dual operator
 and every dual state must agree within the bound each test states
 (conftest.assert_close); test_maps compares pi with a dense eig of S and
 with the exact eigenvector of its computed entries.
@@ -26,6 +27,7 @@ from qmapft.maps import (FIXED_WINDOW, stack_maps, superoperator_blocks, superop
 from qmapft.serialize import load_process_file, map_to_json, matrix_to_json
 from conftest import assert_close
 from test_ladder_properties import ladder_maps
+from test_maps import population_block
 
 TOL = q.DEFAULT_TOLERANCES
 
@@ -61,8 +63,28 @@ def block_fixed_vector(s):
     return count, vector if count == 1 else None
 
 
+def gth_state(t):
+    """pi = diag(x), x with T x = x and sum x = 1, of an irreducible column-stochastic T, one
+    map at a time: state k is folded into the states below it, divided by its exit weight
+    sum_{j<k} T[j, k], and x[j] = sum_{i<j} x[i] P[i, j] is summed in index order."""
+    p = t.T.copy()  # p[i, j]: the weight of i -> j
+    n = len(p)
+    for k in range(n - 1, 0, -1):
+        p[:k, k] /= p[k, :k].sum()
+        p[:k, :k] += np.outer(p[:k, k], p[k, :k])
+    x = np.zeros(n)
+    x[0] = 1.0
+    for j in range(1, n):
+        for i in range(j):
+            x[j] += x[i] * p[i, j]
+    return np.diag(x / x.sum()).astype(complex)
+
+
 def reference_invariant_state(kmap):
     d = kmap.dim
+    t = population_block(kmap)
+    if t is not None:
+        return gth_state(t)
     count, vector = block_fixed_vector(superoperator_view(kmap))
     assert count == 1
     x = vector.reshape(d, d)
