@@ -63,7 +63,6 @@ from .potential import (
     check_bohr_ladder,
     check_detailed_balance,
     check_ladder_commutators,
-    delta_phi_pi_independence,
     theta,
 )
 from .process import (

@@ -10,13 +10,14 @@ diagonal or have one nonzero entry: GAD, a classical chain, a thermal ladder in 
 (Kossakowski, Frigerio, Gorini and Verri, CMP 57, 97 (1977)).  Its S moves populations by the
 column-stochastic T[a, c] = sum_k |M_k[a, c]|^2 and keeps each coherence in a 1 x 1 block, so
 pi is diagonal, and GTH elimination on T gives it to full relative accuracy.  Any other map's S
-is split into the connected components of its exact nonzero pattern, one eig per block.
+is built on its own and split into the connected components of its exact nonzero pattern: a
+1 x 1 block is its own eigenvalue, and each larger block takes one eig.
 
 The maps of a process are checked together as one KrausStack, their operators concatenated into
 one (sum K_r, d, d) array: one trace-preservation test, one fixed-point residual and one
-eigendecomposition of the states serve every map, GTH runs once over the maps of ladder pattern,
-and the others whose S has one exact pattern share one labelling and one eig per block
-(fixed_states).  Each result is the one map's own bytes; invariant_state is the one-map case.
+eigendecomposition of the states serve every map, and GTH runs once over the maps of ladder
+pattern (fixed_states).  Each result is the one map's own bytes; invariant_state is the one-map
+case.
 """
 
 from __future__ import annotations
@@ -177,9 +178,9 @@ def fixed_point_residuals(stack: KrausStack, states: np.ndarray) -> np.ndarray:
     return frobs(stack.sums(ops @ states[stack.owner] @ adjoint(ops)) - states)
 
 
-def superoperator_view(kmap: KrausMap, out=None) -> np.ndarray:
+def superoperator_view(kmap: KrausMap) -> np.ndarray:
     """The superoperator as a (dim, dim, dim, dim) array S[a, b, c, d], a view of the Choi
-    matrix, written into out (a complex (dim^2, dim^2) array) when it is given.
+    matrix.
 
     sum_k kron(M_k, conj(M_k)) as one gemm: with F the (K, dim^2) flattened operators,
     the Choi matrix (F^T conj(F))[(a, c), (b, d)] = sum_k M_k[a, c] conj(M_k[b, d])
@@ -187,7 +188,7 @@ def superoperator_view(kmap: KrausMap, out=None) -> np.ndarray:
     """
     k, d = len(kmap), kmap.dim
     f = kmap.operators.reshape(k, d * d)
-    return np.matmul(f.T, f.conj(), out=out).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    return (f.T @ f.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3)
 
 
 def build_superoperator(kmap: KrausMap) -> np.ndarray:
@@ -237,40 +238,7 @@ def _not_unique(kmap: KrausMap, count: int, tol: Tolerances) -> NonUniqueInvaria
     return NonUniqueInvariantState(count, candidate=maxmix if fixed else None)
 
 
-def _block_layout(s: np.ndarray) -> tuple:
-    """(blocks, gather) of one S: the indices of its 1 x 1 blocks, then of each larger block
-    (superoperator_blocks), and the flat indices of those blocks' entries in the Choi matrix."""
-    d = len(s)
-    labels = superoperator_blocks(s)
-    sizes = np.bincount(labels, minlength=d * d)
-    singles = np.flatnonzero(sizes[labels] == 1)
-    blocks = [singles] + [np.flatnonzero(labels == root) for root in np.flatnonzero(sizes > 1)]
-    a, b = np.divmod(np.arange(d * d), d)
-    row, col = a * d**3 + b * d, a * d**2 + b  # S[a, b, c, e] is Choi[a, c, b, e]
-    return blocks, np.concatenate([row[singles] + col[singles]] +
-                                  [(row[block, None] + col[block]).ravel() for block in blocks[1:]])
-
-
-def _solve_blocks(blocks, rows, counts, vectors) -> None:
-    """counts and vectors of the maps of rows, (map index, entries at gather) of one pattern:
-    one window test of every 1 x 1 block and one eig per larger block, batched over them."""
-    members, entries = map(np.array, zip(*rows))
-    singles, start = blocks[0], len(blocks[0])
-    fixed = np.abs(entries[:, :start] - 1.0) <= FIXED_WINDOW
-    counts[members] = fixed.sum(axis=1)
-    vectors[members[:, None], singles] = fixed  # a fixed 1 x 1 block's eigenvector
-    for block in blocks[1:]:
-        n, start = len(block), start + len(block) ** 2
-        sub = entries[:, start - n * n:start].reshape(-1, n, n)
-        # a real block, such as a ladder's population block, takes the faster real eig
-        vals, vecs = np.linalg.eig(sub if sub.imag.any() else sub.real)
-        in_window = np.abs(vals - 1.0) <= FIXED_WINDOW
-        one = np.flatnonzero(in_window.sum(axis=1) == 1)
-        vectors[members[one][:, None], block] = vecs[one, :, in_window[one].argmax(axis=1)]
-        counts[members] += in_window.sum(axis=1)
-
-
-def _population_chains(kmaps, eps_tp: float) -> tuple:
+def _population_chains(stack: KrausStack, eps_tp: float) -> tuple:
     """(indices of the maps of ladder pattern, their chains P = T^T, their fixed coherences).
 
     A map is of ladder pattern when each Kraus operator is diagonal or has one nonzero entry
@@ -278,9 +246,7 @@ def _population_chains(kmaps, eps_tp: float) -> tuple:
     S maps populations by T and each coherence |c><e| to itself times sum_k M_k[c, c]
     conj(M_k[e, e]), a 1 x 1 block.  Each sum runs over one map's operators in order.
     """
-    ops, d = np.concatenate([m.operators for m in kmaps]), kmaps[0].dim
-    sizes = [len(m.operators) for m in kmaps]
-    starts, owner = np.cumsum([0] + sizes[:-1]), np.repeat(np.arange(len(kmaps)), sizes)
+    ops, d, starts = np.ascontiguousarray(stack.operators), stack.dim, stack.bounds[:-1]
     nonzero = ((ops.view(np.float64) != 0).view(np.uint16) != 0).reshape(len(ops), d * d)
     count = nonzero.sum(axis=1)
     spread = (count > 1) & (count > nonzero[:, ::d + 1].sum(axis=1))
@@ -288,8 +254,8 @@ def _population_chains(kmaps, eps_tp: float) -> tuple:
     ladder = np.flatnonzero(~np.logical_or.reduceat(spread, starts) &
                             (np.abs(p.sum(axis=2) - 1.0).max(axis=1) <= eps_tp))
     diag = ops[count > 1].diagonal(axis1=1, axis2=2)  # one nonzero maps each coherence to 0
-    coherences = np.zeros((len(kmaps), d, d), complex)
-    np.add.at(coherences, owner[count > 1], diag[:, :, None] * diag[:, None, :].conj())
+    coherences = np.zeros((len(stack), d, d), complex)
+    np.add.at(coherences, stack.owner[count > 1], diag[:, :, None] * diag[:, None, :].conj())
     coherences = coherences.reshape(-1, d * d)
     coherences[:, ::d + 1] = 0.0  # the populations' entries
     fixed = (np.abs(coherences[ladder] - 1.0) <= FIXED_WINDOW).sum(axis=1)
@@ -337,37 +303,37 @@ def fixed_states(kmaps, tol: Tolerances) -> np.ndarray:
 
     A map of ladder pattern (_population_chains) builds no S: pi = diag(x), x the GTH vector
     of its population chain (_gth, batched), its fixed dimension the chain's closed classes
-    plus its fixed coherences.  Any other map's S is built in turn, keeping only its block
-    entries, never more than the maps' Kraus entries at once; maps whose S has one exact
-    pattern share one labelling and _solve_blocks' eig per block.  ~0.09 ms for nine GAD
-    maps, 0.26 ms for a d = 16 ladder, 0.43 ms for three (one BLAS thread, shared 2-vCPU
-    host).  No fixed vector, a degenerate fixed subspace or a traceless fixed vector raises.
+    plus its fixed coherences.  Any other map's S is built and labelled on its own
+    (superoperator_blocks): its 1 x 1 blocks are read off S's diagonal at once, and each
+    larger block takes one eig.  GTH takes ~0.09 ms for nine GAD maps, 0.23 ms for a d = 16
+    ladder and 0.40 ms for three; the block path ~0.2 ms for a qubit map and 61 ms for a
+    d = 16 map whose S is one block (one BLAS thread, shared 2-vCPU host).  No fixed vector,
+    a degenerate fixed subspace or a traceless fixed vector raises.
     """
     d = kmaps[0].dim
     counts, vectors = np.zeros(len(kmaps), dtype=np.int64), np.zeros((len(kmaps), d * d), complex)
-    ladder, chains, fixed = _population_chains(kmaps, tol.eps_tp)
+    ladder, chains, fixed = _population_chains(stack_maps(kmaps), tol.eps_tp)
     if len(ladder):
         classes, x = _gth(chains)
         counts[ladder] = classes + fixed
         vectors[ladder, ::d + 1] = x
     rest = np.flatnonzero(counts == 0).tolist()  # a chain has one closed class at least
-    groups, held = {}, 0  # exact pattern of S -> (its _block_layout, [(map index, entries)])
-    budget = sum(kmaps[r].operators.size for r in rest)  # dense d = 16: S is 8x K = 31 operators
-    choi = np.empty((d, d, d, d), dtype=complex)  # every map's in turn: one allocation, not R
+    a, b = np.divmod(np.arange(d * d), d)
     for r in rest:
-        s = superoperator_view(kmaps[r], out=choi.reshape(d * d, d * d))
-        pattern = np.packbits(choi.view(np.float64) != 0).tobytes()
-        if pattern not in groups:
-            groups[pattern] = (_block_layout(s), [])
-        (_, gather), rows = groups[pattern]
-        rows.append((r, choi.take(gather)))
-        held += len(gather)
-        if held > budget or r == rest[-1]:
-            for (blocks, _), pending in groups.values():
-                if pending:
-                    _solve_blocks(blocks, pending, counts, vectors)
-                    pending.clear()
-            held = 0
+        s = superoperator_view(kmaps[r])
+        labels = superoperator_blocks(s)
+        sizes = np.bincount(labels, minlength=d * d)
+        fixed = (sizes[labels] == 1) & (np.abs(s[a, b, a, b] - 1.0) <= FIXED_WINDOW)
+        counts[r], vectors[r] = fixed.sum(), fixed  # a fixed 1 x 1 block's eigenvector
+        for root in np.flatnonzero(sizes > 1):
+            block = np.flatnonzero(labels == root)
+            sub = s[a[block, None], b[block, None], a[block], b[block]]
+            # a real block, such as a ladder's population block, takes the faster real eig
+            vals, vecs = np.linalg.eig(sub if sub.imag.any() else sub.real)
+            in_window = np.abs(vals - 1.0) <= FIXED_WINDOW
+            if in_window.sum() == 1:
+                vectors[r, block] = vecs[:, in_window.argmax()]
+            counts[r] += in_window.sum()
     for kmap, count in zip(kmaps, counts):
         if count != 1:
             raise (_not_unique(kmap, count, tol) if count else
@@ -442,7 +408,7 @@ def invariant_state(
     """Unique strictly positive fixed point of the map.
 
     fixed_states' one-map case (GTH on the population chain of a map of ladder pattern,
-    else one eig per diagonal block of S) and checked_states' two checks, not its
+    else one eig per diagonal block of S larger than 1 x 1) and checked_states' two checks, not its
     trace-preservation test.  A degenerate subspace raises NonUniqueInvariantState (with
     1/N offered as candidate when it is itself fixed), a singular or traceless fixed point
     SingularStateError; so a map that loses trace and whose only fixed vector is traceless

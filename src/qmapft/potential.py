@@ -342,30 +342,6 @@ def check_ladder_commutators(kmap: KrausMap, structure: PotentialStructure) -> C
 
 
 @dataclass(frozen=True)
-class IndependenceReport:
-    """Comparison of potential-change multisets across invariant states."""
-
-    delta_phi_sets: tuple
-    max_spread: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_spread <= self.tolerance
-
-
-def delta_phi_pi_independence(
-    kmap: KrausMap, pis, tol: Tolerances = DEFAULT_TOLERANCES
-) -> IndependenceReport:
-    """Check that the sorted potential-change multiset agrees across fixed points."""
-    sets = [np.sort(build_potential_structure(kmap, pi, tol).delta_phi) for pi in pis]
-    spread = max([0.0] + [float(np.max(np.abs(s - sets[0]))) for s in sets[1:]])
-    return IndependenceReport(
-        delta_phi_sets=tuple(sets), max_spread=spread, tolerance=1e-9
-    )
-
-
-@dataclass(frozen=True)
 class BohrLadderReport:
     """Outcome of checking [L, H] = omega L for a single Bohr frequency."""
 

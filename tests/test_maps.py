@@ -492,8 +492,7 @@ def spy_block_path(monkeypatch):
     shapes, built = [], []
     eig, view = np.linalg.eig, q.maps.superoperator_view
     monkeypatch.setattr(q.maps.np.linalg, "eig", lambda a: shapes.append(a.shape[-2:]) or eig(a))
-    monkeypatch.setattr(q.maps, "superoperator_view",
-                        lambda kmap, out=None: built.append(kmap) or view(kmap, out))
+    monkeypatch.setattr(q.maps, "superoperator_view", lambda kmap: built.append(kmap) or view(kmap))
     return shapes, built
 
 
@@ -544,22 +543,49 @@ def swap_qubit_map(a, b):
     return q.kraus_map([np.diag([np.sqrt(1 - b * b), np.sqrt(1 - a * a)]), [[0, a], [b, 0]]])
 
 
-def test_fixed_states_holds_no_more_block_entries_than_kraus_entries(monkeypatch):
-    # a dense d = 4 map's S has 256 entries against its 3 x 16 Kraus entries, so each map
-    # is solved alone; a swap qubit map keeps 8 block entries against 2 x 4, so one eig per
-    # block serves nine; GAD maps take GTH and no eig
+def test_fixed_states_solves_each_block_path_map_alone(monkeypatch):
+    # a dense d = 4 map's S is one 16 x 16 block; a swap qubit map's S has two 2 x 2 blocks
+    # and no 1 x 1 block; GAD maps take GTH and no eig.  Each map gets its own eig per
+    # block, a stack's as invariant_state's
     dense = [stinespring_map(4, 3, seed) for seed in range(4)]
     swaps = [swap_qubit_map(0.3 + 0.05 * i, 0.2) for i in range(9)]
     gads = [q.thermal_qubit_map(0.5 + 0.1 * i, 0.5) for i in range(9)]
     singly = [q.invariant_state(kmap) for kmap in dense + swaps + gads]
-    batches = []
-    eig = np.linalg.eig
-    monkeypatch.setattr(q.maps.np.linalg, "eig", lambda a: batches.append(a.shape) or eig(a))
+    shapes, built = spy_block_path(monkeypatch)
     states = [pi for kmaps in (dense, swaps, gads)
               for pi in fixed_states(kmaps, q.DEFAULT_TOLERANCES)]
-    assert batches == [(1, 16, 16)] * 4 + [(9, 2, 2)] * 2
+    assert shapes == [(16, 16)] * 4 + [(2, 2)] * 18
+    assert built == dense + swaps
     for pi, want in zip(states, singly):
         assert_close(pi, want, 0)
+
+
+def test_singleton_blocks_take_no_eig(monkeypatch):
+    # d = 16: diagonal operators and one operator that swaps levels 0 and 1 with unequal
+    # amplitudes, so S has two 2 x 2 blocks, the populations and the coherences of levels 0
+    # and 1 (swap_qubit_map), and 252 1 x 1 blocks; the 196 coherences and populations of
+    # levels 2..15 are fixed, and the population block adds one fixed vector
+    d, a, b = 16, 0.3, 0.2
+    down = np.zeros((d, d))
+    down[0, 1], down[1, 0] = a, b
+    kmap = q.kraus_map([np.diag([np.sqrt(1 - b * b), np.sqrt(1 - a * a)] + [1.0] * (d - 2)),
+                        down])
+    labels = superoperator_blocks(superoperator_view(kmap))
+    assert (np.bincount(labels, minlength=d * d)[labels] == 1).sum() == 252
+    shapes, built = spy_block_path(monkeypatch)
+    with pytest.raises(q.NonUniqueInvariantState) as info:
+        q.invariant_state(kmap)
+    assert shapes == [(2, 2)] * 2 and built == [kmap]
+    assert info.value.subspace_dim == dense_window(kmap).shape[1] == 197
+    assert info.value.candidate is None
+
+
+def test_operators_in_any_memory_layout_give_the_same_pi():
+    # kraus_map keeps an array's layout, so a Fortran-ordered stack's rows are strided
+    for kmap in (q.thermal_qubit_map(0.5, 0.5), lindblad_ladder(4), stinespring_map(3, 2, seed=1)):
+        strided = q.kraus_map(np.asfortranarray(kmap.operators))
+        assert not strided.operators.flags.c_contiguous
+        assert_close(q.invariant_state(strided), q.invariant_state(kmap), 0)
 
 
 def test_d16_ladder_takes_no_eig_of_the_whole_superoperator(monkeypatch):

@@ -6,7 +6,11 @@ each other, with no reference implementation:
 - relabelling: permuting one step's Kraus operators permutes the outcome
   codes and changes nothing else;
 - identity insertion: a unital K = 1 identity step changes no row's code,
-  probability or entropy production.
+  probability or entropy production;
+- basis covariance: rotating every operator, both boundaries and the symmetry
+  by one unitary V changes no row's code, and each row's probability and
+  entropy production only by roundoff.  The rotated maps are no longer of
+  ladder pattern, so their invariant states come from an eig of S, not GTH.
 
 The processes are the model library and benchmark ladders (perfbench.gen)
 with d <= 8 and R <= 3.
@@ -19,8 +23,10 @@ import pytest
 
 import qmapft as q
 from conftest import assert_close, model_library
-from qmapft.process import with_steps
+from qmapft.process import EQUILIBRIUM, with_steps
 from qmapft.serialize import load_process_file
+from test_ladder_properties import haar_unitary
+from test_maps import population_block
 
 # name: (d, R, equilibrium boundary, generator seed)
 LADDERS = {"ladder_d3_r2": (3, 2, False, 1), "ladder_d4_r3": (4, 3, False, 2),
@@ -133,3 +139,53 @@ def test_identity_insertion_changes_no_row(processes, name):
         # identity up to roundoff: residuals differed by at most 3.2 eps
         assert_close(q.verify_detailed_ft(other).max_residual, detailed.max_residual, 16,
                      (name, r), scale=1.0)
+
+
+def rotated(spec, v):
+    """spec seen in the basis v: every operator M -> v M v†, the initial state or both
+    Hamiltonians likewise, and the symmetry Theta = U K -> v Theta v† = v U v^T K (v U v†
+    for a unitary one); each step is made as the old one was, as in relabelled."""
+    steps = [q.make_step(q.kraus_map(v @ step.map.operators @ v.conj().T, step.map.labels),
+                         unital=is_unital(step)) for step in spec.steps]
+    sym = spec.symmetry
+    symmetry = q.SymmetryOp(v @ sym.matrix @ (v.T if sym.antiunitary else v.conj().T),
+                            antiunitary=sym.antiunitary)
+    if spec.boundary_mode == EQUILIBRIUM:
+        return q.process_spec(steps, EQUILIBRIUM, h_initial=v @ spec.h_initial @ v.conj().T,
+                              h_final=v @ spec.h_final @ v.conj().T, beta=spec.beta,
+                              symmetry=symmetry)
+    return q.process_spec(steps, initial_state=v @ spec.initial_state @ v.conj().T,
+                          symmetry=symmetry)
+
+
+# A boundary state with a repeated eigenvalue has no preferred basis in that eigenspace, so
+# the rotated run measures in another one and its rows are not the original's
+DEGENERATE_BOUNDARY = {"unital_concat", "projective_only"}
+COVARIANT = [pytest.param(name, marks=pytest.mark.xfail(
+    strict=True, raises=q.SingularStateError,
+    reason="ROADMAP item 2: the block path's eig of the rotated gamma = 1 GAD step, whose S "
+           "has rank 1, returns its fixed vector with residual ~1e-9, above eps_fix"))
+             if name == "gad_mixed_r4" else name
+             for name in NAMES if name not in DEGENERATE_BOUNDARY]
+
+
+@pytest.mark.parametrize("name", COVARIANT)
+def test_basis_covariance_keeps_every_row(processes, name):
+    spec = processes[name]
+    for probs in (spec.boundary.initial_probs, spec.boundary.final_probs):
+        assert np.min(np.diff(np.sort(probs))) > 1e-6, name
+    v = haar_unitary(np.random.default_rng(NAMES.index(name)), dimension(spec))
+    other = rotated(spec, v)
+    assert all(population_block(step.map) is None or is_unital(step)
+               for step in other.steps), name
+    ens, ens2 = q.enumerate_trajectories(spec), q.enumerate_trajectories(other)
+    assert np.array_equal(row_keys(other, ens2), row_keys(spec, ens)), name
+    # the rotated pi is an eig's, against GTH's on the original side, so delta_phi and Sigma
+    # move by its error.  Largest differences seen: p 23 eps relative, Sigma 1915 eps
+    # (4.3e-13, two_reservoir_r2); over 13 Haar draws per process 41 eps and 3859 eps
+    assert_close(ens2.probability, ens.probability, 64, name, scale=ens.probability)
+    assert_close(ens2.sigmas(), ens.sigmas(), 8192, name, scale=1.0)
+    # both sides pass the detailed FT at roundoff, so the disagreement above passes every
+    # check: largest residuals seen 7.3 eps unrotated, 60 eps rotated (98 over 13 draws)
+    for process in (spec, other):
+        assert q.verify_detailed_ft(process).max_residual <= 256 * np.finfo(float).eps, name

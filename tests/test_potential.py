@@ -140,10 +140,15 @@ def test_classification_implies_commutators(beta_omega, gamma):
     assert q.check_ladder_commutators(kmap, structure).passed
 
 
+def sorted_delta_phis(kmap, pis):
+    """The sorted potential changes of kmap against each of several of its fixed points."""
+    return [np.sort(q.build_potential_structure(kmap, pi).delta_phi) for pi in pis]
+
+
 def test_delta_phi_independence_trivial(gad):
     kmap, pi = gad
-    report = q.delta_phi_pi_independence(kmap, [pi, pi])
-    assert report.passed and report.max_spread == 0.0
+    first, second = sorted_delta_phis(kmap, [pi, pi])
+    assert_close(second, first, 0)
 
 
 def test_delta_phi_independence_block_diagonal():
@@ -163,17 +168,17 @@ def test_delta_phi_independence_block_diagonal():
         pi[:2, :2] = t * pi_block
         pi[2:, 2:] = (1 - t) * pi_block
         pis.append(pi)
-    report = q.delta_phi_pi_independence(kmap, pis)
-    assert report.passed
+    sets = sorted_delta_phis(kmap, pis)
+    # each set is (-ln 2, 0, 0, ln 2) from another pi's logarithm: largest difference seen 1 eps
+    for s in sets[1:]:
+        assert_close(s, sets[0], 4, scale=1.0)
 
 
 def test_delta_phi_independence_measurement_map():
     kmap = q.kraus_map([P0, P1])
     pis = [np.eye(2) / 2, np.diag([1 / 3, 2 / 3]).astype(complex)]
-    report = q.delta_phi_pi_independence(kmap, pis)
-    assert report.passed
-    for s in report.delta_phi_sets:
-        assert np.allclose(s, 0.0)
+    for s in sorted_delta_phis(kmap, pis):
+        assert np.array_equal(s, [0.0, 0.0])
 
 
 def test_dual_involution(gad):

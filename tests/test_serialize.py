@@ -76,15 +76,6 @@ def old_balance(r):
     }
 
 
-def old_independence(r):
-    return {
-        "delta_phi_sets": [list(map(float, s)) for s in r.delta_phi_sets],
-        "max_spread": r.max_spread,
-        "tolerance": r.tolerance,
-        "passed": r.passed,
-    }
-
-
 def old_bohr_ladder(r):
     return {
         "omega": r.omega,
@@ -151,9 +142,6 @@ REPORTS = {
     "BalanceReport": (
         lambda lib: q.check_detailed_balance(GAD, q.build_dual(GAD, GAD_PI), GAD_STRUCTURE),
         old_balance,
-    ),
-    "IndependenceReport": (
-        lambda lib: q.delta_phi_pi_independence(GAD, [GAD_PI, GAD_PI]), old_independence
     ),
     "BohrLadderReport": (
         lambda lib: q.check_bohr_ladder(H, DOWN, f=lambda w: LN2 * w, pi=q.gibbs_state(H, LN2)),
