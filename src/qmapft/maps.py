@@ -9,9 +9,10 @@ invariant_state builds no S for a map of ladder pattern, whose Kraus operators a
 diagonal or have one nonzero entry: GAD, a classical chain, a thermal ladder in its energy basis
 (Kossakowski, Frigerio, Gorini and Verri, CMP 57, 97 (1977)).  Its S moves populations by the
 column-stochastic T[a, c] = sum_k |M_k[a, c]|^2 and keeps each coherence in a 1 x 1 block, so
-pi is diagonal, and GTH elimination on T gives it to full relative accuracy.  Any other map's S
-is built on its own and split into the connected components of its exact nonzero pattern: a
-1 x 1 block is its own eigenvalue, and each larger block takes one eig.
+when T has one closed class pi is diagonal, and GTH elimination on T gives it to full relative
+accuracy.  Any other map's S is built on its own and split into the connected components of its
+exact nonzero pattern: a 1 x 1 block is its own eigenvalue, and each larger block B takes one
+SVD of B - 1.
 
 The maps of a process are checked together as one KrausStack, their operators concatenated into
 one (sum K_r, d, d) array: one trace-preservation test, one fixed-point residual and one
@@ -201,7 +202,7 @@ def build_superoperator(kmap: KrausMap) -> np.ndarray:
     return superoperator_view(kmap).reshape(d * d, d * d)
 
 
-# Half-width of the eigenvalue-1 window, with slack for roundoff in the spectrum.
+# The largest singular value of S - 1 counted as zero, with slack for roundoff in S.
 FIXED_WINDOW = 1e-9
 
 
@@ -239,12 +240,14 @@ def _not_unique(kmap: KrausMap, count: int, tol: Tolerances) -> NonUniqueInvaria
 
 
 def _population_chains(stack: KrausStack, eps_tp: float) -> tuple:
-    """(indices of the maps of ladder pattern, their chains P = T^T, their fixed coherences).
+    """(indices of the maps of ladder pattern, their chains P = T^T).
 
     A map is of ladder pattern when each Kraus operator is diagonal or has one nonzero entry
     at most, and T[a, c] = sum_k |M_k[a, c]|^2 has columns summing to 1 within eps_tp.  Then
     S maps populations by T and each coherence |c><e| to itself times sum_k M_k[c, c]
-    conj(M_k[e, e]), a 1 x 1 block.  Each sum runs over one map's operators in order.
+    conj(M_k[e, e]), of modulus at most sqrt(T[c, c] T[e, e]) by Cauchy-Schwarz: a coherence
+    is fixed only between two states that T never leaves, two closed classes.  So a chain
+    with one closed class has one fixed point.  Each sum runs over one map's operators in order.
     """
     ops, d, starts = np.ascontiguousarray(stack.operators), stack.dim, stack.bounds[:-1]
     nonzero = ((ops.view(np.float64) != 0).view(np.uint16) != 0).reshape(len(ops), d * d)
@@ -253,13 +256,7 @@ def _population_chains(stack: KrausStack, eps_tp: float) -> tuple:
     p = np.add.reduceat((ops.real**2 + ops.imag**2).transpose(0, 2, 1), starts)
     ladder = np.flatnonzero(~np.logical_or.reduceat(spread, starts) &
                             (np.abs(p.sum(axis=2) - 1.0).max(axis=1) <= eps_tp))
-    diag = ops[count > 1].diagonal(axis1=1, axis2=2)  # one nonzero maps each coherence to 0
-    coherences = np.zeros((len(stack), d, d), complex)
-    np.add.at(coherences, stack.owner[count > 1], diag[:, :, None] * diag[:, None, :].conj())
-    coherences = coherences.reshape(-1, d * d)
-    coherences[:, ::d + 1] = 0.0  # the populations' entries
-    fixed = (np.abs(coherences[ladder] - 1.0) <= FIXED_WINDOW).sum(axis=1)
-    return ladder, p[ladder], fixed
+    return ladder, p[ladder]
 
 
 def _gth(p: np.ndarray) -> tuple:
@@ -299,55 +296,56 @@ def _eliminate(p: np.ndarray) -> np.ndarray:
 
 
 def fixed_states(kmaps, tol: Tolerances) -> np.ndarray:
-    """The trace-one Hermitian part of each map's eigenvalue-1 vector of S, not yet checked.
+    """The trace-one Hermitian part of each map's fixed vector of S, not yet checked.
 
-    A map of ladder pattern (_population_chains) builds no S: pi = diag(x), x the GTH vector
-    of its population chain (_gth, batched), its fixed dimension the chain's closed classes
-    plus its fixed coherences.  Any other map's S is built and labelled on its own
-    (superoperator_blocks): its 1 x 1 blocks are read off S's diagonal at once, and each
-    larger block takes one eig.  GTH takes ~0.09 ms for nine GAD maps, 0.23 ms for a d = 16
-    ladder and 0.40 ms for three; the block path ~0.2 ms for a qubit map and 61 ms for a
-    d = 16 map whose S is one block (one BLAS thread, shared 2-vCPU host).  No fixed vector,
-    a degenerate fixed subspace or a traceless fixed vector raises.
+    A map of ladder pattern whose population chain has one closed class (_population_chains)
+    builds no S: pi = diag(x), x the chain's GTH vector (_gth, batched).  Any other map's S
+    is built and labelled on its own (superoperator_blocks).  The eigenvalue 1 of a
+    trace-preserving map is semisimple (Wolf, Quantum Channels & Operations, ch. 6), so the
+    singular values of S - 1 at most FIXED_WINDOW count its fixed space: a 1 x 1 block's is
+    read off S's diagonal at once, and each larger block B takes one SVD of B - 1, whose last
+    right singular vector, conjugated, is a backward-stable fixed vector (Golub and Van Loan,
+    8.6).  GTH takes ~0.06 ms for nine GAD maps and 0.31 ms for three d = 16 ladders; the
+    block path ~0.12 ms for a qubit map, 0.92 ms for a Haar-rotated d = 8 ladder and 18 ms at
+    d = 16, whose S is one block (one BLAS thread, shared 2-vCPU host).  No fixed vector, a
+    degenerate fixed subspace or a traceless fixed vector raises.
     """
     d = kmaps[0].dim
     counts, vectors = np.zeros(len(kmaps), dtype=np.int64), np.zeros((len(kmaps), d * d), complex)
-    ladder, chains, fixed = _population_chains(stack_maps(kmaps), tol.eps_tp)
+    ladder, chains = _population_chains(stack_maps(kmaps), tol.eps_tp)
     if len(ladder):
         classes, x = _gth(chains)
-        counts[ladder] = classes + fixed
+        counts[ladder] = classes == 1  # several closed classes: the block path counts them
         vectors[ladder, ::d + 1] = x
-    rest = np.flatnonzero(counts == 0).tolist()  # a chain has one closed class at least
+    rest = np.flatnonzero(counts == 0).tolist()
     a, b = np.divmod(np.arange(d * d), d)
     for r in rest:
         s = superoperator_view(kmaps[r])
         labels = superoperator_blocks(s)
         sizes = np.bincount(labels, minlength=d * d)
         fixed = (sizes[labels] == 1) & (np.abs(s[a, b, a, b] - 1.0) <= FIXED_WINDOW)
-        counts[r], vectors[r] = fixed.sum(), fixed  # a fixed 1 x 1 block's eigenvector
+        counts[r], vectors[r] = fixed.sum(), fixed  # a fixed 1 x 1 block's unit vector
         for root in np.flatnonzero(sizes > 1):
             block = np.flatnonzero(labels == root)
-            sub = s[a[block, None], b[block, None], a[block], b[block]]
-            # a real block, such as a ladder's population block, takes the faster real eig
-            vals, vecs = np.linalg.eig(sub if sub.imag.any() else sub.real)
-            in_window = np.abs(vals - 1.0) <= FIXED_WINDOW
-            if in_window.sum() == 1:
-                vectors[r, block] = vecs[:, in_window.argmax()]
-            counts[r] += in_window.sum()
+            sub = s[a[block, None], b[block, None], a[block], b[block]] - np.eye(len(block))
+            # a real block, such as a ladder's population block, takes the faster real SVD
+            _, sv, vh = np.linalg.svd(sub if sub.imag.any() else sub.real)
+            zeros = np.count_nonzero(sv <= FIXED_WINDOW)
+            if zeros == 1:
+                vectors[r, block] = vh[-1].conj()
+            counts[r] += zeros
     for kmap, count in zip(kmaps, counts):
         if count != 1:
             raise (_not_unique(kmap, count, tol) if count else
                    SingularStateError("the map has no fixed point within tolerance"))
     if rest:  # a GTH vector has trace one already
         x = vectors[rest].reshape(-1, d, d)
-        pi = (x + adjoint(x)) / 2
-        tr = pi.trace(axis1=1, axis2=2).real
-        # eig makes a vector's largest entry real; for a trace-preserving map with a positive
-        # pi that is a diagonal entry, so the fixed vector is a real multiple of pi
+        tr = x.trace(axis1=1, axis2=2)
         raise_first(np.abs(tr) < 1e-14, lambda r: SingularStateError(
-            f"the map's only fixed vector has zero trace ({tr[r]:.3e}, below 1e-14), "
+            f"the map's only fixed vector has zero trace ({abs(tr[r]):.3e}, below 1e-14), "
             f"so it is no multiple of a density matrix"))
-        vectors[rest] = (pi / tr[:, None, None]).reshape(len(rest), -1)
+        x = x / tr[:, None, None]
+        vectors[rest] = ((x + adjoint(x)) / 2).reshape(len(rest), -1)
     return vectors.reshape(-1, d, d)
 
 
@@ -402,19 +400,6 @@ def checked_states(stack: KrausStack, kmaps, pis, tol: Tolerances) -> tuple:
     return states, eig
 
 
-def invariant_state(
-    kmap: KrausMap, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
-    """Unique strictly positive fixed point of the map.
-
-    fixed_states' one-map case (GTH on the population chain of a map of ladder pattern,
-    else one eig per diagonal block of S larger than 1 x 1) and checked_states' two checks, not its
-    trace-preservation test.  A degenerate subspace raises NonUniqueInvariantState (with
-    1/N offered as candidate when it is itself fixed), a singular or traceless fixed point
-    SingularStateError; so a map that loses trace and whose only fixed vector is traceless
-    raises fixed_states' "zero trace" SingularStateError.
-    """
-    pi = fixed_states([kmap], tol)
-    check_fixed_points(stack_maps([kmap]), pi, tol)
-    require_positive(hermitian_eig(pi, tol).eigenvalues, tol)
-    return pi[0]
+def invariant_state(kmap: KrausMap, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Unique strictly positive fixed point of the map: checked_states' one-map case."""
+    return checked_states(stack_maps([kmap]), [kmap], [None], tol)[0][0]

@@ -8,7 +8,8 @@ from scipy.sparse.csgraph import connected_components
 
 import qmapft as q
 from qmapft.linalg import frob
-from qmapft.maps import fixed_states, superoperator_blocks, superoperator_view, tp_defect
+from qmapft.maps import (fixed_point_residuals, fixed_states, stack_maps, superoperator_blocks,
+                         superoperator_view, tp_defect)
 from conftest import assert_close
 from test_exact_classical import kraus, nearly_decomposable
 from test_ladder_properties import haar_unitary, ladder_maps
@@ -267,20 +268,20 @@ PI_ULPS_CAP = 256
 
 
 def dense_invariant_state(kmap):
-    """Reference: (pi as the single dense eig of S gives it, for a one-dimensional window;
-    its bound in ulps of max|pi|).
+    """Reference: (pi as the null vector of one dense SVD of S - 1 gives it, for a
+    one-dimensional null space; its bound in ulps of max|pi|).
 
-    The bound is 2 / sep, with sep the distance from 1 of S's nearest other
-    eigenvalue, capped at PI_ULPS_CAP: fixed_states takes the eig of S's blocks
-    instead, another backward-stable eig, and the eigenvector's condition grows as
-    1 / sep (Golub and Van Loan, 7.2.4).
+    The bound is 2 / sigma_2, with sigma_2 the second-smallest singular value of
+    S - 1, capped at PI_ULPS_CAP: fixed_states takes the SVD of S's blocks instead,
+    another backward-stable SVD, and the null vector's condition grows as
+    1 / sigma_2 (Golub and Van Loan, 8.6), as an eigenvector's grows as 1 / sep.
     """
-    vals, vecs = np.linalg.eig(q.build_superoperator(kmap))
-    fixed = np.abs(vals - 1.0) <= 1e-9
-    assert fixed.sum() == 1
-    x = vecs[:, fixed.argmax()].reshape(kmap.dim, kmap.dim)
-    pi = (x + x.conj().T) / 2
-    return pi / np.trace(pi).real, min(2 / np.min(np.abs(vals[~fixed] - 1.0)), PI_ULPS_CAP)
+    s = q.build_superoperator(kmap)
+    _, sv, vh = np.linalg.svd(s - np.eye(len(s)))
+    assert (sv <= 1e-9).sum() == 1
+    x = vh[-1].conj().reshape(kmap.dim, kmap.dim)
+    x = x / np.trace(x)
+    return (x + x.conj().T) / 2, min(2 / sv[-2], PI_ULPS_CAP)
 
 
 def rational_solve(a, b):
@@ -365,8 +366,9 @@ def exact_invariant_state(kmap):
     return (pi + pi.conj().T) / 2
 
 
-def lindblad_ladder(d, collective=False, beta=0.7, rate=0.3):
-    """A discretized thermal ladder in its energy basis, with generic gaps.
+def lindblad_ladder(d, collective=False, beta=0.7, rate=0.3, dt=None):
+    """A discretized thermal ladder in its energy basis, with generic gaps, its step dt
+    (by default 0.05 over the largest ||L||_F^2).
 
     One jump pair per neighbouring pair of levels keeps every coherence |i><j| a block of
     its own; collective=True uses the truncated annihilation operator instead, which
@@ -381,7 +383,7 @@ def lindblad_ladder(d, collective=False, beta=0.7, rate=0.3):
     jumps = []
     for low, gap in zip(lowers, gaps):
         jumps += [np.sqrt(rate) * low, np.sqrt(rate * np.exp(-beta * gap)) * low.T]
-    return q.lindblad_step(h, jumps, 0.05 / max(frob(l) ** 2 for l in jumps))
+    return q.lindblad_step(h, jumps, 0.05 / max(frob(l) ** 2 for l in jumps) if dt is None else dt)
 
 
 def stinespring_map(d, count, seed):
@@ -438,8 +440,9 @@ def test_one_path_matches_the_dense_eig_on_model_library(library):
     # a map of ladder pattern takes GTH: its pi is within GTH_ULPS of each entry of the
     # exact closed-column state (1.9e-16 relative at worst on the library's maps, where
     # the dense eig was 9.8-14 ulps of max|pi| off on the qubit Lindblad steps and 354 on
-    # the qutrit step); a map on the block path is within the capped 2 / sep of the dense
-    # eig and PI_ULPS_CAP of the exact eigenvector of S's computed entries
+    # the qutrit step); a map on the block path is within the capped 2 / sigma_2 of the
+    # dense SVD and PI_ULPS_CAP of the exact eigenvector of S's computed entries; the
+    # dense eig's window counts the fixed space
     maps = {id(s.map): s.map for spec in library.values() for s in spec.steps}
     for kmap in maps.values():
         window = dense_window(kmap).shape[1]
@@ -487,11 +490,11 @@ def test_full_amplitude_damping_ladder_is_singular_above_the_crossover(d):
 
 
 def spy_block_path(monkeypatch):
-    """(the (n, n) of each eig, the maps whose S is built): what fixed_states' block path
+    """(the (n, n) of each SVD, the maps whose S is built): what fixed_states' block path
     takes, recorded from this call on."""
     shapes, built = [], []
-    eig, view = np.linalg.eig, q.maps.superoperator_view
-    monkeypatch.setattr(q.maps.np.linalg, "eig", lambda a: shapes.append(a.shape[-2:]) or eig(a))
+    svd, view = np.linalg.svd, q.maps.superoperator_view
+    monkeypatch.setattr(q.maps.np.linalg, "svd", lambda a: shapes.append(a.shape[-2:]) or svd(a))
     monkeypatch.setattr(q.maps, "superoperator_view", lambda kmap: built.append(kmap) or view(kmap))
     return shapes, built
 
@@ -499,7 +502,7 @@ def spy_block_path(monkeypatch):
 def assert_stack_is_each_map_alone(kmaps, monkeypatch):
     """fixed_states of a stack that mixes exact patterns: each pi is its one-map
     invariant_state's bytes, a map of ladder pattern's within GTH_ULPS of its closed-column
-    state and any other's within the dense eig's bound; returns (the (n, n) of each eig
+    state and any other's within the dense SVD's bound; returns (the (n, n) of each SVD
     fixed_states takes, sorted; the indices of the maps whose S it builds)."""
     states = fixed_states(kmaps, q.DEFAULT_TOLERANCES)
     assert states.shape == (len(kmaps), kmaps[0].dim, kmaps[0].dim)
@@ -528,7 +531,7 @@ def test_energy_basis_ladder_stacked_with_a_rotated_one(monkeypatch):
 
 
 def test_gad_stacked_with_a_dense_complex_map(monkeypatch):
-    # GAD takes GTH on its {|0><0|, |1><1|} chain; the dense map keeps its one 4 x 4 eig
+    # GAD takes GTH on its {|0><0|, |1><1|} chain; the dense map takes one 4 x 4 SVD
     gad = q.thermal_qubit_map(np.log(2), 0.5)
     dense = stinespring_map(2, 3, seed=5)
     assert assert_blocks_exact(gad) == 3 and assert_blocks_exact(dense) == 1
@@ -545,7 +548,7 @@ def swap_qubit_map(a, b):
 
 def test_fixed_states_solves_each_block_path_map_alone(monkeypatch):
     # a dense d = 4 map's S is one 16 x 16 block; a swap qubit map's S has two 2 x 2 blocks
-    # and no 1 x 1 block; GAD maps take GTH and no eig.  Each map gets its own eig per
+    # and no 1 x 1 block; GAD maps take GTH and no SVD.  Each map gets its own SVD per
     # block, a stack's as invariant_state's
     dense = [stinespring_map(4, 3, seed) for seed in range(4)]
     swaps = [swap_qubit_map(0.3 + 0.05 * i, 0.2) for i in range(9)]
@@ -589,7 +592,7 @@ def test_operators_in_any_memory_layout_give_the_same_pi():
 
 
 def test_d16_ladder_takes_no_eig_of_the_whole_superoperator(monkeypatch):
-    # nor any eig, nor its S: the energy-basis ladder is of ladder pattern
+    # nor any SVD, nor its S: the energy-basis ladder is of ladder pattern
     shapes, built = spy_block_path(monkeypatch)
     kmap = lindblad_ladder(16)
     assert_gth_state(q.invariant_state(kmap), kmap)
@@ -663,21 +666,60 @@ def test_fixed_states_of_any_stack_are_each_maps_bytes():
             assert_close(pi, alone[r], 0)
 
 
-@pytest.mark.xfail(strict=True, raises=q.NonUniqueInvariantState,
-                   reason="ROADMAP item 2's coherence half: the two coherences' 1 x 1 entries, "
-                          "1 - 3.8e-11 +- 1e-10 i, lie within FIXED_WINDOW of 1")
-def test_lindblad_step_at_dt_1e_10_has_one_fixed_point():
-    # its population chain has one closed class, which GTH sees from the exact pattern
-    kmap = q.lindblad_step(np.diag([0.0, 1.0]), q.thermal_lindblad_pair(1.0, np.log(2), 0.5),
-                           dt=1e-10)
-    assert np.max(np.abs(q.invariant_state(kmap) - np.diag([2 / 3, 1 / 3]))) <= 1e-12
+SHORT_STEPS = {
+    "qubit": lambda dt: q.lindblad_step(np.diag([0.0, 1.0]),
+                                        q.thermal_lindblad_pair(1.0, np.log(2), 0.5), dt=dt),
+    "ladder-d4": lambda dt: lindblad_ladder(4, dt=dt),
+}
+
+
+@pytest.mark.parametrize("dt", [1e-10, 1e-12])
+@pytest.mark.parametrize("name", sorted(SHORT_STEPS))
+def test_lindblad_step_at_dt_1e_10_has_one_fixed_point(name, dt):
+    # each population chain has one closed class, which GTH sees from the exact pattern, so
+    # no coherence is fixed, though at these dt each coherence's 1 x 1 entry lies within 1e-9
+    # of 1 (FIXED_WINDOW would count the qubit's fixed dimension as 3, the ladder's as 13)
+    kmap = SHORT_STEPS[name](dt)
+    want = closed_column_state(population_block(kmap))
+    assert np.max(np.abs(q.invariant_state(kmap) - want)) <= 1e-12
 
 
 def test_traceless_fixed_vector_is_a_singular_state_error():
-    # not trace preserving: the only eigenvalue-1 vector of S is sigma_z, whose
-    # zero trace once ended in a divide warning and a NaN pi
+    # not trace preserving: the only fixed vector of S is sigma_z, whose zero trace once
+    # ended in a divide warning and a NaN pi.  fixed_states leaves trace preservation
+    # unchecked; invariant_state tests it first
     e01 = np.array([[0, 1], [0, 0]], dtype=complex)
     kmap = q.kraus_map([P0, P1, np.sqrt(0.3) * P0, np.sqrt(0.3) * e01])
     assert tp_defect(kmap) > 0.1
     with pytest.raises(q.SingularStateError, match="zero trace"):
+        fixed_states([kmap], q.DEFAULT_TOLERANCES)
+    with pytest.raises(q.NotTracePreservingError):
         q.invariant_state(kmap)
+
+
+def rotated_ladder(d, seed=8):
+    """The rotated thermal ladder of CI's rotated8 check, at any d: lindblad_ladder(d) at
+    dt = 0.05 conjugated by a random unitary, so S is one block."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    return q.kraus_map(u @ lindblad_ladder(d, dt=0.05).operators @ u.conj().T)
+
+
+@pytest.mark.parametrize("d", [10, 12, 14, 16])
+def test_rotated_ladders_classify_and_dualize(d):
+    # S is one d^2 x d^2 block: the block path's one SVD of the whole S - 1 must give a pi
+    # accurate enough for the ladder classification and a trace-preserving dual at d = 16
+    kmap, tol = rotated_ladder(d), q.DEFAULT_TOLERANCES
+    pi = q.invariant_state(kmap)
+    assert fixed_point_residuals(stack_maps([kmap]), pi[None])[0] <= tol.eps_fix
+    q.build_potential_structure(kmap, None)
+    assert tp_defect(q.build_dual(kmap, None).map) <= tol.eps_tp
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_rotated_ladder_pi_is_the_exact_eigenvector(d):
+    # 230 ulps at d = 4.  From d = 5 the conditioning bound 2 / sigma_2 (303 ulps at d = 5)
+    # exceeds PI_ULPS_CAP, and the SVD's pi is 265 ulps off there
+    kmap = rotated_ladder(d)
+    assert population_block(kmap) is None
+    assert_close(q.invariant_state(kmap), exact_invariant_state(kmap), PI_ULPS_CAP)

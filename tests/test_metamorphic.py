@@ -10,7 +10,7 @@ each other, with no reference implementation:
 - basis covariance: rotating every operator, both boundaries and the symmetry
   by one unitary V changes no row's code, and each row's probability and
   entropy production only by roundoff.  The rotated maps are no longer of
-  ladder pattern, so their invariant states come from an eig of S, not GTH.
+  ladder pattern, so their invariant states come from an SVD of S - 1, not GTH.
 
 The processes are the model library and benchmark ladders (perfbench.gen)
 with d <= 8 and R <= 3.
@@ -161,12 +161,7 @@ def rotated(spec, v):
 # A boundary state with a repeated eigenvalue has no preferred basis in that eigenspace, so
 # the rotated run measures in another one and its rows are not the original's
 DEGENERATE_BOUNDARY = {"unital_concat", "projective_only"}
-COVARIANT = [pytest.param(name, marks=pytest.mark.xfail(
-    strict=True, raises=q.SingularStateError,
-    reason="ROADMAP item 2: the block path's eig of the rotated gamma = 1 GAD step, whose S "
-           "has rank 1, returns its fixed vector with residual ~1e-9, above eps_fix"))
-             if name == "gad_mixed_r4" else name
-             for name in NAMES if name not in DEGENERATE_BOUNDARY]
+COVARIANT = [name for name in NAMES if name not in DEGENERATE_BOUNDARY]
 
 
 @pytest.mark.parametrize("name", COVARIANT)
@@ -180,7 +175,7 @@ def test_basis_covariance_keeps_every_row(processes, name):
                for step in other.steps), name
     ens, ens2 = q.enumerate_trajectories(spec), q.enumerate_trajectories(other)
     assert np.array_equal(row_keys(other, ens2), row_keys(spec, ens)), name
-    # the rotated pi is an eig's, against GTH's on the original side, so delta_phi and Sigma
+    # the rotated pi is an SVD's, against GTH's on the original side, so delta_phi and Sigma
     # move by its error.  Largest differences seen: p 23 eps relative, Sigma 1915 eps
     # (4.3e-13, two_reservoir_r2); over 13 Haar draws per process 41 eps and 3859 eps
     assert_close(ens2.probability, ens.probability, 64, name, scale=ens.probability)
