@@ -36,7 +36,7 @@ from .errors import (
     SingularStateError,
     raise_first,
 )
-from .linalg import (adjoint, as_complex_matrix, as_complex_stack, frob, frobs, hermitian_eig,
+from .linalg import (adjoint, as_complex_matrix, as_complex_stack, frobs, hermitian_eig,
                      hermiticity_defect)
 
 
@@ -235,27 +235,26 @@ def superoperator_blocks(s: np.ndarray) -> np.ndarray:
 def _not_unique(kmap: KrausMap, count: int, tol: Tolerances) -> NonUniqueInvariantState:
     """The error of a degenerate fixed subspace, offering 1/N when it is itself fixed."""
     maxmix = np.eye(kmap.dim) / kmap.dim
-    fixed = frob(apply_map(kmap, maxmix) - maxmix) <= tol.eps_fix
+    fixed = fixed_point_residuals(stack_maps([kmap]), maxmix[None])[0] <= tol.eps_fix
     return NonUniqueInvariantState(count, candidate=maxmix if fixed else None)
 
 
-def _population_chains(stack: KrausStack, eps_tp: float) -> tuple:
+def _population_chains(stack: KrausStack) -> tuple:
     """(indices of the maps of ladder pattern, their chains P = T^T).
 
     A map is of ladder pattern when each Kraus operator is diagonal or has one nonzero entry
-    at most, and T[a, c] = sum_k |M_k[a, c]|^2 has columns summing to 1 within eps_tp.  Then
-    S maps populations by T and each coherence |c><e| to itself times sum_k M_k[c, c]
-    conj(M_k[e, e]), of modulus at most sqrt(T[c, c] T[e, e]) by Cauchy-Schwarz: a coherence
-    is fixed only between two states that T never leaves, two closed classes.  So a chain
-    with one closed class has one fixed point.  Each sum runs over one map's operators in order.
-    """
+    at most.  Then sum_k M_k† M_k = diag(column sums of T[a, c] = sum_k |M_k[a, c]|^2), so T
+    is column-stochastic when the map is trace preserving; S maps populations by T and each
+    coherence |c><e| to itself times sum_k M_k[c, c] conj(M_k[e, e]), of modulus at most
+    sqrt(T[c, c] T[e, e]) by Cauchy-Schwarz: a coherence is fixed only between two states that
+    T never leaves, two closed classes.  So a chain with one closed class has one fixed point.
+    Each sum runs over one map's operators in order."""
     ops, d, starts = np.ascontiguousarray(stack.operators), stack.dim, stack.bounds[:-1]
     nonzero = ((ops.view(np.float64) != 0).view(np.uint16) != 0).reshape(len(ops), d * d)
     count = nonzero.sum(axis=1)
     spread = (count > 1) & (count > nonzero[:, ::d + 1].sum(axis=1))
     p = np.add.reduceat((ops.real**2 + ops.imag**2).transpose(0, 2, 1), starts)
-    ladder = np.flatnonzero(~np.logical_or.reduceat(spread, starts) &
-                            (np.abs(p.sum(axis=2) - 1.0).max(axis=1) <= eps_tp))
+    ladder = np.flatnonzero(~np.logical_or.reduceat(spread, starts))
     return ladder, p[ladder]
 
 
@@ -298,13 +297,14 @@ def _eliminate(p: np.ndarray) -> np.ndarray:
 def fixed_states(kmaps, tol: Tolerances) -> np.ndarray:
     """The trace-one Hermitian part of each map's fixed vector of S, not yet checked.
 
-    A map of ladder pattern whose population chain has one closed class (_population_chains)
-    builds no S: pi = diag(x), x the chain's GTH vector (_gth, batched).  Any other map's S
-    is built and labelled on its own (superoperator_blocks).  The eigenvalue 1 of a
-    trace-preserving map is semisimple (Wolf, Quantum Channels & Operations, ch. 6), so the
-    singular values of S - 1 at most FIXED_WINDOW count its fixed space: a 1 x 1 block's is
-    read off S's diagonal at once, and each larger block B takes one SVD of B - 1, whose last
-    right singular vector, conjugated, is a backward-stable fixed vector (Golub and Van Loan,
+    The maps must be trace preserving, as checked_states tests them first.  A map of ladder
+    pattern whose population chain has one closed class (_population_chains) builds no S:
+    pi = diag(x), x the chain's GTH vector (_gth, batched).  Any other map's S is built and
+    labelled on its own (superoperator_blocks).  The eigenvalue 1 of a trace-preserving map
+    is semisimple (Wolf, Quantum Channels & Operations, ch. 6), so the singular values of
+    S - 1 at most FIXED_WINDOW count its fixed space: a 1 x 1 block's is read off S's
+    diagonal at once, and each larger block B takes one SVD of B - 1, whose last right
+    singular vector, conjugated, is a backward-stable fixed vector (Golub and Van Loan,
     8.6).  GTH takes ~0.06 ms for nine GAD maps and 0.31 ms for three d = 16 ladders; the
     block path ~0.12 ms for a qubit map, 0.92 ms for a Haar-rotated d = 8 ladder and 18 ms at
     d = 16, whose S is one block (one BLAS thread, shared 2-vCPU host).  No fixed vector, a
@@ -312,7 +312,7 @@ def fixed_states(kmaps, tol: Tolerances) -> np.ndarray:
     """
     d = kmaps[0].dim
     counts, vectors = np.zeros(len(kmaps), dtype=np.int64), np.zeros((len(kmaps), d * d), complex)
-    ladder, chains = _population_chains(stack_maps(kmaps), tol.eps_tp)
+    ladder, chains = _population_chains(stack_maps(kmaps))
     if len(ladder):
         classes, x = _gth(chains)
         counts[ladder] = classes == 1  # several closed classes: the block path counts them

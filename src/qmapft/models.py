@@ -32,20 +32,17 @@ from .maps import KrausMap, kraus_map
 
 def unitary_map(u: np.ndarray) -> KrausMap:
     """Single-operator map rho -> U rho U†."""
-    u = as_complex_matrix(u)
     check_unitary(u)
     return kraus_map([u], labels=["U"])
 
 
 def projective_measurement(basis) -> KrausMap:
-    """Kraus set of rank-1 projectors onto a complete orthonormal basis."""
+    """Kraus set of rank-1 projectors onto a complete orthonormal basis (check_unitary)."""
     vecs = [np.asarray(b, dtype=np.complex128).reshape(-1) for b in basis]
     dim = vecs[0].shape[0]
     if len(vecs) != dim:
         raise ValueError(f"need {dim} basis vectors, got {len(vecs)}")
-    v = np.column_stack(vecs)
-    if frob(adjoint(v) @ v - np.eye(dim)) > 1e-10:
-        raise ValueError("basis is not orthonormal within 1e-10")
+    check_unitary(np.column_stack(vecs))
     ops = [np.outer(b, b.conj()) for b in vecs]
     return kraus_map(ops, labels=[f"P{i}" for i in range(dim)])
 

@@ -20,8 +20,8 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import MixedPotentialOperator, QmapError, SingularStateError, raise_first
 from .linalg import (HermitianEigenDecomposition, adjoint, as_complex_matrix, check_unitary,
                      frobs, hermitian_eig)
-from .maps import (KrausMap, KrausStack, check_fixed_points, checked_states,
-                   fixed_point_residuals, require_positive, stack_maps, tp_defects)
+from .maps import (KrausMap, KrausStack, check_fixed_points, checked_states, require_positive,
+                   stack_maps, tp_defects)
 
 
 # Tolerance of the ladder reports: Bohr ladder, ladder commutators, detailed balance.
@@ -84,7 +84,7 @@ class PotentialStructure:
 
 
 def _distinct(values) -> list:
-    """The distinct values, rounded to 12 digits, in ascending order."""
+    """The distinct values, rounded to 12 digits, in ascending order: plain numbers to print."""
     return sorted(set(round(v, 12) for v in values.tolist()))
 
 
@@ -224,7 +224,7 @@ def _dual_stack(stack: KrausStack, eig: HermitianEigenDecomposition, states: np.
 
     The operators A pi^(1/2) M_k† pi^(-1/2) A† come from each state's decomposition,
     and the dual states are A pi A†.  Each dual map is checked to be trace
-    preserving and to fix its state (SingularStateError).
+    preserving and to fix its state (check_fixed_points): SingularStateError.
     """
     v, w = eig.eigenvectors, eig.eigenvalues[:, None, :]
     # the expressions of matrix_power_of_positive, from the one decomposition
@@ -238,9 +238,7 @@ def _dual_stack(stack: KrausStack, eig: HermitianEigenDecomposition, states: np.
     deviation = tp_defects(duals)
     raise_first(deviation > tol.eps_tp, lambda r: SingularStateError(
         f"dual map is not trace preserving (deviation {deviation[r]:.3e})"))
-    residual = fixed_point_residuals(duals, pi_duals)
-    raise_first(residual > tol.eps_fix,
-                lambda r: SingularStateError("dual map does not fix the transformed state"))
+    check_fixed_points(duals, pi_duals, tol)
     return duals, pi_duals
 
 
@@ -347,7 +345,7 @@ class BohrLadderReport:
 
     omega: float | None
     residual: float
-    frequencies: tuple            # distinct E_j - E_i over nonzero entries of L
+    frequencies: tuple            # E_j - E_i over nonzero entries of L: each group's mean
     f_value: float | None         # f(omega) when f supplied, else None
     delta_phi: float | None       # implied potential change, -f(omega)
     potential_residual: float | None
@@ -367,18 +365,19 @@ def check_bohr_ladder(
 ) -> BohrLadderReport:
     """Check that L is a ladder operator of H with a single Bohr frequency.
 
-    When both `f` (a function of the energy difference) and `pi` are given
-    and pi's eigenvalue ratios follow pi(i)/pi(j) = e^{f(E_j - E_i)}, also
-    confirms that L changes the potential of pi by exactly -f(omega), i.e.
-    [L, ln pi] = -f(omega) L.
+    The frequencies E_j - E_i of L's nonzero entries are grouped under eps_group, as
+    classification groups gaps (_group), and omega is the mean of the one group.  When
+    both `f` (a function of the energy difference) and `pi` are given and pi's eigenvalue
+    ratios follow pi(i)/pi(j) = e^{f(E_j - E_i)}, also confirms that L changes the potential
+    of pi by exactly -f(omega), i.e. [L, ln pi] = -f(omega) L.
     """
     h = as_complex_matrix(h)
     ls = as_complex_matrix(l)[None]
     eig = hermitian_eig(h, tol)
     freqs = eig.eigenvalues[None, :] - eig.eigenvalues[:, None]  # E_i - E_j at (j, i)
     nonzero = connections(ls, eig.eigenvectors, tol.eps_zero)[0]
-    distinct = _distinct(freqs[nonzero])
-    omega = distinct[0] if len(distinct) == 1 else None
+    groups = _group(freqs[nonzero], np.zeros(nonzero.sum(), np.intp), tol.eps_group)[1].tolist()
+    omega = groups[0] if len(groups) == 1 else None
     residual = float("inf") if omega is None else float(commutator_residuals(ls, h, [omega])[0])
 
     f_value = delta_phi = potential_residual = None
@@ -389,5 +388,5 @@ def check_bohr_ladder(
         log_pi = (pig.eigenvectors * np.log(pig.eigenvalues)) @ adjoint(pig.eigenvectors)
         potential_residual = float(commutator_residuals(ls, log_pi, [delta_phi])[0])
     return BohrLadderReport(
-        omega=omega, residual=residual, frequencies=tuple(distinct), f_value=f_value,
+        omega=omega, residual=residual, frequencies=tuple(groups), f_value=f_value,
         delta_phi=delta_phi, potential_residual=potential_residual, tolerance=LADDER_CHECK_TOL)

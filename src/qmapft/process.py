@@ -95,15 +95,10 @@ class ProcessSpec:
 def make_step(
     kmap: KrausMap,
     pi: np.ndarray | None = None,
-    unital: bool = False,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ProcessStep:
-    """Classify a map against pi if given, else its invariant state: one step of make_steps.
-    unital=True is read as pi = 1/N; pi and unital=True together raise ValueError."""
-    if unital:
-        if pi is not None:
-            raise ValueError("make_step takes pi or unital=True, not both")
-        pi = np.eye(kmap.dim) / kmap.dim
+    """Classify a map against pi if given (np.eye(d) / d for a unital map), else its invariant
+    state: one step of make_steps."""
     return make_steps([kmap], [pi], tol)[0]
 
 

@@ -46,6 +46,11 @@ def assert_close(got, want, ulps, label=None, scale=None):
     assert np.all(error <= bound), (label, f"error {error.flat[worst]:.3e} > {bound.flat[worst]:.3e}")
 
 
+def unital_step(kmap):
+    """make_step with pi = 1/N given."""
+    return q.make_step(kmap, np.eye(kmap.dim) / kmap.dim)
+
+
 def gad_step(beta_omega=LN2, gamma=0.5):
     return q.make_step(q.thermal_qubit_map(beta_omega, gamma))
 
@@ -78,7 +83,7 @@ def two_reservoir_steps(dt=0.01, omega=OMEGA, rate=0.4):
         (q.thermal_lindblad_pair(omega, np.log(3), rate), q.gibbs_state(h, np.log(3))),
     ]
     maps = q.multi_reservoir_step(h, reservoirs, dt)
-    return [q.make_step(m, unital=(i == 0)) for i, m in enumerate(maps)]
+    return [unital_step(m) if i == 0 else q.make_step(m) for i, m in enumerate(maps)]
 
 
 def model_library() -> dict:
@@ -91,9 +96,9 @@ def model_library() -> dict:
     h_f = np.diag([0.0, 2 * OMEGA]).astype(complex)
 
     unital_steps = [
-        q.make_step(q.unitary_map(HADAMARD), unital=True),
-        q.make_step(q.projective_measurement(SZ_BASIS), unital=True),
-        q.make_step(q.dephasing_map(SZ_BASIS, 0.3), unital=True),
+        unital_step(q.unitary_map(HADAMARD)),
+        unital_step(q.projective_measurement(SZ_BASIS)),
+        unital_step(q.dephasing_map(SZ_BASIS, 0.3)),
     ]
     specs = {
         "gad_stationary_r2": q.process_spec([gad, gad], initial_state=pi),
@@ -104,11 +109,11 @@ def model_library() -> dict:
         ),
         "unital_concat": q.process_spec(unital_steps, initial_state=rho_b),
         "unitary_only": q.process_spec(
-            [q.make_step(q.unitary_map(np.array([[0, 1], [1, 0]], complex)), unital=True)],
+            [unital_step(q.unitary_map(np.array([[0, 1], [1, 0]], complex)))],
             initial_state=rho_a,
         ),
         "projective_only": q.process_spec(
-            [q.make_step(q.projective_measurement([HADAMARD[:, 0], HADAMARD[:, 1]]), unital=True)],
+            [unital_step(q.projective_measurement([HADAMARD[:, 0], HADAMARD[:, 1]]))],
             initial_state=rho_b,
         ),
         "thermal_equilibrium_same_h": q.process_spec(
@@ -119,7 +124,7 @@ def model_library() -> dict:
             beta=LN2 / OMEGA,
         ),
         "sudden_quench": q.process_spec(
-            [q.make_step(q.unitary_map(np.eye(2)), unital=True)],
+            [unital_step(q.unitary_map(np.eye(2)))],
             boundary_mode="equilibrium",
             h_initial=h_i,
             h_final=h_f,
@@ -127,7 +132,7 @@ def model_library() -> dict:
         ),
         "quench_then_thermalize": q.process_spec(
             [
-                q.make_step(q.unitary_map(np.eye(2)), unital=True),
+                unital_step(q.unitary_map(np.eye(2))),
                 q.make_step(q.thermal_qubit_map(2 * LN2, 0.6)),
             ],
             boundary_mode="equilibrium",

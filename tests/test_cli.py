@@ -1165,6 +1165,24 @@ def test_cli_projective_unital_step_verifies(tmp_path, capsys):
     assert abs(report["integral_ft"]["mean_exp_neg_sigma"] - 1.0) <= 1e-12
 
 
+# rows are the basis vectors |0> and (|0> + |1>) / sqrt(2): not orthogonal
+SKEW = matrix_to_json(np.array([[1, 0], [1 / np.sqrt(2), 1 / np.sqrt(2)]]))
+
+
+@pytest.mark.parametrize("step", [{"model": "projective", "basis": SKEW},
+                                  {"model": "dephasing", "basis": SKEW, "strength": 0.5},
+                                  {"model": "unitary", "U": SKEW}],
+                         ids=["projective", "dephasing", "unitary"])
+def test_cli_skew_basis_step_is_a_failed_check(tmp_path, capsys, step):
+    # a skew measurement basis fails the one unitarity check, as a non-unitary U does: exit 1
+    proc = tmp_path / "proc.json"
+    write_process_with(proc, steps=[dict(step, unital=True)])
+    assert main(["verify", str(proc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: unitarity defect 1.000e+00 exceeds 1e-10"]
+
+
 def test_cli_dual_of_a_degenerate_map_needs_pi(tmp_path, capsys):
     path = tmp_path / "identity.json"
     path.write_text(json.dumps(map_to_json(q.kraus_map([np.eye(3)]))))

@@ -8,8 +8,8 @@ from scipy.sparse.csgraph import connected_components
 
 import qmapft as q
 from qmapft.linalg import frob
-from qmapft.maps import (fixed_point_residuals, fixed_states, stack_maps, superoperator_blocks,
-                         superoperator_view, tp_defect)
+from qmapft.maps import (_population_chains, fixed_point_residuals, fixed_states, stack_maps,
+                         superoperator_blocks, superoperator_view, tp_defect, tp_defects)
 from conftest import assert_close
 from test_exact_classical import kraus, nearly_decomposable
 from test_ladder_properties import haar_unitary, ladder_maps
@@ -651,6 +651,48 @@ def test_reducible_population_chains_count_their_closed_classes():
         assert info.value.candidate is None
 
 
+def near_trace_preserving(kmap, eps_tp):
+    """kmap and four maps of ladder pattern like it, at a trace-preservation defect of about
+    0.9 eps_tp: every operator scaled by sqrt(1 +- 0.9 eps_tp / sqrt(d)), and column 0 of
+    every operator by sqrt(1 +- 0.9 eps_tp), which moves one column sum of T by all of it."""
+    d, ops = kmap.dim, kmap.operators
+    column = np.ones(d)
+    maps = [kmap]
+    for sign in (1, -1):
+        column[0] = np.sqrt(1 + sign * 0.9 * eps_tp)
+        maps += [q.kraus_map(np.sqrt(1 + sign * 0.9 * eps_tp / np.sqrt(d)) * ops),
+                 q.kraus_map(ops * column)]
+    return maps
+
+
+def assert_trace_preservation_bounds_column_sums(kmaps):
+    """For each map of ladder pattern that passes checked_states' test ||sum M† M - 1||_F <=
+    eps_tp, T's column sums lie within eps_tp of 1: sum_k M_k† M_k is diag of those sums.  So
+    the column-sum test _population_chains once made next to the pattern decided nothing, and
+    GTH takes exactly the maps it took with it.  Returns how many maps of ladder pattern it
+    checked."""
+    checked = 0
+    for tol in (q.DEFAULT_TOLERANCES, q.Tolerances(eps_tp=0.5)):
+        for kmap in kmaps:
+            stack = stack_maps(near_trace_preserving(kmap, tol.eps_tp))
+            assert (tp_defects(stack) <= tol.eps_tp).all()
+            ladder, chains = _population_chains(stack)
+            assert np.abs(chains.sum(axis=2) - 1.0).max(initial=0.0) <= tol.eps_tp
+            checked += len(ladder)
+    return checked
+
+
+def test_trace_preservation_bounds_column_sums_on_model_library(library):
+    maps = {id(s.map): s.map for spec in library.values() for s in spec.steps}
+    assert assert_trace_preservation_bounds_column_sums(list(maps.values())) > 0
+
+
+@given(ladder_maps((2, 16), haar=False))
+@settings(max_examples=25, deadline=None)
+def test_trace_preservation_bounds_column_sums_of_ladder_maps(example):
+    assert assert_trace_preservation_bounds_column_sums([example.kmap]) == 2 * 5
+
+
 def test_fixed_states_of_any_stack_are_each_maps_bytes():
     # maps of ladder pattern (irreducible, and with transient states, which a stack of
     # irreducible chains alone never gathers) and block-path maps, in shuffled stacks
@@ -685,12 +727,15 @@ def test_lindblad_step_at_dt_1e_10_has_one_fixed_point(name, dt):
 
 
 def test_traceless_fixed_vector_is_a_singular_state_error():
-    # not trace preserving: the only fixed vector of S is sigma_z, whose zero trace once
+    # not trace preserving: the only fixed vector of S is u sigma_z u†, whose zero trace once
     # ended in a divide warning and a NaN pi.  fixed_states leaves trace preservation
-    # unchecked; invariant_state tests it first
+    # unchecked; invariant_state tests it first.  Haar-rotated, so the map is not of ladder
+    # pattern and takes the block path, which reaches the zero-trace guard
     e01 = np.array([[0, 1], [0, 0]], dtype=complex)
-    kmap = q.kraus_map([P0, P1, np.sqrt(0.3) * P0, np.sqrt(0.3) * e01])
-    assert tp_defect(kmap) > 0.1
+    u = haar_unitary(np.random.default_rng(5), 2)
+    ops = np.array([P0, P1, np.sqrt(0.3) * P0, np.sqrt(0.3) * e01])
+    kmap = q.kraus_map(u @ ops @ u.conj().T)
+    assert tp_defect(kmap) > 0.1 and not len(_population_chains(stack_maps([kmap]))[0])
     with pytest.raises(q.SingularStateError, match="zero trace"):
         fixed_states([kmap], q.DEFAULT_TOLERANCES)
     with pytest.raises(q.NotTracePreservingError):

@@ -25,7 +25,7 @@ def test_unitary_map_rejects_non_unitary():
 
 
 def test_projective_measurement_rejects_skew_basis():
-    with pytest.raises(ValueError):
+    with pytest.raises(q.NotUnitaryError, match="unitarity defect"):
         q.projective_measurement([np.array([1, 0]), np.array([1, 1]) / np.sqrt(2)])
 
 
@@ -320,8 +320,22 @@ def test_bohr_ladder_potential_consistency():
     assert report.potential_residual <= 1e-12
 
 
+def test_bohr_ladder_groups_frequencies_under_eps_group():
+    # the two spacings, 0.12345678901250001 and 0.12345678901249996, once rounded to 12
+    # digits on either side of ...9012|5 and read as two frequencies
+    w = 0.1234567890125
+    h = np.diag([0.3, 0.3 + w, 0.3 + 2 * w]).astype(complex)
+    l = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex)
+    report = q.check_bohr_ladder(h, l)
+    assert report.passed and len(report.frequencies) == 1
+    assert abs(report.omega - w) <= 1e-15 and report.residual <= 1e-14
+
+
 def bohr_frequencies_by_entry(h, l, tol=q.DEFAULT_TOLERANCES):
-    """Reference: the entry-by-entry loop that check_bohr_ladder's array form replaced."""
+    """Reference: the entry-by-entry loop that check_bohr_ladder's array form replaced, with
+    the frequencies grouped under eps_group as classification groups gaps: in ascending
+    order, each joins the last group while within eps_group of its first, and each group
+    gives its mean, summed in that order."""
     eig = q.hermitian_eig(h, tol)
     coeff = adjoint(eig.eigenvectors) @ l @ eig.eigenvectors
     nl = max(frob(l), 1e-300)
@@ -330,7 +344,19 @@ def bohr_frequencies_by_entry(h, l, tol=q.DEFAULT_TOLERANCES):
         for i in range(h.shape[0]):
             if abs(coeff[j, i]) > tol.eps_zero * nl:
                 freqs.append(float(eig.eigenvalues[i] - eig.eigenvalues[j]))
-    return tuple(sorted(set(round(w, 12) for w in freqs)))
+    groups = []
+    for w in sorted(freqs):
+        if groups and abs(w - groups[-1][0]) <= tol.eps_group:
+            groups[-1].append(w)
+        else:
+            groups.append([w])
+    means = []
+    for group in groups:
+        total = 0.0
+        for w in group:
+            total += w
+        means.append(total / len(group))
+    return tuple(means)
 
 
 def bohr_residuals_inline(h, l, omega, f, pi, tol=q.DEFAULT_TOLERANCES):

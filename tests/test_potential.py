@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import qmapft as q
 from qmapft.linalg import frob, hermitian_eig
 from qmapft.potential import DualMap, _group, _segment_means
-from conftest import assert_close
+from conftest import assert_close, unital_step
 from test_ladder_properties import haar_unitary, ladder_maps
 
 LN2 = np.log(2.0)
@@ -231,7 +231,7 @@ def test_symmetry_op_antiunitary_action():
     # on vectors: the dual process measures in the conjugated forward bases
     psi = np.array([1j, 1]) / np.sqrt(2)
     rho = 0.7 * np.outer(psi, psi.conj()) + 0.3 * np.outer(psi.conj(), psi)
-    spec = q.process_spec([q.make_step(q.unitary_map(np.eye(2)), unital=True)],
+    spec = q.process_spec([unital_step(q.unitary_map(np.eye(2)))],
                           initial_state=rho, symmetry=sym)
     forward = q.compile_process(spec)
     dual = q.build_dual_process(spec).boundary

@@ -9,7 +9,7 @@ import qmapft as q
 import qmapft.maps
 import qmapft.process
 from qmapft.linalg import adjoint, frob, hermitian_eig
-from conftest import HADAMARD, assert_close, gad_step
+from conftest import HADAMARD, assert_close, gad_step, unital_step
 from qmapft.process import (
     BoundaryData,
     IntegralFTReport,
@@ -74,7 +74,7 @@ def test_sigma_boundary_indices_follow_eigenvalue_order():
 def test_sigma_boundary_zero_probability():
     rho_i = np.diag([1.0, 0.0]).astype(complex)
     spec = q.process_spec(
-        [q.make_step(q.unitary_map(np.eye(2)), unital=True)], initial_state=rho_i
+        [unital_step(q.unitary_map(np.eye(2)))], initial_state=rho_i
     )
     comp = compile_process(spec)
     n = int(np.argmax(comp.initial_probs))
@@ -142,7 +142,7 @@ def test_resolved_boundary_is_the_reference_bit_for_bit(library):
 
 def test_with_steps_resolves_the_final_basis_of_the_new_steps(library):
     spec = library["gad_r3"]
-    other = [q.make_step(q.unitary_map(HADAMARD), unital=True), spec.steps[0]]
+    other = [unital_step(q.unitary_map(HADAMARD)), spec.steps[0]]
     moved = with_steps(spec, other)
     assert moved.steps == tuple(other)
     assert_same_boundary(moved.boundary, _reference_boundary(moved), "new steps")
@@ -182,7 +182,7 @@ def test_enumeration_r0_pure_boundary():
 def test_enumeration_deterministic_x_map():
     rho = np.diag([0.75, 0.25]).astype(complex)
     spec = q.process_spec(
-        [q.make_step(q.unitary_map(X), unital=True)], initial_state=rho
+        [unital_step(q.unitary_map(X))], initial_state=rho
     )
     ens = q.enumerate_trajectories(spec)
     assert len(ens.trajectories) == 2
@@ -232,7 +232,7 @@ def test_enumeration_absolute_continuity_violation(run):
         final_probs=np.array([1.0, 0.0]),
     )
     spec = q.ProcessSpec(
-        steps=(q.make_step(q.unitary_map(np.eye(2)), unital=True),),
+        steps=(unital_step(q.unitary_map(np.eye(2))),),
         symmetry=q.theta(2),
         boundary=boundary,
     )
@@ -328,7 +328,7 @@ def _dense_complex_chain(d, r, seed):
         k = int(rng.integers(2, 5))
         z = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
         weights = np.sqrt(rng.dirichlet(np.ones(k)))[:, None, None]
-        step = q.make_step(q.kraus_map(weights * np.linalg.qr(z)[0]), unital=True)
+        step = unital_step(q.kraus_map(weights * np.linalg.qr(z)[0]))
         structure = dataclasses.replace(step.structure, delta_phi=rng.standard_normal(k))
         steps.append(q.ProcessStep(map=step.map, structure=structure))
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -360,7 +360,7 @@ HALF_OR_REST = [0.5 * np.eye(2), math.sqrt(0.75) * np.eye(2)]
 
 def test_enumeration_prunes_branch_with_norm_exactly_eps_prob():
     tol = q.Tolerances(eps_prob=0.25)
-    first = q.make_step(q.kraus_map(HALF_OR_REST), unital=True)
+    first = unital_step(q.kraus_map(HALF_OR_REST))
     # not trace preserving: had the k1 = 0 branch (squared norm 0.25 = eps_prob)
     # survived, its child 2 phi would reach the end with probability 1
     boost = q.kraus_map([2 * np.eye(2), 0 * np.eye(2)])
@@ -385,14 +385,14 @@ def test_pruning_floor_at_each_rows_own_norm(d):
 
 def test_enumeration_prunes_leaf_with_probability_exactly_eps_prob():
     tol = q.Tolerances(eps_prob=0.125)
-    spec = _qubit_spec([0.5, 0.5], [q.make_step(q.kraus_map(HALF_OR_REST), unital=True)])
+    spec = _qubit_spec([0.5, 0.5], [unital_step(q.kraus_map(HALF_OR_REST))])
     ens = q.enumerate_trajectories(spec, tol)
     # the k = 0 leaves have probability 0.25 * 0.5 = eps_prob exactly
     assert [ens.key(i) for i in range(len(ens))] == [(0, (1,), 0), (1, (1,), 1)]
 
 
 def test_enumeration_with_every_branch_pruned_names_eps_prob():
-    spec = _qubit_spec([0.5, 0.5], [q.make_step(q.kraus_map(HALF_OR_REST), unital=True)])
+    spec = _qubit_spec([0.5, 0.5], [unital_step(q.kraus_map(HALF_OR_REST))])
     with pytest.raises(q.ZeroProbabilityBranch, match="eps_prob"):
         q.enumerate_trajectories(spec, q.Tolerances(eps_prob=0.9))
 
@@ -400,7 +400,7 @@ def test_enumeration_with_every_branch_pruned_names_eps_prob():
 def test_absolute_continuity_violation_names_first_branch_in_row_order():
     # m = 1 cannot start the dual; (0, (1,), 1) and (1, (0,), 1) both reach it
     kmap = q.kraus_map([math.sqrt(0.3) * np.eye(2), math.sqrt(0.7) * X])
-    step = q.make_step(kmap, unital=True)
+    step = unital_step(kmap)
     spec = _qubit_spec([0.5, 0.5], [step], final_probs=[1.0, 0.0])
     with pytest.raises(q.AbsoluteContinuityViolation) as got:
         q.enumerate_trajectories(spec)
@@ -415,7 +415,7 @@ def test_dual_process_single_unitary_step():
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     u = np.linalg.qr(m)[0]
     spec = q.process_spec(
-        [q.make_step(q.unitary_map(u), unital=True)],
+        [unital_step(q.unitary_map(u))],
         initial_state=np.diag([0.8, 0.2]).astype(complex),
     )
     dual = q.build_dual_process(spec)
@@ -451,7 +451,7 @@ def test_dual_bases_match_per_column_transform(antiunitary):
         u, v, w = (_haar_unitary(rng, d) for _ in range(3))
         rho = (w * rng.dirichlet(np.ones(d))) @ adjoint(w)
         spec = q.process_spec(
-            [q.make_step(q.unitary_map(u), unital=True)],
+            [unital_step(q.unitary_map(u))],
             initial_state=rho,
             symmetry=q.SymmetryOp(v, antiunitary=antiunitary),
         )
@@ -506,12 +506,6 @@ def test_make_steps_refuses_lists_of_another_length_than_the_maps(counts):
         q.process.make_steps(maps, pis)
 
 
-def test_make_step_refuses_pi_and_unital_together():
-    gad = q.thermal_qubit_map(LN2, 0.5)
-    with pytest.raises(ValueError, match=r"^make_step takes pi or unital=True, not both$"):
-        q.make_step(gad, q.invariant_state(gad), unital=True)
-
-
 @pytest.mark.parametrize("dims", [(2, 3), (3, 2)], ids=["qutrit-H_f", "qutrit-H_i"])
 @pytest.mark.parametrize("steps", [0, 1], ids=["no-steps", "qubit-step"])
 def test_equilibrium_boundary_of_two_dimensions_is_refused(dims, steps):
@@ -546,7 +540,7 @@ def test_detailed_ft_gad():
 def _radix_edge_specs():
     """An R = 0 qutrit process, and a unitary step (K = 1, digits of radix 1) between two GADs."""
     gad = q.make_step(q.thermal_qubit_map(LN2, 0.5))
-    hadamard = q.make_step(q.unitary_map(np.array([[1, 1], [1, -1]]) / math.sqrt(2)), unital=True)
+    hadamard = unital_step(q.unitary_map(np.array([[1, 1], [1, -1]]) / math.sqrt(2)))
     return {
         "r0": q.process_spec([], initial_state=np.diag([0.5, 0.3, 0.2]).astype(complex)),
         "unitary_k1": q.process_spec(
@@ -759,7 +753,7 @@ def _dense_complex_maps(d, k, r, seed):
     for _ in range(r):
         weights = np.sqrt(rng.dirichlet(np.ones(k)))[:, None, None]
         unitaries = [_haar_unitary(rng, d) for _ in range(k)]
-        step = q.make_step(q.kraus_map(weights * np.array(unitaries)), unital=True)
+        step = unital_step(q.kraus_map(weights * np.array(unitaries)))
         structure = dataclasses.replace(step.structure, delta_phi=rng.standard_normal(k))
         steps.append(q.ProcessStep(map=step.map, structure=structure))
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -1108,7 +1102,7 @@ def test_integral_ft_verdict_of_vanishing_weights_is_minus_infinity():
 def test_work_statistics_trivial_process():
     h = np.diag([0.0, OMEGA]).astype(complex)
     spec = q.process_spec(
-        [q.make_step(q.unitary_map(np.eye(2)), unital=True)],
+        [unital_step(q.unitary_map(np.eye(2)))],
         boundary_mode="equilibrium",
         h_initial=h,
         h_final=h,
@@ -1127,7 +1121,7 @@ def test_work_statistics_sudden_quench_matches_analytic_sum():
     h_f = np.diag([0.0, 2 * OMEGA]).astype(complex)
     beta = LN2
     spec = q.process_spec(
-        [q.make_step(q.unitary_map(np.eye(2)), unital=True)],
+        [unital_step(q.unitary_map(np.eye(2)))],
         boundary_mode="equilibrium",
         h_initial=h_i,
         h_final=h_f,

@@ -217,16 +217,24 @@ def unital_file(path, kmap, step):
 
 
 def test_three_ways_of_saying_unital_agree_bit_for_bit(library, tmp_path):
-    # make_step(unital=True), pi = 1/N given to make_steps, and "unital": true in a file
+    # pi = 1/N given to make_steps, "unital": true in a file, and --unital on the command line
     unital = [m for inputs in library_inputs(library).values() for m, _, u in inputs if u]
     assert len(unital) == 9 and {m.dim for m in unital} == {2}
     half = np.eye(2) / 2
+    half_path = tmp_path / "half.json"
+    half_path.write_text(json.dumps(matrix_to_json(half)))
     for r, kmap in enumerate(unital):
         flagged = unital_file(tmp_path / f"unital{r}.json", kmap, {"unital": True})
         given = unital_file(tmp_path / f"pi{r}.json", kmap, {"pi": matrix_to_json(half)})
-        want = structure_bytes(q.make_step(kmap, unital=True).structure)
-        assert structure_bytes(q.process.make_steps([kmap], [half])[0].structure) == want, r
+        want = structure_bytes(q.process.make_steps([kmap], [half])[0].structure)
         assert structure_bytes(load_process_file(flagged)[0].steps[1].structure) == want, r
+        map_path = tmp_path / f"map{r}.json"
+        map_path.write_text(json.dumps(map_to_json(kmap)))
+        for command in ("classify", "dual"):
+            outs = [tmp_path / f"{command}{r}-{name}.out" for name in ("unital", "pi")]
+            for flag, out in zip((["--unital"], ["--pi", str(half_path)]), outs):
+                assert main([command, str(map_path), *flag, "--out", str(out)]) == 0, (r, command)
+            assert outs[0].read_bytes() == outs[1].read_bytes(), (r, command)
         for mode in (["--mode", "exact"], ["--mode", "mc", "--samples", "2000", "--seed", "5"]):
             outs = [tmp_path / f"{name}{r}-{mode[1]}.out" for name in ("unital", "pi")]
             for proc, out in zip((flagged, given), outs):
