@@ -9,12 +9,22 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 # Hard cap on Hilbert dimension.  Superoperators are dim^2 x dim^2 and
 # trajectory enumeration is exponential; the cap keeps exact verification
 # tractable.
 MAX_DIM = 16
+
+
+def finite_real(value) -> bool:
+    """True for a real number, not a bool, of magnitude at most the largest float.  Integers
+    and fractions are compared exactly, so one past the float range fails without an
+    OverflowError; other reals are tested as float64 (a float32 would meet the bound as inf)."""
+    if isinstance(value, numbers.Rational) and not isinstance(value, bool):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -32,8 +42,7 @@ class Tolerances:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (number and 0 <= value < math.inf):  # NaN fails both comparisons
+            if not (finite_real(value) and value >= 0):
                 raise ValueError(
                     f"tolerance {f.name!r} must be a number in [0, inf), got {value!r}"
                 )

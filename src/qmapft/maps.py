@@ -266,8 +266,6 @@ def _gth(p: np.ndarray) -> tuple:
     reach = (p != 0) | np.eye(n, dtype=bool)
     for _ in range((n - 1).bit_length()):
         reach = reach @ reach
-    if reach.all():  # every chain irreducible: one closed class, no transient state
-        return np.ones(b, dtype=np.int64), _eliminate(p)
     closed = ~(reach > reach.transpose(0, 2, 1)).any(axis=2)  # each state it reaches reaches it
     classes = (closed & (reach.argmax(axis=2) == np.arange(n))).sum(axis=1)  # least of its class
     one = np.flatnonzero(classes == 1)

@@ -8,13 +8,12 @@ identities hold exactly rather than to first order in the time step.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances, finite_real
 from .errors import DimensionMismatchError, NonHermitianError
 from .linalg import (
     adjoint,
@@ -53,8 +52,8 @@ def dephasing_map(basis, strength: float) -> KrausMap:
     strength 0 is the identity map, strength 1 full decoherence
     (identical action to the projective measurement on density matrices).
     """
-    if not 0.0 <= strength <= 1.0:
-        raise ValueError(f"strength {strength} outside [0, 1]")
+    if not (finite_real(strength) and 0 <= strength <= 1):
+        raise ValueError(f"'strength' must be a number in [0, 1], got {strength!r}")
     proj = projective_measurement(basis)
     dim = proj.dim
     ops = [np.sqrt(1.0 - strength) * np.eye(dim, dtype=np.complex128)]
@@ -72,10 +71,10 @@ def thermal_qubit_map(beta_omega: float, gamma: float) -> KrausMap:
     strength; gamma = 1 thermalizes completely in one application.
     Operator order: diagonal-ground, decay, diagonal-excited, excitation.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma {gamma} outside (0, 1]")
-    if not np.isfinite(beta_omega):
-        raise ValueError("beta_omega must be finite")
+    if not (finite_real(gamma) and 0 < gamma <= 1):
+        raise ValueError(f"'gamma' must be a number in (0, 1], got {gamma!r}")
+    if not finite_real(beta_omega):
+        raise ValueError(f"'beta_omega' must be a finite number, got {beta_omega!r}")
     p = gibbs_populations(np.array([0.0, beta_omega]), 1.0)[0][0]
     k_diag0 = np.sqrt(p) * np.array([[1, 0], [0, np.sqrt(1 - gamma)]])
     k_decay = np.sqrt(p * gamma) * np.array([[0, 1], [0, 0]])
@@ -107,8 +106,8 @@ def lindblad_step(
     stack, or a possibly empty list, of matrices of H's size, checked once as
     a whole.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (finite_real(dt) and dt > 0):
+        raise ValueError(f"'dt' must be positive and finite, got {dt!r}")
     h = as_complex_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise DimensionMismatchError(f"Hamiltonian is not square: {h.shape}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, Tolerances, finite_real
 from .errors import (
     AbsoluteContinuityViolation,
     DimensionMismatchError,
@@ -136,9 +136,8 @@ def process_spec(
     elif boundary_mode == EQUILIBRIUM:
         if h_initial is None or h_final is None or beta is None:
             raise ValueError("equilibrium mode needs H_i, H_f and beta")
-        number = isinstance(beta, numbers.Real) and not isinstance(beta, bool)
-        if not (number and math.isfinite(beta)):
-            raise ValueError(f"beta must be a finite number, got {beta!r}")
+        if not finite_real(beta):
+            raise ValueError(f"'beta' must be a finite number, got {beta!r}")
         beta = float(beta)
         h_initial, h_final = as_complex_matrix(h_initial), as_complex_matrix(h_final)
         # Gibbs populations of H_i and H_f at one beta

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, MAX_DIM, Tolerances
+from .config import DEFAULT_TOLERANCES, MAX_DIM, Tolerances, finite_real
 from .errors import DimensionMismatchError, HistogramTooLarge, ProcessFileError
 from .maps import KrausMap, kraus_map
 from .potential import SymmetryOp
@@ -204,18 +204,10 @@ def load_tolerances(path) -> Tolerances:
         return Tolerances(**data)
 
 
-def _number(entry: dict, key: str):
-    """entry[key], which must be a JSON number: a JSON true would build with 1."""
-    value = entry[key]
-    if type(value) not in (int, float):  # type(): isinstance counts true as an int
-        raise _Malformed(f"{key!r} must be a number, got {value!r}")
-    return value
-
-
 def _build_model(entry: dict, tol: Tolerances) -> KrausMap:
     name = entry["model"]
     if name == "thermal_qubit":
-        return models.thermal_qubit_map(_number(entry, "beta_omega"), _number(entry, "gamma"))
+        return models.thermal_qubit_map(entry["beta_omega"], entry["gamma"])
     if name == "unitary":
         return models.unitary_map(matrix_from_json(entry["U"], "U"))
     if name == "projective":
@@ -223,12 +215,12 @@ def _build_model(entry: dict, tol: Tolerances) -> KrausMap:
         return models.projective_measurement(matrix_from_json(entry["basis"], "basis"))
     if name == "dephasing":
         return models.dephasing_map(
-            matrix_from_json(entry["basis"], "basis"), _number(entry, "strength"))
+            matrix_from_json(entry["basis"], "basis"), entry["strength"])
     if name == "lindblad_step":
         return models.lindblad_step(
             matrix_from_json(entry["H"], "H"),
             matrices_from_json(entry["lindblads"], "lindblads"),
-            _number(entry, "dt"),
+            entry["dt"],
             tol,
         )
     raise _Malformed(f"unknown model {name!r}")
@@ -375,7 +367,7 @@ def sigma_histogram_csv(
     Raises HistogramTooLarge, before allocating anything, when the Sigma
     range needs more than MAX_BINS bins of this width.
     """
-    if not 0 < bin_width < math.inf:  # NaN fails both comparisons
+    if not (finite_real(bin_width) and bin_width > 0):
         raise ValueError(f"bin width must be positive and finite, got {bin_width}")
     sigmas = ensemble.sigmas()
     # Python floats: a range too wide for the width gives an inf or NaN count, not a warning

@@ -123,6 +123,18 @@ def test_check_unitary():
         check_unitary(0.5 * X)
 
 
+def test_check_unitary_refuses_a_matrix_that_is_not_square():
+    with pytest.raises(q.NotUnitaryError, match=r"matrix is not square: \(2, 3\)"):
+        check_unitary(np.ones((2, 3)))
+
+
+def test_hermitian_eig_refuses_a_vector_and_a_matrix_that_is_not_square():
+    with pytest.raises(q.DimensionMismatchError, match="expected a 2-D array, got ndim=1"):
+        q.hermitian_eig(np.ones(3))
+    with pytest.raises(q.DimensionMismatchError, match=r"matrix is not square: \(2, 3\)"):
+        q.hermitian_eig(np.ones((2, 3)))
+
+
 def test_von_neumann_entropy():
     assert q.von_neumann_entropy(np.diag([1.0, 0.0]).astype(complex)) == pytest.approx(0.0)
     assert q.von_neumann_entropy(np.eye(2) / 2) == pytest.approx(np.log(2))

@@ -84,6 +84,12 @@ def test_apply_map_decoherence():
     assert np.allclose(q.apply_map(kmap, rho), np.diag([0.5, 0.5]))
 
 
+def test_apply_map_refuses_a_state_of_another_dimension():
+    with pytest.raises(q.DimensionMismatchError,
+                       match=r"state shape \(3, 3\) does not match map dimension 2"):
+        q.apply_map(q.thermal_qubit_map(np.log(2), 0.5), np.eye(3) / 3)
+
+
 def test_apply_map_gad_fixed_point():
     kmap = q.thermal_qubit_map(np.log(2), 0.5)
     pi = gaussian_elimination_fixed_point(kmap)
@@ -240,6 +246,11 @@ def test_validate_density_rejects_bad_trace():
         q.validate_density(np.diag([0.5, 0.6]).astype(complex))
 
 
+def test_validate_density_refuses_a_matrix_that_is_not_square():
+    with pytest.raises(q.DimensionMismatchError, match=r"density matrix is not square: \(2, 3\)"):
+        q.validate_density(np.ones((2, 3)) / 2)
+
+
 def test_validate_density_returns_the_state_and_its_decomposition():
     checked, eig = q.validate_density([[0.7, 0.2], [0.2, 0.3]])
     assert checked.dtype == np.complex128
@@ -247,6 +258,13 @@ def test_validate_density_returns_the_state_and_its_decomposition():
     want = q.hermitian_eig(checked)
     assert np.array_equal(eig.eigenvalues, want.eigenvalues)
     assert np.array_equal(eig.eigenvectors, want.eigenvectors)
+
+
+def test_invariant_state_of_a_map_with_no_fixed_point_raises():
+    # 0.9 U loses trace 0.19 sqrt(2) < eps_tp = 0.5, and every eigenvalue of its S has modulus 0.81
+    kmap = q.kraus_map([0.9 * haar_unitary(np.random.default_rng(0), 2)])
+    with pytest.raises(q.SingularStateError, match="the map has no fixed point within tolerance"):
+        q.invariant_state(kmap, q.Tolerances(eps_tp=0.5))
 
 
 def test_invariant_state_singular_fixed_point():

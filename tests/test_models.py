@@ -137,9 +137,15 @@ def test_lindblad_step_refuses_a_dt_that_is_not_positive_and_finite(dt):
     down = np.array([[0, 1], [0, 0]], dtype=complex)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(ValueError, match="dt must be positive and finite"):
+        message = re.escape(f"'dt' must be positive and finite, got {dt!r}")
+        with pytest.raises(ValueError, match=message):
             q.lindblad_step(np.diag([0.0, 1.0]), [down], dt)
     assert caught == []
+
+
+def test_projective_measurement_needs_as_many_vectors_as_the_dimension():
+    with pytest.raises(ValueError, match="need 2 basis vectors, got 1"):
+        q.projective_measurement([np.array([1.0, 0.0])])
 
 
 def test_lindblad_step_coarse_dt_warns():

@@ -218,6 +218,16 @@ def test_build_dual_rejects_non_fixed_point(gad):
         q.build_dual(kmap, np.diag([0.5, 0.5]).astype(complex))
 
 
+def test_build_dual_rejects_a_dual_that_is_not_trace_preserving():
+    # pi moved off the fixed point by 1e-4 still passes eps_fix = 1e-3, but its dual
+    # operators then lose trace
+    kmap = q.thermal_qubit_map(0.7, 0.4)
+    pi = q.invariant_state(kmap) + 1e-4 * np.diag([1.0, -1.0])
+    with pytest.raises(q.SingularStateError,
+                       match=r"dual map is not trace preserving \(deviation 1.346e-04\)"):
+        q.build_dual(kmap, pi, tol=q.Tolerances(eps_fix=1e-3))
+
+
 def test_structure_rejects_singular_pi():
     kmap = q.kraus_map([P0, P1])
     with pytest.raises(q.SingularStateError):

@@ -1092,6 +1092,14 @@ def test_integral_ft_verdict_fails_a_constant_sigma():
     assert report.z_score < -3.0
 
 
+def test_integral_ft_of_an_empty_ensemble_raises():
+    none, empty = np.zeros(0, dtype=np.int64), np.zeros(0)
+    ensemble = q.TrajectoryEnsemble(n=none, labels=none, m=none, probability=empty,
+                                    sigma_boundary=empty, delta_phi_sum=empty, mode="exact")
+    with pytest.raises(ValueError, match="ensemble is empty"):
+        q.verify_integral_ft(ensemble)
+
+
 def test_integral_ft_verdict_of_vanishing_weights_is_minus_infinity():
     # e^{-Sigma} underflows to 0 on every sample: the mean and its floor are 0
     report = q.verify_integral_ft(mc_ensemble(np.full(10, 800.0)))
