@@ -235,8 +235,9 @@ PARSER = build_parser()
 
 def main(argv=None) -> int:
     """Run one command, parsing to report, with the cycle collector paused (a pass over its
-    decoded input and arrays frees nothing); every exit restores the caller's state."""
-    with collector_paused:
+    decoded input and arrays frees nothing) and numpy's overflow and invalid warnings off
+    (each check refuses the inf or NaN they make); every exit restores the caller's state."""
+    with collector_paused, np.errstate(over="ignore", invalid="ignore"):
         args = PARSER.parse_args(argv)
         try:
             tol = (DEFAULT_TOLERANCES if args.tolerances is None

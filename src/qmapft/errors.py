@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and raise_first, which raises the first
-failure of a stacked check."""
+"""Exception types shared across the package, and require, the one form of a check."""
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class QmapError(Exception):
@@ -103,7 +104,8 @@ class ProcessFileError(QmapError):
     """A map or process file could not be parsed."""
 
 
-def raise_first(failed, error_of) -> None:
-    """Raise error_of(i) for the first i at which the boolean array failed is true, if any."""
-    if failed.any():
-        raise error_of(int(failed.argmax()))
+def require(passed, error_of) -> None:
+    """Raise error_of(i) for the first i at which passed, a boolean array or one boolean, is not
+    true.  A check passes only where its comparison is true, so a NaN defect fails it."""
+    if not (passed := np.asarray(passed)).all():
+        raise error_of(int(passed.argmin()))

@@ -17,6 +17,7 @@ from .errors import (
     NonHermitianError,
     NotUnitaryError,
     SingularStateError,
+    require,
 )
 
 
@@ -71,7 +72,10 @@ def frobs(stack: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defects(stack: np.ndarray) -> np.ndarray:
-    """Relative Frobenius distance of each matrix of a (R, d, d) stack from its Hermitian part."""
+    """Relative Frobenius distance of each matrix of a (R, d, d) stack from its Hermitian part, of
+    the matrix scaled by a power of two <= 2^999: no norm overflows; the ratio keeps its bits."""
+    top = abs(np.ascontiguousarray(stack).view(np.float64)).max(axis=(1, 2), initial=2.0**-1000)
+    stack = stack * np.ldexp(1.0, -np.frexp(top)[1])[:, None, None]
     norms = frobs(stack)
     return np.divide(frobs(stack - adjoint(stack)), norms, out=np.zeros(len(stack)),
                      where=norms != 0.0)
@@ -123,10 +127,8 @@ def hermitian_eig(
         if a.shape[0] != a.shape[1]:
             raise DimensionMismatchError(f"matrix is not square: {a.shape}")
     defect = hermiticity_defects(a.reshape(-1, *a.shape[-2:])).max(initial=0.0)
-    if defect > tol.eps_herm:
-        raise NonHermitianError(
-            f"Hermiticity defect {defect:.3e} exceeds eps_herm={tol.eps_herm}"
-        )
+    require(defect <= tol.eps_herm, lambda _: NonHermitianError(
+        f"Hermiticity defect {defect:.3e} exceeds eps_herm={tol.eps_herm}"))
     vals, vecs = np.linalg.eigh((a + adjoint(a)) / 2)
     return HermitianEigenDecomposition(vals, _fix_phases(vecs))
 
@@ -136,25 +138,22 @@ def matrix_power_of_positive(
 ) -> np.ndarray:
     """A^exponent for a positive-definite Hermitian A, via eigendecomposition."""
     eig = hermitian_eig(a, tol)
-    if np.min(eig.eigenvalues) <= tol.eps_pos:
-        raise SingularStateError(
-            f"smallest eigenvalue {np.min(eig.eigenvalues):.3e} is not above "
-            f"eps_pos={tol.eps_pos}; fractional powers are undefined"
-        )
+    low = np.min(eig.eigenvalues)
+    require(low > tol.eps_pos, lambda _: SingularStateError(
+        f"smallest eigenvalue {low:.3e} is not above "
+        f"eps_pos={tol.eps_pos}; fractional powers are undefined"))
     v = eig.eigenvectors
     return (v * eig.eigenvalues**exponent) @ adjoint(v)
 
 
-def check_unitary(
-    u: np.ndarray, atol: float = 1e-10
-) -> None:
+def check_unitary(u: np.ndarray, atol: float = 1e-10) -> None:
     """Raise unless U†U = 1 within atol (Frobenius)."""
     u = as_complex_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise NotUnitaryError(f"matrix is not square: {u.shape}")
     defect = frob(adjoint(u) @ u - np.eye(u.shape[0]))
-    if defect > atol:
-        raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {atol}")
+    require(defect <= atol, lambda _: NotUnitaryError(
+        f"unitarity defect {defect:.3e} exceeds {atol}"))
 
 
 def von_neumann_entropy(

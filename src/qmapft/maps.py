@@ -34,7 +34,7 @@ from .errors import (
     NonUniqueInvariantState,
     NotTracePreservingError,
     SingularStateError,
-    raise_first,
+    require,
 )
 from .linalg import (adjoint, as_complex_matrix, as_complex_stack, frobs, hermitian_eig,
                      hermiticity_defect)
@@ -151,15 +151,15 @@ def validate_density(rho: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> t
     rho = as_complex_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise DimensionMismatchError(f"density matrix is not square: {rho.shape}")
-    if hermiticity_defect(rho) > tol.eps_herm:
-        raise NonHermitianError("density matrix is not Hermitian within eps_herm")
+    require(hermiticity_defect(rho) <= tol.eps_herm, lambda _: NonHermitianError(
+        "density matrix is not Hermitian within eps_herm"))
     tr = np.trace(rho)
-    if abs(tr - 1.0) > 1e-12:
-        raise ValueError(f"density matrix trace {tr} is not 1 within 1e-12")
+    require(abs(tr - 1.0) <= 1e-12, lambda _: ValueError(
+        f"density matrix trace {tr} is not 1 within 1e-12"))
     eig = hermitian_eig(rho, tol)
     low = np.min(eig.eigenvalues)
-    if low < -tol.eps_pos:
-        raise ValueError(f"density matrix has eigenvalue {low:.3e} below -eps_pos")
+    require(low >= -tol.eps_pos, lambda _: ValueError(
+        f"density matrix has eigenvalue {low:.3e} below -eps_pos"))
     return rho, eig
 
 
@@ -339,7 +339,7 @@ def fixed_states(kmaps, tol: Tolerances) -> np.ndarray:
     if rest:  # a GTH vector has trace one already
         x = vectors[rest].reshape(-1, d, d)
         tr = x.trace(axis1=1, axis2=2)
-        raise_first(np.abs(tr) < 1e-14, lambda r: SingularStateError(
+        require(np.abs(tr) >= 1e-14, lambda r: SingularStateError(
             f"the map's only fixed vector has zero trace ({abs(tr[r]):.3e}, below 1e-14), "
             f"so it is no multiple of a density matrix"))
         x = x / tr[:, None, None]
@@ -351,7 +351,7 @@ def check_fixed_points(stack: KrausStack, states: np.ndarray, tol: Tolerances) -
     """Raise SingularStateError unless ||E_r(states[r]) - states[r]||_F <= eps_fix for each
     map E_r of the stack."""
     residual = fixed_point_residuals(stack, states)
-    raise_first(residual > tol.eps_fix, lambda r: SingularStateError(
+    require(residual <= tol.eps_fix, lambda r: SingularStateError(
         f"state is not a fixed point of the map: residual {residual[r]:.3e} "
         f"exceeds eps_fix={tol.eps_fix}"))
 
@@ -359,7 +359,7 @@ def check_fixed_points(stack: KrausStack, states: np.ndarray, tol: Tolerances) -
 def require_positive(eigenvalues: np.ndarray, tol: Tolerances) -> None:
     """Raise SingularStateError unless each row of (R, d) eigenvalues is above eps_pos."""
     low = eigenvalues.min(axis=1)
-    raise_first(low <= tol.eps_pos, lambda r: SingularStateError(
+    require(low > tol.eps_pos, lambda r: SingularStateError(
         f"invariant state has eigenvalue {low[r]:.3e}, not above "
         f"eps_pos={tol.eps_pos}; a strictly positive invariant state is required"))
 
@@ -384,7 +384,7 @@ def checked_states(stack: KrausStack, kmaps, pis, tol: Tolerances) -> tuple:
     kind serves all maps; which map's error is raised, when several fail, is not specified.
     """
     deviation = tp_defects(stack)
-    raise_first(deviation > tol.eps_tp, lambda r: NotTracePreservingError(
+    require(deviation <= tol.eps_tp, lambda r: NotTracePreservingError(
         f"map is not trace preserving: ||sum_k M_k† M_k - 1||_F = "
         f"{deviation[r]:.3e} exceeds eps_tp={tol.eps_tp}"))
     computed = [r for r, pi in enumerate(pis) if pi is None]

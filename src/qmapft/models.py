@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances, finite_real
-from .errors import DimensionMismatchError, NonHermitianError
+from .errors import DimensionMismatchError, NonHermitianError, require
 from .linalg import (
     adjoint,
     as_complex_matrix,
@@ -111,8 +111,8 @@ def lindblad_step(
     h = as_complex_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise DimensionMismatchError(f"Hamiltonian is not square: {h.shape}")
-    if hermiticity_defect(h) > tol.eps_herm:
-        raise NonHermitianError("Hamiltonian is not Hermitian within eps_herm")
+    require(hermiticity_defect(h) <= tol.eps_herm, lambda _: NonHermitianError(
+        "Hamiltonian is not Hermitian within eps_herm"))
     dim = h.shape[0]
     ls = as_complex_stack(lindblads, dim)
     if len(ls) and (frobs(ls) ** 2 * dt).max() > 0.1:
@@ -150,28 +150,29 @@ def multi_reservoir_step(
         anti = adjoint(ls) @ ls
         dissipated = (ls @ pi_alpha @ adjoint(ls)
                       - (anti @ pi_alpha + pi_alpha @ anti) / 2).sum(axis=0)
-        if frob(dissipated) > 1e-8:
-            raise ValueError(
-                f"reservoir {alpha}: supplied state is not a dissipator fixed "
-                f"point (residual {frob(dissipated):.3e})"
-            )
+        residual = frob(dissipated)
+        require(residual <= 1e-8, lambda _: ValueError(
+            f"reservoir {alpha}: supplied state is not a dissipator fixed "
+            f"point (residual {residual:.3e})"))
         kmap = lindblad_step(np.zeros(h.shape), ls, dt, tol)
         labels = [f"M0,{alpha}"] + [f"L{k},{alpha}" for k in range(len(ls))]
         steps.append(replace(kmap, labels=tuple(labels)))
     return steps
 
 
-def thermal_lindblad_pair(
-    omega: float, beta: float, rate: float
-) -> list[np.ndarray]:
+def thermal_lindblad_pair(omega: float, beta: float, rate: float) -> list[np.ndarray]:
     """Decay/excitation Lindblad pair for a qubit with splitting omega.
 
-    Rates obey detailed balance: rate_down / rate_up = e^{beta omega}.
+    Rates obey detailed balance: rate_down / rate_up = e^{beta omega}.  omega and beta must
+    be finite reals and rate a finite real >= 0 (ValueError).
     """
+    for name, value in (("omega", omega), ("beta", beta)):
+        if not finite_real(value):
+            raise ValueError(f"{name!r} must be a finite number, got {value!r}")
+    if not (finite_real(rate) and rate >= 0):
+        raise ValueError(f"'rate' must be a number in [0, inf), got {rate!r}")
     down = np.sqrt(rate) * np.array([[0, 1], [0, 0]], dtype=np.complex128)
-    up = np.sqrt(rate * np.exp(-beta * omega)) * np.array(
-        [[0, 0], [1, 0]], dtype=np.complex128
-    )
+    up = np.sqrt(rate * np.exp(-beta * omega)) * np.array([[0, 0], [1, 0]], dtype=np.complex128)
     return [down, up]
 
 
@@ -179,7 +180,9 @@ def gibbs_populations(energies: np.ndarray, beta: float) -> tuple:
     """(Populations e^{-beta E} / Z, ln Z) of a vector of energies E.
 
     The largest exponent is shifted to 0, so no weight overflows; that moves no bit
-    when the lowest beta E is 0."""
+    when the lowest beta E is 0.  beta must be a finite real (ValueError)."""
+    if not finite_real(beta):
+        raise ValueError(f"'beta' must be a finite number, got {beta!r}")
     exponent = -beta * np.asarray(energies)
     top = exponent.max()
     w = np.exp(exponent - top)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import MixedPotentialOperator, QmapError, SingularStateError, raise_first
+from .errors import MixedPotentialOperator, QmapError, SingularStateError, require
 from .linalg import (HermitianEigenDecomposition, adjoint, as_complex_matrix, check_unitary,
                      frobs, hermitian_eig)
 from .maps import (KrausMap, KrausStack, check_fixed_points, checked_states, require_positive,
@@ -161,7 +161,7 @@ def _classify(stack: KrausStack, states: np.ndarray, eig: HermitianEigenDecompos
     gap_table = (pot[:, :, None] - pot[:, None, :])[owner]  # gap of each pair (j, i)
     high = np.where(connects, gap_table, -np.inf)
     spread = high.max(axis=(1, 2)) - np.where(connects, gap_table, np.inf).min(axis=(1, 2))
-    raise_first(spread > tol.eps_group, lambda k: MixedPotentialOperator(
+    require(spread <= tol.eps_group, lambda k: MixedPotentialOperator(
         int(k - stack.bounds[owner[k]]), _distinct(high[k][connects[k]])))
     delta_phi = _segment_means(high[connects], np.nonzero(connects)[0], len(ops))
     gap_index, gaps, gap_bases = _group(delta_phi, owner, tol.eps_group)
@@ -236,7 +236,7 @@ def _dual_stack(stack: KrausStack, eig: HermitianEigenDecomposition, states: np.
     duals = replace(stack, operators=ops)
     pi_duals = symmetry.on_matrix(states)
     deviation = tp_defects(duals)
-    raise_first(deviation > tol.eps_tp, lambda r: SingularStateError(
+    require(deviation <= tol.eps_tp, lambda r: SingularStateError(
         f"dual map is not trace preserving (deviation {deviation[r]:.3e})"))
     check_fixed_points(duals, pi_duals, tol)
     return duals, pi_duals

@@ -13,6 +13,7 @@ from qmapft.linalg import (adjoint, as_complex_matrix, frob, hermiticity_defect,
                            matrix_power_of_positive)
 from conftest import assert_close
 from test_process import _ladder_chain
+from test_cli import NOT_FINITE_IDS, NOT_FINITE_REALS
 
 LN2 = np.log(2.0)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -279,6 +280,33 @@ def test_gibbs_weights_stay_finite_at_large_beta(beta, populations, f):
     assert pops.tolist() == populations and log_z == abs(beta)
     assert q.free_energy(h, beta) == f
     assert np.array_equal(q.gibbs_state(h, beta), np.diag(populations))
+
+
+# each real parameter of the models that went unchecked, by the name its message gives it: a
+# NaN beta gave NaN populations, 10**400 an OverflowError, a NaN rate NaN operators
+MODEL_REAL_PARAMETERS = {
+    "gibbs_state-beta": ("'beta'", lambda v: q.gibbs_state(np.diag([0.0, 1.0]), v)),
+    "free_energy-beta": ("'beta'", lambda v: q.free_energy(np.diag([0.0, 1.0]), v)),
+    "lindblad_pair-omega": ("'omega'", lambda v: q.thermal_lindblad_pair(v, 1.0, 0.5)),
+    "lindblad_pair-beta": ("'beta'", lambda v: q.thermal_lindblad_pair(1.0, v, 0.5)),
+    "lindblad_pair-rate": ("'rate'", lambda v: q.thermal_lindblad_pair(1.0, 1.0, v)),
+}
+
+
+@pytest.mark.parametrize("value", NOT_FINITE_REALS, ids=NOT_FINITE_IDS)
+@pytest.mark.parametrize("case", list(MODEL_REAL_PARAMETERS))
+def test_model_real_parameters_refuse_what_is_not_a_finite_real(case, value):
+    name, build = MODEL_REAL_PARAMETERS[case]
+    with pytest.raises(ValueError, match=re.escape(name)):
+        build(value)
+
+
+def test_thermal_lindblad_pair_refuses_a_negative_rate():
+    # its square root warned and made NaN operators
+    with pytest.raises(ValueError, match=re.escape("'rate' must be a number in [0, inf), got -1")):
+        q.thermal_lindblad_pair(1, 1, -1)
+    down, up = q.thermal_lindblad_pair(1, 1, 0)
+    assert not down.any() and not up.any()
 
 
 def test_gibbs_state_basis_independent():
