@@ -364,34 +364,28 @@ def require_positive(eigenvalues: np.ndarray, tol: Tolerances) -> None:
         f"eps_pos={tol.eps_pos}; a strictly positive invariant state is required"))
 
 
-def _given_state(pi, dim: int) -> np.ndarray:
-    pi = as_complex_matrix(pi)
-    if pi.shape != (dim, dim):
-        raise DimensionMismatchError(
-            f"state shape {pi.shape} does not match map dimension {dim}"
-        )
-    return pi
-
-
 def checked_states(stack: KrausStack, kmaps, pis, tol: Tolerances) -> tuple:
     """(states, their HermitianEigenDecomposition) of the maps of a stack; the pass's one entry.
 
-    Each map is checked to be trace preserving (NotTracePreservingError).  Its
-    state is pis[r] if given (a finite d x d matrix), else its unique invariant
-    state, from one fixed_states call for all such maps.  Each state is
+    Each map is checked to be trace preserving (NotTracePreservingError).  Its state is
+    pis[r] if given, else its unique invariant state, from one fixed_states call for all such
+    maps; the given states are checked as one stack of finite d x d matrices.  Each state is
     checked to be a strictly positive fixed point (check_fixed_points, one stacked
-    hermitian_eig, require_positive: SingularStateError).  One stacked test of each
-    kind serves all maps; which map's error is raised, when several fail, is not specified.
+    hermitian_eig, require_positive: SingularStateError).  One stacked test of each kind
+    serves all maps; which map's error is raised, when several fail, is not specified.
     """
     deviation = tp_defects(stack)
     require(deviation <= tol.eps_tp, lambda r: NotTracePreservingError(
         f"map is not trace preserving: ||sum_k M_k† M_k - 1||_F = "
         f"{deviation[r]:.3e} exceeds eps_tp={tol.eps_tp}"))
+    d = stack.dim
     computed = [r for r, pi in enumerate(pis) if pi is None]
-    found = dict(zip(computed, fixed_states([kmaps[r] for r in computed], tol)
-                     if computed else ()))
-    states = np.stack([found[r] if pi is None else _given_state(pi, stack.dim)
-                       for r, pi in enumerate(pis)], dtype=np.complex128)
+    states = as_complex_stack([np.zeros((d, d)) if pi is None else pi for pi in pis])
+    if states.shape[1:] != (d, d):
+        raise DimensionMismatchError(
+            f"state shape {states.shape[1:]} does not match map dimension {d}")
+    if computed:
+        states[computed] = fixed_states([kmaps[r] for r in computed], tol)
     check_fixed_points(stack, states, tol)
     eig = hermitian_eig(states, tol)
     require_positive(eig.eigenvalues, tol)

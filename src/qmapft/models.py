@@ -164,15 +164,20 @@ def thermal_lindblad_pair(omega: float, beta: float, rate: float) -> list[np.nda
     """Decay/excitation Lindblad pair for a qubit with splitting omega.
 
     Rates obey detailed balance: rate_down / rate_up = e^{beta omega}.  omega and beta must
-    be finite reals and rate a finite real >= 0 (ValueError).
+    be finite reals, rate a finite real >= 0 and rate e^{-beta omega} finite (ValueError).
     """
     for name, value in (("omega", omega), ("beta", beta)):
         if not finite_real(value):
             raise ValueError(f"{name!r} must be a finite number, got {value!r}")
     if not (finite_real(rate) and rate >= 0):
         raise ValueError(f"'rate' must be a number in [0, inf), got {rate!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        up_rate = rate * np.exp(-beta * omega)
+    require(np.isfinite(up_rate), lambda _: ValueError(
+        f"the excitation rate, rate * e^(-beta omega), overflows at omega={omega!r}, "
+        f"beta={beta!r}, rate={rate!r}"))
     down = np.sqrt(rate) * np.array([[0, 1], [0, 0]], dtype=np.complex128)
-    up = np.sqrt(rate * np.exp(-beta * omega)) * np.array([[0, 0], [1, 0]], dtype=np.complex128)
+    up = np.sqrt(up_rate) * np.array([[0, 0], [1, 0]], dtype=np.complex128)
     return [down, up]
 
 
@@ -198,7 +203,9 @@ def gibbs_state(h: np.ndarray, beta: float, tol: Tolerances = DEFAULT_TOLERANCES
 
 
 def free_energy(h: np.ndarray, beta: float, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """-ln(Tr e^{-beta H}) / beta."""
+    """-ln(Tr e^{-beta H}) / beta, for beta nonzero (ValueError)."""
+    if beta == 0:
+        raise ValueError("'beta' must be nonzero: -ln(Tr e^{-beta H}) / beta is undefined at 0")
     vals = hermitian_eig(as_complex_matrix(h), tol).eigenvalues
     return -gibbs_populations(vals, beta)[1] / beta
 

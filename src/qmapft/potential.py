@@ -12,16 +12,15 @@ dPhi = -beta omega (check_bohr_ladder).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import MixedPotentialOperator, QmapError, SingularStateError, require
+from .errors import MixedPotentialOperator, QmapError, require
 from .linalg import (HermitianEigenDecomposition, adjoint, as_complex_matrix, check_unitary,
                      frobs, hermitian_eig)
-from .maps import (KrausMap, KrausStack, check_fixed_points, checked_states, require_positive,
-                   stack_maps, tp_defects)
+from .maps import KrausMap, KrausStack, checked_states, stack_maps
 
 
 # Tolerance of the ladder reports: Bohr ladder, ladder commutators, detailed balance.
@@ -122,23 +121,27 @@ def _group(values: np.ndarray, owner: np.ndarray, eps_group: float) -> tuple:
 PASS_ERRORS = (QmapError, ValueError, TypeError)
 
 
-def _replayed(run, kmaps, *per_map):
-    """run(stack_maps(kmaps), kmaps, *per_map), whose sequences hold one entry per map.
+def _replayed(run, kmaps, pis, empty):
+    """run(stack_maps(kmaps), kmaps, pis), pis holding one state, or None, per map.
 
-    Maps of different dimensions raise before the pass.  When the pass raises
-    PASS_ERRORS over more than one map, each map is run again alone, in order,
-    so the error raised is the first failing map's own, as running the maps one
-    by one would raise it.
+    No maps give empty; a pis list of another length than kmaps raises ValueError, and maps
+    of different dimensions raise before the pass.  When the pass raises PASS_ERRORS over
+    more than one map, each map is run again alone, in order, so the error raised is the
+    first failing map's own, as running the maps one by one would raise it.
     """
+    if len(kmaps) != len(pis):
+        raise ValueError(f"{len(kmaps)} maps and {len(pis)} pis")
+    if not len(kmaps):
+        return empty
     stack = stack_maps(kmaps)
     try:
-        return run(stack, kmaps, *per_map)
+        return run(stack, kmaps, pis)
     except PASS_ERRORS as exc:
         if len(kmaps) == 1:
             raise
         failure = exc
     for r in range(len(kmaps)):
-        run(stack_maps(kmaps[r:r + 1]), *(x[r:r + 1] for x in (kmaps, *per_map)))
+        run(stack_maps(kmaps[r:r + 1]), kmaps[r:r + 1], pis[r:r + 1])
     raise failure
 
 
@@ -185,13 +188,10 @@ def classify_maps(kmaps, pis, tol: Tolerances = DEFAULT_TOLERANCES) -> list:
     share one dimension, and pis holds one entry per map (ValueError).
     When some map fails, the error raised is the first failing map's (_replayed).
     """
-    if len(kmaps) != len(pis):
-        raise ValueError(f"{len(kmaps)} maps and {len(pis)} pis")
-
     def run(stack, kmaps, pis):
         return _classify(stack, *checked_states(stack, kmaps, pis, tol), tol)
 
-    return _replayed(run, kmaps, pis) if len(kmaps) else []
+    return _replayed(run, kmaps, pis, [])
 
 
 def build_potential_structure(
@@ -218,34 +218,28 @@ class DualMap:
     symmetry: SymmetryOp
 
 
-def _dual_stack(stack: KrausStack, eig: HermitianEigenDecomposition, states: np.ndarray,
-                symmetry: SymmetryOp, tol: Tolerances) -> tuple:
-    """(dual operators as a stack of the same bounds, transformed states) of every map of a stack.
-
-    The operators A pi^(1/2) M_k† pi^(-1/2) A† come from each state's decomposition,
-    and the dual states are A pi A†.  Each dual map is checked to be trace
-    preserving and to fix its state (check_fixed_points): SingularStateError.
+def build_duals(kmaps, pis, symmetry: SymmetryOp, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
+    """(dual maps, their states) of maps against their states: pis[r] if given, else the map's
+    invariant state.  One pass over the maps stacked as one KrausStack: checked_states checks
+    every map and state, and each state's decomposition builds the dual operators
+    A pi^(1/2) M_k† pi^(-1/2) A† (labels "<label>~") and the dual state A pi A†, unchecked: a
+    dual map is a map, checked where it is used as any map is.  When some map fails, the
+    error raised is the first failing map's (_replayed).
     """
-    v, w = eig.eigenvectors, eig.eigenvalues[:, None, :]
-    # the expressions of matrix_power_of_positive, from the one decomposition
-    sq = (v * w**0.5) @ adjoint(v)
-    sqinv = (v * w**-0.5) @ adjoint(v)
-    owner = stack.owner
-    ops = symmetry.on_matrix(sq[owner] @ adjoint(stack.operators) @ sqinv[owner])
-    ops.setflags(write=False)
-    duals = replace(stack, operators=ops)
-    pi_duals = symmetry.on_matrix(states)
-    deviation = tp_defects(duals)
-    require(deviation <= tol.eps_tp, lambda r: SingularStateError(
-        f"dual map is not trace preserving (deviation {deviation[r]:.3e})"))
-    check_fixed_points(duals, pi_duals, tol)
-    return duals, pi_duals
+    def run(stack, kmaps, pis):
+        states, eig = checked_states(stack, kmaps, pis, tol)
+        v, w = eig.eigenvectors, eig.eigenvalues[:, None, :]
+        # the expressions of matrix_power_of_positive, from the one decomposition
+        sq = (v * w**0.5) @ adjoint(v)
+        sqinv = (v * w**-0.5) @ adjoint(v)
+        owner, bounds = stack.owner, stack.bounds
+        ops = symmetry.on_matrix(sq[owner] @ adjoint(stack.operators) @ sqinv[owner])
+        ops.setflags(write=False)
+        duals = [KrausMap(operators=ops[a:b], labels=tuple(f"{s}~" for s in kmap.labels))
+                 for kmap, a, b in zip(kmaps, bounds[:-1], bounds[1:])]
+        return duals, symmetry.on_matrix(states)
 
-
-def _dual_maps(duals: KrausStack, kmaps) -> list:
-    ops, bounds = duals.operators, duals.bounds
-    return [KrausMap(operators=ops[a:b], labels=tuple(f"{s}~" for s in kmap.labels))
-            for kmap, a, b in zip(kmaps, bounds[:-1], bounds[1:])]
+    return _replayed(run, kmaps, pis, ([], []))
 
 
 def build_dual(
@@ -253,40 +247,14 @@ def build_dual(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> DualMap:
     """Dual map with operators A pi^(1/2) M_k† pi^(-1/2) A†, pi None being the map's unique
-    invariant state.  The map and pi are checked as build_potential_structure checks them
-    (checked_states), and the dual as classify_duals checks it.  Not classify_duals' one-map
-    case, which also classifies the dual: a map outside the ladder family has a dual too."""
+    invariant state: the one-map case of build_duals.  The dual map and its state are then
+    checked as any map and state are (checked_states), but not classified: a map outside
+    the ladder family has a dual too."""
     if symmetry is None:
         symmetry = theta(kmap.dim)
-    stack = stack_maps([kmap])
-    states, eig = checked_states(stack, [kmap], [pi], tol)
-    duals, pi_duals = _dual_stack(stack, eig, states, symmetry, tol)
-    return DualMap(map=_dual_maps(duals, [kmap])[0], pi_dual=pi_duals[0], symmetry=symmetry)
-
-
-def classify_duals(kmaps, structures, symmetry: SymmetryOp,
-                   tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
-    """(dual maps, their PotentialStructures) of maps classified as structures.
-
-    Each structure's pi and eigendecomposition are stacked and trusted, and each
-    pi is checked again, under tol, to be a strictly positive fixed point of its
-    map.  Then build_dual and build_potential_structure of each dual map against
-    its transformed state, in one pass: each dual map's trace preservation,
-    fixed point, state decomposition and classification is checked once.  When
-    some map fails, the error raised is the first failing map's (_replayed).
-    """
-    def run(stack, kmaps, structures):
-        states = np.array([s.pi for s in structures])
-        eig = HermitianEigenDecomposition(np.array([s.eigen.eigenvalues for s in structures]),
-                                          np.array([s.eigen.eigenvectors for s in structures]))
-        check_fixed_points(stack, states, tol)
-        require_positive(eig.eigenvalues, tol)
-        duals, pi_duals = _dual_stack(stack, eig, states, symmetry, tol)
-        dual_eig = hermitian_eig(pi_duals, tol)
-        require_positive(dual_eig.eigenvalues, tol)
-        return _dual_maps(duals, kmaps), _classify(duals, pi_duals, dual_eig, tol)
-
-    return _replayed(run, kmaps, structures) if len(kmaps) else ([], [])
+    duals, pi_duals = build_duals([kmap], [pi], symmetry, tol)
+    checked_states(stack_maps(duals), duals, pi_duals, tol)
+    return DualMap(map=duals[0], pi_dual=pi_duals[0], symmetry=symmetry)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .linalg import adjoint, as_complex_matrix, hermitian_eig, von_neumann_entropy
 from .maps import KrausMap, apply_map, validate_density
-from .potential import PotentialStructure, SymmetryOp, classify_duals, classify_maps, theta
+from .potential import PotentialStructure, SymmetryOp, build_duals, classify_maps, theta
 from .models import gibbs_populations
 
 ENTROPIC = "entropic"
@@ -516,16 +516,16 @@ def build_dual_process(
 ) -> ProcessSpec:
     """Reversed concatenation of per-step dual maps with transformed bases.
 
-    Every dual map is built and classified in one stacked pass (classify_duals)
-    from the decompositions the forward steps already carry; each forward pi is
-    checked again, under tol, to be a strictly positive fixed point.
+    The dual maps are built in one stacked pass (potential.build_duals), which
+    checks every forward map and pi again under tol, and are then made into
+    steps as any maps are (make_steps).  So every forward step is checked before
+    any dual step, and the first step to fail, in dual order, raises its own error.
     """
     bnd = compile_process(spec, tol)
     sym = spec.symmetry
     steps = spec.steps[::-1]
-    maps, structures = classify_duals(
-        [s.map for s in steps], [s.structure for s in steps], sym, tol)
-    dual_steps = [ProcessStep(map=m, structure=s) for m, s in zip(maps, structures)]
+    maps, pis = build_duals([s.map for s in steps], [s.structure.pi for s in steps], sym, tol)
+    dual_steps = make_steps(maps, pis, tol)
 
     def transform_basis(basis: np.ndarray) -> np.ndarray:
         return sym.matrix @ (basis.conj() if sym.antiunitary else basis)

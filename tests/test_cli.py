@@ -241,7 +241,10 @@ def test_cli_verify_exact(tmp_path, capsys):
 def test_cli_exact_verify_resolves_the_boundary_once(tmp_path, monkeypatch):
     # the forward enumeration, the dual and the detailed-FT matching all read the
     # boundary the loaded spec carries: rho_i evolves once through the R steps,
-    # and rho_i and the evolved state are each decomposed once, in maps or in process
+    # and rho_i and the evolved state are each decomposed once, in maps or in process.
+    # The steps' states take one stacked decomposition when they are classified, one
+    # when the dual process checks them again, and the dual states one when the dual
+    # steps are checked and classified as any steps are
     r = 5
     proc = tmp_path / "proc.json"
     write_gad_process(proc, steps=r)
@@ -268,10 +271,13 @@ def test_cli_exact_verify_resolves_the_boundary_once(tmp_path, monkeypatch):
                         lambda a, *rest: decomposed.append(np.array(a)) or real_eig(a, *rest))
     assert main(["verify", str(proc), "--out", str(tmp_path / "report.json")]) == 0
     assert len(evolved) == r
-    assert len(decomposed) == 3
+    assert len(decomposed) == 5
     assert np.array_equal(decomposed[0], spec.initial_state)
-    assert decomposed[1].ndim == 3  # the steps' invariant states, one stacked decomposition
+    states = np.array([s.structure.pi for s in spec.steps])
+    assert np.array_equal(decomposed[1], states)  # one stacked decomposition
     assert np.array_equal(decomposed[2], rho_f)
+    assert np.array_equal(decomposed[3], states[::-1])
+    assert np.array_equal(decomposed[4], states[::-1].conj())  # theta's A pi A†
 
 
 def test_cli_verify_resource_cap(tmp_path, capsys):

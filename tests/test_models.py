@@ -309,6 +309,25 @@ def test_thermal_lindblad_pair_refuses_a_negative_rate():
     assert not down.any() and not up.any()
 
 
+@pytest.mark.parametrize("beta", [0, 0.0, -0.0, np.float64(0)], ids=repr)
+def test_free_energy_refuses_beta_zero(beta):
+    # -ln Z / beta raised ZeroDivisionError
+    with pytest.raises(ValueError, match=re.escape("'beta' must be nonzero")):
+        q.free_energy(np.diag([0.0, 1.0]), beta)
+
+
+@pytest.mark.parametrize("omega, beta, rate", [
+    (1.0, -1000.0, 0.5), (1e200, -1e200, 0.5), (np.float64(1e200), np.float64(-1e200), 0.5),
+    (1.0, -700.0, 1e300)])
+def test_thermal_lindblad_pair_refuses_an_overflowing_excitation_rate(omega, beta, rate):
+    # e^{-beta omega} warned "overflow encountered in exp", then gave inf and NaN operators;
+    # a RuntimeWarning fails the test
+    with pytest.raises(ValueError, match=re.escape("rate * e^(-beta omega), overflows")):
+        q.thermal_lindblad_pair(omega, beta, rate)
+    down, up = q.thermal_lindblad_pair(1.0, -700.0, 0.5)  # e^700 is finite
+    assert up[1, 0] == np.sqrt(0.5 * np.exp(700.0)) and down[0, 1] == np.sqrt(0.5)
+
+
 def test_gibbs_state_basis_independent():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

@@ -220,11 +220,12 @@ def test_build_dual_rejects_non_fixed_point(gad):
 
 def test_build_dual_rejects_a_dual_that_is_not_trace_preserving():
     # pi moved off the fixed point by 1e-4 still passes eps_fix = 1e-3, but its dual
-    # operators then lose trace
+    # operators then lose trace: the dual map fails the trace-preservation test of any map
     kmap = q.thermal_qubit_map(0.7, 0.4)
     pi = q.invariant_state(kmap) + 1e-4 * np.diag([1.0, -1.0])
-    with pytest.raises(q.SingularStateError,
-                       match=r"dual map is not trace preserving \(deviation 1.346e-04\)"):
+    with pytest.raises(q.NotTracePreservingError,
+                       match=r"map is not trace preserving: \|\|sum_k M_k† M_k - 1\|\|_F = "
+                             r"1.346e-04 exceeds eps_tp=1e-10"):
         q.build_dual(kmap, pi, tol=q.Tolerances(eps_fix=1e-3))
 
 
@@ -493,4 +494,4 @@ def test_one_eigendecomposition_checks_pi_and_builds_the_dual(gad, monkeypatch):
         monkeypatch.setattr(module, "hermitian_eig",
                             lambda *a, **k: calls.append(1) or hermitian_eig(*a, **k))
     q.build_dual(kmap, pi)
-    assert len(calls) == 1
+    assert len(calls) == 2  # pi's, which also builds the dual; then the dual state's check

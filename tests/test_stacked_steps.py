@@ -12,6 +12,7 @@ and every dual state must agree within the bound each test states
 with the exact eigenvector of S's computed entries.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -375,3 +376,65 @@ def test_stacked_hermitian_eig_is_each_matrix_alone(d):
     stack[4] += 1e-3 * g[4]
     with pytest.raises(q.NonHermitianError):
         q.hermitian_eig(stack)
+
+
+def step_fields(step):
+    """Every field of a ProcessStep: its map's operators and labels, and its structure's."""
+    s = step.structure
+    return {"operators": step.map.operators, "labels": step.map.labels,
+            "eigenvalues": s.eigen.eigenvalues, "eigenvectors": s.eigen.eigenvectors,
+            **{f.name: getattr(s, f.name) for f in dataclasses.fields(s) if f.name != "eigen"}}
+
+
+def carried_decomposition_dual(fwd, sym):
+    """The dual step built from the decomposition the forward structure carries, as the
+    stacked dual pass built it before build_duals checked each pi again: the operators
+    A pi^(1/2) M_k† pi^(-1/2) A†, classified against A pi A†."""
+    v, w = fwd.structure.eigen.eigenvectors, fwd.structure.eigen.eigenvalues
+    k = len(fwd.map)
+    sq = np.repeat(((v * w**0.5) @ adjoint(v))[None], k, axis=0)
+    sqinv = np.repeat(((v * w**-0.5) @ adjoint(v))[None], k, axis=0)
+    ops = sym.on_matrix(sq @ adjoint(fwd.map.operators) @ sqinv)
+    dual = q.kraus_map(ops, labels=[f"{s}~" for s in fwd.map.labels])
+    return q.make_step(dual, sym.on_matrix(fwd.structure.pi))
+
+
+def assert_one_dual_path(spec, label):
+    """Each step of spec's dual process is make_step of build_dual of its forward step, and
+    the dual step that the forward structure's own decomposition gives, bit for bit."""
+    dual = q.build_dual_process(spec)
+    assert len(dual.steps) == len(spec.steps)
+    for r, (step, fwd) in enumerate(zip(dual.steps, spec.steps[::-1])):
+        d = q.build_dual(fwd.map, fwd.structure.pi, spec.symmetry)
+        got = step_fields(step)
+        for name, want in (("build_dual", q.make_step(d.map, d.pi_dual)),
+                           ("carried", carried_decomposition_dual(fwd, spec.symmetry))):
+            for field, value in step_fields(want).items():
+                assert np.array_equal(got[field], value), (label, r, name, field)
+
+
+def exchange(d, antiunitary):
+    """The symmetry |i> -> |d - 1 - i>: sigma_x at d = 2."""
+    return q.SymmetryOp(np.eye(d, dtype=complex)[::-1], antiunitary=antiunitary)
+
+
+def test_library_dual_steps_take_the_one_path(library):
+    for name, spec in library.items():
+        assert_one_dual_path(spec, name)
+        d = spec.steps[0].map.dim
+        for antiunitary in (True, False):
+            sym = exchange(d, antiunitary)
+            assert d > 2 or np.array_equal(sym.matrix, [[0, 1], [1, 0]])
+            assert_one_dual_path(dataclasses.replace(spec, symmetry=sym), (name, antiunitary))
+
+
+@given(st.integers(2, 16).flatmap(lambda d: st.lists(ladder_maps((d, d)), min_size=1, max_size=3)))
+@settings(max_examples=10, deadline=None)
+def test_ladder_dual_steps_take_the_one_path(examples):
+    # computed states and exact ones as given pis, each process under theta and the exchange
+    kmaps = [e.kmap for e in examples]
+    steps = q.process.make_steps(kmaps * 2, [None] * len(kmaps) + [e.pi for e in examples])
+    d = kmaps[0].dim
+    for sym in (None, exchange(d, True), exchange(d, False)):
+        spec = q.process_spec(steps, initial_state=np.eye(d) / d, symmetry=sym)
+        assert_one_dual_path(spec, (d, sym))
